@@ -34,20 +34,7 @@ class _Run:
     output; wall time goes to stderr only."""
 
     def __init__(self, argv):
-        # --jobs is excluded from the echo: outputs must be byte-identical
-        # across worker counts
-        shown = []
-        skip = False
-        for tok in argv:
-            if skip:
-                skip = False
-            elif tok == "--jobs":
-                skip = True
-            elif tok.startswith("--jobs="):
-                pass
-            else:
-                shown.append(tok)
-        self.echo = "correlpoly " + " ".join(shown)
+        self.echo = "correlpoly " + " ".join(argv)
         self.inputs = []
         self.t0 = time.time()
 
@@ -304,8 +291,6 @@ def build_parser():
     p = argparse.ArgumentParser(
         prog="correlpoly",
         description="Facet inequalities and quantum bounds for finite quantum logics.")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker count (results are independent of this)")
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("states", help="enumerate two-valued states")
@@ -319,7 +304,7 @@ def build_parser():
     ph.add_argument("--logic", help="builtin:<name> or a logic file")
     ph.add_argument("--terms", help="preset:<name> or a term table file")
     ph.add_argument("--noncontextual", action="store_true",
-                    help="sign-sweep vertices instead of state vertices")
+                    help="noncontextual sign vertices instead of state vertices")
     ph.add_argument("--output", help="write the result here instead of stdout")
     ph.add_argument("--reverse", action="store_true", help="H-rep to V-rep")
     ph.add_argument("--golden", help="builtin:<scenario> or a file to compare against")

@@ -323,6 +323,8 @@ def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
             factors = [None] * sites
             for tok in parts[2:]:
                 label, _, site = tok.rpartition("@")
+                if not (site.isdecimal() and 1 <= int(site) <= sites):
+                    raise ValueError(f"line {lineno}: site of {tok!r} is outside 1..{sites}")
                 factors[int(site) - 1] = label
             if any(f is None for f in factors):
                 raise ValueError(f"line {lineno}: term must cover all {sites} sites")

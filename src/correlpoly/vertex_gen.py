@@ -4,7 +4,8 @@ A term table selects which probabilities, expectations, or joint terms enter
 the bounds; evaluating the terms at every two-valued state gives the
 V-representation whose hull produces the facet inequalities ("conditions of
 possible experience").  A separate generator produces the noncontextual
-vertices: per-context products of unconstrained sign assignments.
+vertices: per-context products of unconstrained sign assignments, built as
+the GF(2) span of the context-atom incidence columns.
 """
 
 from __future__ import annotations
@@ -16,16 +17,16 @@ from importlib import resources
 from .exact_hull import HRep, VRep, parse_dd
 from .logic_core import Logic, enumerate_states, load_builtin, parity_certificate
 
-MAX_SWEEP_ATOMS = 26
+KINDS = ("prob", "joint_prob", "expect", "joint_expect")
 
-KINDS = ("prob", "joint_prob", "expect", "joint_expect", "context_product")
+_PLUS, _MINUS = Fraction(1), Fraction(-1)
 
 
 @dataclass(frozen=True)
 class TermSpec:
     label: str
     kind: str
-    atoms: tuple  # atom indices (a context index for context_product)
+    atoms: tuple  # atom indices
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -48,6 +49,7 @@ class TermTable:
 def parse_terms(text: str, logic: Logic) -> TermTable:
     """Parse the term table format: one `term <label> <kind> <atoms...>` line
     per term."""
+    index = {a.name: a.index for a in logic.atoms}
     terms = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -57,11 +59,15 @@ def parse_terms(text: str, logic: Logic) -> TermTable:
         if parts[0] != "term" or len(parts) < 4:
             raise ValueError(f"line {lineno}: expected `term <label> <kind> <atoms...>`")
         label, kind = parts[1], parts[2]
-        if kind == "context_product":
-            atoms = (int(parts[3]),)
-        else:
-            atoms = tuple(logic.atom_index(nm) for nm in parts[3:])
-        terms.append(TermSpec(label, kind, atoms))
+        if kind not in KINDS:  # before the atoms: their meaning depends on the kind
+            raise ValueError(f"line {lineno}: unknown term kind {kind!r}")
+        for nm in parts[3:]:
+            if nm not in index:
+                raise ValueError(f"line {lineno}: unknown atom {nm!r}")
+        try:
+            terms.append(TermSpec(label, kind, tuple(index[nm] for nm in parts[3:])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return TermTable(logic, tuple(terms))
 
 
@@ -76,12 +82,10 @@ def _evaluate(term: TermSpec, values):
         return Fraction(p)
     if term.kind == "expect":
         return Fraction(2 * v[term.atoms[0]] - 1)
-    if term.kind == "joint_expect":
-        p = 1
-        for a in term.atoms:
-            p *= 2 * v[a] - 1
-        return Fraction(p)
-    raise ValueError(f"term kind {term.kind} is not state-evaluable")
+    p = 1  # joint_expect
+    for a in term.atoms:
+        p *= 2 * v[a] - 1
+    return Fraction(p)
 
 
 def gen_state_vertices(logic: Logic, table: TermTable) -> VRep:
@@ -89,8 +93,6 @@ def gen_state_vertices(logic: Logic, table: TermTable) -> VRep:
     (deduplication is the hull's job)."""
     if not table.terms:
         raise ValueError("empty term table would give a zero-dimensional polytope")
-    if any(t.kind == "context_product" for t in table.terms):
-        raise ValueError("context_product terms are not state-evaluable")
     states = enumerate_states(logic)
     if not states:
         cert = parity_certificate(logic)
@@ -102,24 +104,30 @@ def gen_state_vertices(logic: Logic, table: TermTable) -> VRep:
     return VRep(len(table.terms), points)
 
 
-def gen_noncontextual_vertices(logic: Logic, force=False) -> VRep:
-    """Per-context products of all 2^n sign assignments, deduplicated.
+def gen_noncontextual_vertices(logic: Logic) -> VRep:
+    """Per-context products of all sign assignments, deduplicated and sorted.
 
-    Admissibility is ignored entirely; the coordinates live in {-1,+1}^contexts."""
-    n = len(logic.atoms)
-    if n > MAX_SWEEP_ATOMS and not force:
-        raise ValueError(f"{n} atoms exceeds the 2^{MAX_SWEEP_ATOMS} sweep guard "
-                         "(pass force=True to override)")
-    masks = [0] * len(logic.contexts)
+    Admissibility is ignored entirely; the coordinates live in {-1,+1}^contexts.
+    A context's product is -1 iff it holds an odd number of -1 atoms, so the
+    distinct points are the GF(2) span of the atoms' context-incidence
+    columns (bit ci set: sign -1 on context ci): 2^rank points in all."""
+    cols = [0] * len(logic.atoms)
     for ci, c in enumerate(logic.contexts):
         for a in c.atoms:
-            masks[ci] |= 1 << a
-    points = set()
-    for assign in range(1 << n):
-        # product over a context is -1 iff it contains an odd number of -1s
-        points.add(tuple(Fraction(1 - 2 * ((assign & m).bit_count() & 1))
-                         for m in masks))
-    return VRep(len(logic.contexts), tuple(sorted(points)))
+            cols[a] |= 1 << ci
+    basis = []
+    for col in cols:
+        for b in basis:
+            col = min(col, col ^ b)
+        if col:
+            basis.append(col)
+    span = [0]
+    for b in basis:
+        span += [x ^ b for x in span]
+    m = len(logic.contexts)
+    points = [tuple(_MINUS if x >> ci & 1 else _PLUS for ci in range(m))
+              for x in span]
+    return VRep(m, tuple(sorted(points)))
 
 
 SCENARIOS = (
@@ -133,7 +141,7 @@ SCENARIOS = (
 
 # How each scenario's V-representation is regenerated from first principles:
 # (logic name, term preset) for state-vertex scenarios, (logic name, None)
-# for noncontextual sign-sweep scenarios.
+# for noncontextual sign-span scenarios.
 SCENARIO_RECIPES = {
     "one-var": ("one-obs", "one-var"),
     "two-var-prob": ("two-obs", "two-var-prob"),

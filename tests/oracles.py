@@ -1,13 +1,14 @@
 """Independent brute-force oracles used to cross-check the package.
 
 Everything here is deliberately written from scratch (no reuse of package
-internals): exhaustive 2^n state enumeration, hyperplane-enumeration facet
-computation, and subset-enumeration maximal cliques.
+internals): exhaustive 2^n state enumeration and sign sweeps,
+hyperplane-enumeration facet computation, and subset-enumeration maximal
+cliques.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 DATA = Path(__file__).parent / "data"
@@ -22,6 +23,17 @@ def brute_force_states(logic):
         if all((assign & m).bit_count() == 1 for m in masks):
             out.append(tuple((assign >> i) & 1 for i in range(n)))
     return sorted(out)
+
+
+def brute_force_sign_points(logic):
+    """Distinct noncontextual sign points, sorted, by sweeping every {-1,+1}
+    atom assignment: one coordinate per context, the product of its atoms'
+    signs."""
+    points = set()
+    for assign in range(1 << len(logic.atoms)):
+        points.add(tuple(prod(-1 if (assign >> a) & 1 else 1 for a in c.atoms)
+                         for c in logic.contexts))
+    return tuple(sorted(points))
 
 
 def _coprime(row):

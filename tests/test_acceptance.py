@@ -111,7 +111,7 @@ def test_criterion_3_large_hulls():
         assert canon_key(h) == canon_key(golden), name
 
     t0 = time.monotonic()
-    v = gen_noncontextual_vertices(load_builtin("cabello18"))   # 2^18 sign sweep
+    v = gen_noncontextual_vertices(load_builtin("cabello18"))   # GF(2) span, rank 8
     assert time.monotonic() - t0 < 10.0
     assert len(set(v.points)) == 256
     dedup = VRep(v.dimension, tuple(sorted(set(v.points))))

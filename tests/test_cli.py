@@ -125,12 +125,11 @@ def test_hull_deterministic_output(capsys):
     assert a == b
 
 
-def test_hull_jobs_flag_does_not_change_output(capsys):
-    _, a = run(capsys, "--jobs", "1", "hull", "--logic", "builtin:pentagon",
-               "--terms", "preset:bub-stairs")
-    _, b = run(capsys, "--jobs", "4", "hull", "--logic", "builtin:pentagon",
-               "--terms", "preset:bub-stairs")
-    assert a == b
+def test_hull_unknown_term_atom_exit_1(capsys, tmp_path):
+    bad = tmp_path / "bad.terms"
+    bad.write_text("term p1 prob a1\nterm p2 prob zz\n")
+    assert main(["hull", "--logic", "builtin:two-obs", "--terms", str(bad)]) == 1
+    assert "line 2: unknown atom 'zz'" in capsys.readouterr().err
 
 
 # --- quantum ----------------------------------------------------------------
@@ -174,6 +173,14 @@ def test_quantum_expr_file(capsys, tmp_path):
 def test_quantum_errors(capsys):
     assert run(capsys, "quantum")[0] == 1
     assert run(capsys, "quantum", "--preset", "nope")[0] == 1
+
+
+@pytest.mark.parametrize("term", ["term 1 x@1 y@0", "term 1 x@1 y@3"])
+def test_quantum_site_out_of_range_exit_1(capsys, tmp_path, term):
+    f = tmp_path / "op.expr"
+    f.write_text(f"sites 2\n{term}\nbind x spin 1/2 0 0\nbind y spin 1/2 0 0\n")
+    assert main(["quantum", "--expr", str(f)]) == 1
+    assert "line 2: site of" in capsys.readouterr().err
 
 
 # --- verify -----------------------------------------------------------------

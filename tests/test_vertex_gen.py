@@ -1,13 +1,19 @@
-"""Vertex generation: term evaluation at states, noncontextual sign sweeps,
+"""Vertex generation: term evaluation at states, noncontextual sign vertices,
 and the bundled scenario catalog."""
 
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from correlpoly.exact_hull import canonicalize, hull
-from correlpoly.logic_core import load_builtin, parse_logic
+from correlpoly.logic_core import (
+    enumerate_states,
+    load_builtin,
+    parity_certificate,
+    parse_logic,
+)
 from correlpoly.vertex_gen import (
     SCENARIO_RECIPES,
     SCENARIOS,
@@ -18,6 +24,12 @@ from correlpoly.vertex_gen import (
     parse_terms,
     scenario_vertices,
 )
+
+from oracles import brute_force_sign_points
+
+LOGICS = sorted(f.name.removesuffix(".logic")
+                for f in (resources.files("correlpoly.data") / "logics").iterdir()
+                if f.name.endswith(".logic"))
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -75,6 +87,33 @@ def test_no_states_is_an_error_with_certificate():
 def test_noncontextual_counts():
     assert len(gen_noncontextual_vertices(load_builtin("pentagon")).points) == 32
     assert len(gen_noncontextual_vertices(load_builtin("specker-bug")).points) == 128
+    # 27 atoms, 17 contexts of full rank: the whole 2^17 cube
+    assert len(gen_noncontextual_vertices(load_builtin("gamma3-tkadlec")).points) == 2 ** 17
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in LOGICS if len(load_builtin(n).atoms) <= 16])
+def test_noncontextual_match_brute_force(name):
+    logic = load_builtin(name)
+    v = gen_noncontextual_vertices(logic)
+    assert v.dimension == len(logic.contexts)
+    assert v.points == brute_force_sign_points(logic)
+
+
+@pytest.mark.parametrize("name", LOGICS)
+def test_all_minus_point_vs_states_and_parity(name):
+    # A state's 1-atoms meet every context exactly once, so signing them -1
+    # makes every context product -1.  Under a parity certificate (an odd
+    # number of contexts, each atom in an even number of them) the -1 atoms
+    # meet the contexts an even number of times in total, so they cannot
+    # meet each of them an odd number of times.
+    logic = load_builtin(name)
+    all_minus = (Fraction(-1),) * len(logic.contexts)
+    has_point = all_minus in set(gen_noncontextual_vertices(logic).points)
+    if enumerate_states(logic):
+        assert has_point
+    if parity_certificate(logic):
+        assert not has_point and not enumerate_states(logic)
 
 
 def test_noncontextual_single_context():
@@ -99,12 +138,6 @@ def test_noncontextual_cubes():
         assert set(h.inequalities) == want
 
 
-def test_sweep_guard():
-    logic = load_builtin("gamma3-tkadlec")  # 27 atoms
-    with pytest.raises(ValueError, match="sweep guard"):
-        gen_noncontextual_vertices(logic)
-
-
 # --- term tables -------------------------------------------------------------------
 
 def test_parse_terms_errors():
@@ -113,19 +146,20 @@ def test_parse_terms_errors():
         parse_terms("term x prob a1\nterm x prob a2\n", logic)  # duplicate label
     with pytest.raises(ValueError):
         parse_terms("term x joint_prob a1 a1\n", logic)  # repeated atom
-    with pytest.raises(ValueError):
-        parse_terms("term x bogus a1\n", logic)  # unknown kind
-    with pytest.raises(KeyError):
-        parse_terms("term x prob zz\n", logic)  # unknown atom
+    with pytest.raises(ValueError, match="line 1: unknown term kind 'bogus'"):
+        parse_terms("term x bogus a1\n", logic)
+    with pytest.raises(ValueError, match="line 2: unknown atom 'zz'"):
+        parse_terms("term x prob a1\nterm y prob zz\n", logic)
     with pytest.raises(ValueError):
         gen_state_vertices(logic, parse_terms("", logic))  # empty table
 
 
 def test_context_product_not_state_evaluable():
+    # context products are sign-vertex coordinates, not a term kind: a table
+    # naming one is refused before any state is evaluated
     logic = load_builtin("two-obs")
-    table = parse_terms("term c0 context_product 0\n", logic)
-    with pytest.raises(ValueError, match="context_product"):
-        gen_state_vertices(logic, table)
+    with pytest.raises(ValueError, match="unknown term kind 'context_product'"):
+        gen_state_vertices(logic, parse_terms("term c0 context_product 0\n", logic))
 
 
 def test_unknown_scenario():
