@@ -2,7 +2,8 @@
 
 Builds spin-j component matrices by the ladder construction, projectors and
 tensor-product operators for Bell-type expressions, and computes Hermitian
-spectra with a cyclic Jacobi eigensolver.  The extreme eigenvalues of the
+spectra with a Jacobi eigensolver in Brent-Luk round-robin order (Brent &
+Luk, SIAM J. Sci. Stat. Comput. 6, 1985).  The extreme eigenvalues of the
 operator substituted for an inequality's left-hand side are the quantum
 bounds; a derivative-free pattern search maximizes them over free measurement
 angles.
@@ -86,63 +87,94 @@ def _offdiag_norm(a):
     return math.sqrt(float(np.sum(np.abs(b) ** 2)))
 
 
-def eigensystem(h):
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix via
-    cyclic Jacobi rotations.
+def _round_robin(n):
+    """Brent-Luk round-robin schedule for n indices: arrays P, Q of shape
+    (rounds, pairs) with P < Q.  No index occurs twice in a round, and the
+    rounds together hold every pair p < q exactly once.  Odd n gets a ghost
+    index n; the index paired with it sits that round out."""
+    m = n + n % 2
+    k = m - 1
+    # circle method: index 0 stays, the ring 1..m-1 turns one place per round,
+    # and position i meets position m-1-i
+    seq = np.hstack([np.zeros((k, 1), dtype=int),
+                     1 + (np.arange(k)[:, None] + np.arange(k)) % k])
+    top, bottom = seq[:, :m // 2], seq[:, ::-1][:, :m // 2]
+    p, q = np.minimum(top, bottom), np.maximum(top, bottom)
+    kept = q < n
+    return p[kept].reshape(k, -1), q[kept].reshape(k, -1)
 
-    Each rotation zeroes one off-diagonal entry exactly; sweeps repeat until
-    the off-diagonal Frobenius mass drops below 1e-13 of the matrix norm."""
-    a = _assert_hermitian(h).copy()
+
+def _rotate_rows(x, p, q, c, spq, sqp):
+    """x <- U^H x for the round's rotations: rows p and q of every pair,
+    with U[pp] = U[qq] = c, U[pq] = spq and U[qp] = -conj(spq) = -sqp."""
+    row_p, row_q = x[p], x[q]
+    x[p] = c * row_p - spq * row_q
+    x[q] = sqp * row_p + c * row_q
+
+
+def eigensystem(h, vectors=True):
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix via
+    Jacobi rotations in Brent-Luk round-robin order.
+
+    A sweep is n-1 rounds (n rounded up to even); each round zeroes up to n/2
+    disjoint off-diagonal entries exactly, applied together as whole-row
+    updates.  Sweeps repeat until the off-diagonal Frobenius mass drops below
+    1e-13 of the matrix norm.  A matrix with zero imaginary part is rotated
+    in real arithmetic.  With vectors=False the eigenvectors are not
+    accumulated and None is returned in their place."""
+    h = _assert_hermitian(h)
+    a = h.copy() if h.imag.any() else h.real.copy()
     n = a.shape[0]
-    v = np.eye(n, dtype=complex)
+    vh = np.eye(n, dtype=a.dtype) if vectors else None   # V^H, updated by rows
     fro = math.sqrt(float(np.sum(np.abs(a) ** 2)))
     if fro == 0.0:
-        return np.zeros(n), v
+        return np.zeros(n), vh
     stop = JACOBI_THRESHOLD * fro
     skip = 1e-14 * fro / max(n, 1)
+    schedule = list(zip(*_round_robin(n)))
     for _ in range(JACOBI_SWEEP_CAP):
         off = _offdiag_norm(a)
         if off <= stop:
             break
-        for p in range(n - 1):
-            row = a[p, p + 1:]
-            for q in np.nonzero(np.abs(row) > skip)[0] + p + 1:
-                apq = a[p, q]
-                r = abs(apq)
-                if r <= skip:
+        for p, q in schedule:
+            apq = a[p, q]
+            r = np.abs(apq)
+            big = r > skip
+            if not big.all():
+                p, q, apq, r = p[big], q[big], apq[big], r[big]
+                if not p.size:
                     continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2 * r)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(tau, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                # unitary differing from I in the (p,q) block:
-                #   U[pp]=c, U[pq]=s*phase, U[qp]=-s*conj(phase), U[qq]=c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-                vcp, vcq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vcp - s * np.conj(phase) * vcq
-                v[:, q] = s * phase * vcp + c * vcq
+            phase = apq / r
+            tau = (a[q, q].real - a[p, p].real) / (2 * r)
+            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(tau, 1.0))
+            c = 1.0 / np.hypot(t, 1.0)
+            s = t * c
+            rot = (p, q, c[:, None], (s * phase)[:, None], (s * np.conj(phase))[:, None])
+            # The pairs are disjoint, so their rotations commute.  R = U^H A
+            # is a row update; A Hermitian makes R^H = A U, and a second row
+            # update of that contiguous copy gives U^H A U without gathering
+            # columns.
+            _rotate_rows(a, *rot)
+            a = a.conj().T.copy()
+            _rotate_rows(a, *rot)
+            a[p, q] = 0.0
+            a[q, p] = 0.0
+            a[p, p] = a[p, p].real
+            a[q, q] = a[q, q].real
+            if vectors:
+                _rotate_rows(vh, *rot)                       # V <- V U
     else:
         off = _offdiag_norm(a)
         if off > stop:
             raise ArithmeticError(f"Jacobi did not converge in {JACOBI_SWEEP_CAP} sweeps")
     vals = np.diag(a).real
     order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
+    return vals[order], (vh.conj().T[:, order] if vectors else None)
 
 
 def eigenvalues(h):
     """All eigenvalues of a Hermitian matrix, ascending."""
-    vals, _ = eigensystem(h)
+    vals, _ = eigensystem(h, vectors=False)
     return list(vals)
 
 
@@ -297,51 +329,85 @@ def _load_vector_matrix(source, atom, base_dir=None):
     return 2 * np.outer(a, a.conj()) / float(np.real(a.conj() @ a)) - np.eye(a.size)
 
 
+def _number(kind, tok):
+    """tok read as `kind` (int, float or Fraction), required finite."""
+    try:
+        x = kind(tok)
+    except (ValueError, ZeroDivisionError):
+        x = None
+    if x is None or not math.isfinite(x):
+        raise ValueError(f"{tok!r} is not a finite number")
+    return x
+
+
+def _fields(args, usage):
+    """The directive's arguments, checked against its usage line's count."""
+    if len(args) != len(usage.split()) - 1:
+        raise ValueError(f"expected '{usage}'")
+    return args
+
+
 def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
     """Parse the operator expression format: `sites <n>`, optional
     `param <name> <default>` lines, `term <coeff> <label@site> ...` lines,
     and `bind <label> spin <j> <theta> <phi>` or
-    `bind <label> proj <vector-file> <atom>` lines."""
+    `bind <label> proj <vector-file> <atom>` lines.  An angle `$name` must
+    name a declared param.  Every error on a line raises
+    ValueError("line N: ...")."""
     sites = None
     terms = []
     binds = []
     params = []
+    refs = []   # (lineno, name) of each $name angle
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        kw = parts[0]
-        if kw == "sites":
-            sites = int(parts[1])
-        elif kw == "param":
-            params.append((parts[1], float(parts[2])))
-        elif kw == "term":
-            if sites is None:
-                raise ValueError(f"line {lineno}: sites must come first")
-            coeff = float(Fraction(parts[1]))
-            factors = [None] * sites
-            for tok in parts[2:]:
-                label, _, site = tok.rpartition("@")
-                if not (site.isdecimal() and 1 <= int(site) <= sites):
-                    raise ValueError(f"line {lineno}: site of {tok!r} is outside 1..{sites}")
-                factors[int(site) - 1] = label
-            if any(f is None for f in factors):
-                raise ValueError(f"line {lineno}: term must cover all {sites} sites")
-            terms.append((coeff, tuple(factors)))
-        elif kw == "bind":
-            label, kind = parts[1], parts[2]
-            if kind == "spin":
-                j = Fraction(parts[3])
-                angles = [t if t.startswith("$") else float(t) for t in parts[4:6]]
-                binds.append((label, ("spin", j, angles[0], angles[1])))
-            elif kind == "proj":
-                binds.append((label, ("proj", _load_vector_matrix(parts[3], parts[4],
-                                                                  base_dir))))
+        kw, *args = line.split()
+        try:
+            if kw == "sites":
+                (count,) = _fields(args, "sites <n>")
+                sites = _number(int, count)
+                if sites < 1:
+                    raise ValueError(f"sites must be at least 1, got {sites}")
+            elif kw == "param":
+                name, default = _fields(args, "param <name> <default>")
+                params.append((name, _number(float, default)))
+            elif kw == "term":
+                if sites is None:
+                    raise ValueError("sites must come first")
+                if not args:
+                    raise ValueError("expected 'term <coeff> <label@site> ...'")
+                coeff = float(_number(Fraction, args[0]))
+                factors = [None] * sites
+                for tok in args[1:]:
+                    label, _, site = tok.rpartition("@")
+                    if not (site.isdecimal() and 1 <= int(site) <= sites):
+                        raise ValueError(f"site of {tok!r} is outside 1..{sites}")
+                    factors[int(site) - 1] = label
+                if any(f is None for f in factors):
+                    raise ValueError(f"term must cover all {sites} sites")
+                terms.append((coeff, tuple(factors)))
+            elif kw == "bind":
+                kind = args[1] if len(args) > 1 else ""
+                if kind == "spin":
+                    label, _, j, *angles = _fields(args, "bind <label> spin <j> <theta> <phi>")
+                    refs += [(lineno, t[1:]) for t in angles if t.startswith("$")]
+                    angles = [t if t.startswith("$") else _number(float, t) for t in angles]
+                    binds.append((label, ("spin", _check_j(_number(Fraction, j)), *angles)))
+                elif kind == "proj":
+                    label, _, source, atom = _fields(args, "bind <label> proj <vector-file> <atom>")
+                    binds.append((label, ("proj", _load_vector_matrix(source, atom, base_dir))))
+                else:
+                    raise ValueError(f"bind kind must be spin or proj, got {kind!r}")
             else:
-                raise ValueError(f"line {lineno}: unknown bind kind {kind!r}")
-        else:
-            raise ValueError(f"line {lineno}: unknown directive {kw!r}")
+                raise ValueError(f"unknown directive {kw!r}")
+        except (ValueError, OSError) as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    declared = {name for name, _ in params}
+    for lineno, name in refs:
+        if name not in declared:
+            raise ValueError(f"line {lineno}: angle ${name} names no param")
     if sites is None:
         raise ValueError("missing sites header")
     return OperatorExpr(sites, tuple(terms), tuple(binds), tuple(params))

@@ -125,9 +125,13 @@ def gen_noncontextual_vertices(logic: Logic) -> VRep:
     for b in basis:
         span += [x ^ b for x in span]
     m = len(logic.contexts)
+    # the points' sorted order, read off the bits: context 0 decides first
+    # and a set bit (-1) sorts before a clear one
+    mask = (1 << m) - 1
+    span.sort(key=lambda x: format(x ^ mask, f"0{m}b")[::-1])
     points = [tuple(_MINUS if x >> ci & 1 else _PLUS for ci in range(m))
               for x in span]
-    return VRep(m, tuple(sorted(points)))
+    return VRep(m, tuple(points))
 
 
 SCENARIOS = (

@@ -183,6 +183,26 @@ def test_quantum_site_out_of_range_exit_1(capsys, tmp_path, term):
     assert "line 2: site of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, lineno", [
+    ("sites\n", 1),
+    ("sites 1\nparam t\n", 2),
+    ("sites 1\nterm 1 x@1\nbind x spin 1/2 0\n", 3),
+    ("sites 1\nterm 1 x@1\nbind x spin\n", 3),
+    ("sites 1\nterm 1 x@1\nbind x proj builtin:cabello18\n", 3),
+    ("sites 1\nterm 1 x@1\nbind x spin 1/2 $t 0\n", 3),
+    ("sites x\n", 1),
+    ("sites 1\nparam t abc\n", 2),
+    ("sites 1\nterm abc x@1\n", 2),
+    ("sites 0\n", 1),
+])
+def test_quantum_malformed_expr_exit_1(capsys, tmp_path, text, lineno):
+    f = tmp_path / "op.expr"
+    f.write_text(text)
+    assert main(["quantum", "--expr", str(f)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: line {lineno}: ")
+
+
 # --- verify -----------------------------------------------------------------
 
 def test_verify_pass(capsys):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from correlpoly import quantum as q
+from correlpoly import cli, quantum as q
 
 from oracles import frozen_spectrum
 
@@ -71,19 +71,76 @@ def test_invalid_j_rejected():
 
 # --- eigensolver -------------------------------------------------------------
 
-def test_jacobi_matches_dense_solver():
+def _dense_solver_inputs():
+    """Hermitian test matrices: dense complex at the original sizes, real and
+    complex at n = 1..9 (odd n gives the round-robin ghost index), a
+    degenerate I + rank-1, and a sparse tridiagonal whose rounds have pairs
+    below the skip cut-off."""
     rng = np.random.default_rng(42)
     for n in (2, 3, 7, 12, 25):
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        h = (m + m.conj().T) / 2
+        yield (m + m.conj().T) / 2
+    for n in range(1, 10):
+        m = rng.normal(size=(n, n))
+        yield (m + m.T) / 2
+        m = m + 1j * rng.normal(size=(n, n))
+        yield (m + m.conj().T) / 2
+    for u in (rng.normal(size=6), rng.normal(size=7) + 1j * rng.normal(size=7)):
+        yield np.eye(u.size) + np.outer(u, u.conj())
+    yield np.diag(np.arange(8.0)) + np.diag(np.ones(7), 1) + np.diag(np.ones(7), -1)
+
+
+def test_jacobi_matches_dense_solver():
+    for h in _dense_solver_inputs():
+        n = h.shape[0]
+        want = np.linalg.eigvalsh(h)
         vals, vecs = q.eigensystem(h)
-        assert np.max(np.abs(vals - np.linalg.eigvalsh(h))) < 1e-10
+        assert np.max(np.abs(vals - want)) < 1e-10
         for k in range(n):
             assert np.linalg.norm(h @ vecs[:, k] - vals[k] * vecs[:, k]) <= 1e-9
         # trace and Frobenius cross-checks
         assert abs(sum(vals) - np.trace(h).real) <= 1e-8 * max(1, abs(np.trace(h)))
         fro2 = float(np.sum(np.abs(h) ** 2))
         assert abs(sum(v * v for v in vals) - fro2) <= 1e-8 * max(1, fro2)
+        # the eigenvalues-only path
+        only, none = q.eigensystem(h, vectors=False)
+        assert none is None
+        assert np.max(np.abs(only - want)) < 1e-10
+        assert np.max(np.abs(np.array(q.eigenvalues(h)) - want)) < 1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_round_robin_schedule(n):
+    ps, qs = q._round_robin(n)
+    assert ps.shape == qs.shape == (n - 1 + n % 2, n // 2)
+    for row_p, row_q in zip(ps, qs):
+        assert len(set(row_p) | set(row_q)) == 2 * len(row_p)   # disjoint pairs
+    pairs = sorted(zip(ps.ravel().tolist(), qs.ravel().tolist()))
+    assert pairs == [(a, b) for a in range(n) for b in range(a + 1, n)]
+
+
+def test_cabello_jacobi_full_spectrum():
+    op = q.realize_operator(q.load_preset_expr("cabelloT"))
+    vals, vecs = q.eigensystem(op)
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(op))) <= 1e-10
+    assert np.max(np.linalg.norm(op @ vecs - vecs * vals, axis=0)) <= 1e-10
+    assert q.eigenvalues(op) == list(vals)
+
+
+DENSE_8X8 = ("sites 3\nterm 1 A@1 B@2 C@3\nterm 1 B@1 C@2 A@3\n"
+             "bind A spin 1/2 0.7 0.3\nbind B spin 1/2 1.9 -1.1\nbind C spin 1/2 2.6 2.2\n")
+
+
+def test_jacobi_sweep_cap(monkeypatch, tmp_path, capsys):
+    op = q.realize_operator(q.parse_operator_expr(DENSE_8X8))
+    assert op.shape == (8, 8) and np.all(np.abs(op) > 1e-3)
+    monkeypatch.setattr(q, "JACOBI_SWEEP_CAP", 1)
+    with pytest.raises(ArithmeticError, match="did not converge in 1 sweeps"):
+        q.eigenvalues(op)
+    f = tmp_path / "dense.op"
+    f.write_text(DENSE_8X8)
+    assert cli.main(["quantum", "--expr", str(f)]) == 1
+    assert "error: Jacobi did not converge" in capsys.readouterr().err
 
 
 def test_jacobi_identity_and_diagonal():
