@@ -131,9 +131,8 @@ def cmd_states(args, run):
 
 # --- hull -------------------------------------------------------------------
 
-def _canon_key(h):
-    c = exact_hull.canonicalize(h)
-    return frozenset(c.linearities), frozenset(c.inequalities)
+def _row_sets(h):
+    return frozenset(h.linearities), frozenset(h.inequalities)
 
 
 def _load_golden(spec, suffix, run):
@@ -147,7 +146,8 @@ def _load_golden(spec, suffix, run):
 
 
 def _compare_h(ours, golden):
-    (lin_a, ineq_a), (lin_b, ineq_b) = _canon_key(ours), _canon_key(golden)
+    # ours comes from hull(), which returns the canonical form already
+    (lin_a, ineq_a), (lin_b, ineq_b) = _row_sets(ours), _row_sets(exact_hull.canonicalize(golden))
     if lin_a == lin_b and ineq_a == ineq_b:
         return []
     msgs = []

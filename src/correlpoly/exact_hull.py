@@ -88,17 +88,31 @@ def _rref(rows, ncols):
 def _dd_cone(dim, constraints):
     """Extreme rays of {y in R^dim : c.y >= 0 (or = 0) for all constraints}.
 
-    constraints: list of (vector, is_equality).  Returns (rays, lineality)
-    where rays are coprime-integer tuples each paired with nothing (the zero
-    sets are internal), and lineality is a basis of the final lineality space.
+    constraints: list of (vector, is_equality).  Returns (rays, lineality):
+    the rays as coprime-integer tuples and a basis of the final lineality
+    space.  The rays are the rows of one integer matrix R, int64 while a bound
+    proves that no product below can overflow and Python ints (dtype object)
+    otherwise.  Their zero sets, over the inequality constraints processed
+    so far, are the rows of a uint64 matrix Z: constraint j is bit j % 64 of
+    word j // 64.
     """
+    # imported here: a module-top import loads numpy before the package's
+    # pure-Python modules and raises the peak RSS of every run
+    import numpy as np
+
     lineality = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    rays = []     # list of [vector tuple, zero-set bitmask]
-    nproc = 0     # number of inequality constraints processed (bitmask width)
+    R = np.zeros((0, dim), dtype=np.int64)
+    Z = np.zeros((0, 0), dtype=np.uint64)
+    nproc = 0     # number of inequality constraints processed (zero-set width)
     neqpiv = 0    # independent equality constraints absorbed so far
 
     for cvec, is_eq in constraints:
         cvec = tuple(cvec)
+        R = R.astype(_ray_dtype(R, lineality, cvec, dim), copy=False)
+        c = np.array(cvec, dtype=R.dtype)
+        word, bit = nproc // 64, np.uint64(1 << (nproc % 64))
+        if not is_eq and word == Z.shape[1]:
+            Z = np.concatenate((Z, np.zeros((len(Z), 1), dtype=Z.dtype)), axis=1)
         # try to pivot a lineality vector out
         pivot = None
         for idx, u in enumerate(lineality):
@@ -109,8 +123,10 @@ def _dd_cone(dim, constraints):
             u = lineality.pop(pivot)
             du = _dot(cvec, u)
             lineality = [_combine(v, _dot(cvec, v), u, du) for v in lineality]
-            for r in rays:
-                r[0] = _combine_keep(r[0], _dot(cvec, r[0]), u, du)
+            # r - (dr/du) u, scaled to integers with the orientation of r;
+            # w is u turned to the feasible side of this constraint
+            w = u if du > 0 else tuple(-x for x in u)
+            R = _reduce_rows(abs(du) * R - (R @ c)[:, None] * np.array(w, dtype=R.dtype))
             if is_eq:
                 neqpiv += 1
             else:
@@ -118,33 +134,130 @@ def _dd_cone(dim, constraints):
                 # hyperplane, so they all gain the new tight bit; the new ray
                 # (the pivoted lineality direction) is tight for everything
                 # processed before but strictly feasible for this constraint
-                bit = 1 << nproc
-                for r in rays:
-                    r[1] |= bit
-                w = u if du > 0 else tuple(-x for x in u)
-                rays.append([w, bit - 1])
+                Z[:, word] |= bit
+                full = (1 << nproc) - 1
+                z = [(full >> (64 * k)) & 0xFFFF_FFFF_FFFF_FFFF for k in range(Z.shape[1])]
+                R = np.concatenate((R, np.array([w], dtype=R.dtype)))
+                Z = np.concatenate((Z, np.array([z], dtype=Z.dtype)))
                 nproc += 1
             continue
 
-        dots = [_dot(cvec, r[0]) for r in rays]
-        pos = [i for i, d in enumerate(dots) if d > 0]
-        neg = [i for i, d in enumerate(dots) if d < 0]
-        zer = [i for i, d in enumerate(dots) if d == 0]
+        dots = R @ c
+        pos = np.flatnonzero(dots > 0)
+        neg = np.flatnonzero(dots < 0)
+        zer = np.flatnonzero(dots == 0)
 
         # dimension of the pointed quotient the rays live in
         effdim = dim - len(lineality) - neqpiv
+        newR, newZ = _combinations(R, Z, dots, pos, neg, effdim)
         if is_eq:
-            keep = [rays[i] for i in zer]
-            new = _combinations(rays, dots, pos, neg, effdim, extra_bit=None)
-            rays = keep + new
+            keep = zer
         else:
-            bit = 1 << nproc
-            for i in zer:
-                rays[i][1] |= bit
-            new = _combinations(rays, dots, pos, neg, effdim, extra_bit=bit)
-            rays = [rays[i] for i in pos + zer] + new
+            Z[zer, word] |= bit
+            newZ[:, word] |= bit
+            keep = np.concatenate((pos, zer))
             nproc += 1
-    return [r[0] for r in rays], lineality
+        # one statement each, so that the old matrix is freed before the
+        # next one is built
+        R = R[keep]
+        R = np.concatenate((R, newR))
+        Z = Z[keep]
+        Z = np.concatenate((Z, newZ))
+    return [tuple(r) for r in R.tolist()], lineality
+
+
+def _ray_dtype(R, lineality, cvec, dim):
+    """int64 while no product of this step can overflow it, else object
+    (Python ints).  With B = max(1, max|R|, max|lineality|), a dot product
+    is at most max|c| * dim * B, and each of the two terms of a combined
+    ray at most that times B: the bound below keeps both under 2**62."""
+    big = max((abs(x) for u in lineality for x in u), default=1)
+    if len(R):
+        big = max(big, int(R.max()), -int(R.min()))
+    ok = max(abs(x) for x in cvec) * dim * big * big < 1 << 62
+    return "int64" if ok else object
+
+
+def _reduce_rows(R):
+    """R with each row divided, in place, by the gcd of its entries."""
+    import numpy as np
+
+    g = np.gcd.reduce(R, axis=1)
+    g[g == 0] = 1
+    R //= g[:, None]
+    return R
+
+
+def _combinations(R, Z, dots, pos, neg, effdim):
+    """New rays, and their zero sets, from adjacent (positive, negative) pairs,
+    in the order of `for ip in pos: for im in neg`."""
+    if not len(pos) or not len(neg):
+        return R[:0], Z[:0]
+    # adjacency needs common tight constraints of rank effdim-2, hence at
+    # least that many of them
+    minpop = max(0, effdim - 2)
+    tight = _TightIndex(Z)
+    everyone = (1 << len(R)) - 1
+    ips, ims = [], []
+    for ip, im, common in _candidates(Z, pos, neg, minpop):
+        # the pair is adjacent iff no third ray's zero set contains the
+        # common zero set: the rays tight at all of it are just the pair
+        pair = (1 << ip) | (1 << im)
+        acc = everyone
+        for k in common:
+            if acc == pair:
+                break
+            acc &= tight[k]
+        if acc == pair:
+            ips.append(ip)
+            ims.append(im)
+    new = R[ims]
+    new *= dots[ips][:, None]
+    new -= dots[ims][:, None] * R[ips]
+    return _reduce_rows(new), Z[ips] & Z[ims]
+
+
+def _candidates(Z, pos, neg, minpop):
+    """The pairs (ip, im) of pos x neg, in row-major order, whose common zero
+    set has at least minpop constraints, each with the list of those
+    constraints.  Temporaries stay near 4096 words: the pairs are filtered
+    one block of positive rays at a time, and the zero sets are decoded 64
+    candidates at a time."""
+    import numpy as np
+
+    Zn = Z[neg]
+    pos, neg = pos.tolist(), neg.tolist()
+    block = max(1, 4096 // (len(neg) * max(Z.shape[1], 1)))
+    for b0 in range(0, len(pos), block):
+        common = Z[pos[b0:b0 + block], None, :] & Zn[None, :, :]
+        counts = np.bitwise_count(common).sum(axis=2, dtype=np.int64)
+        bp, bn = np.nonzero(counts >= minpop)
+        for c0 in range(0, len(bp), 64):
+            p, n = bp[c0:c0 + 64], bn[c0:c0 + 64]
+            words = common[p, n].astype("<u8", copy=False)
+            bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+            zeros = np.nonzero(bits)[1].tolist()  # row-major: pair after pair
+            end = 0
+            for i, j, size in zip(p.tolist(), n.tolist(), counts[p, n].tolist()):
+                start, end = end, end + size
+                yield pos[b0 + i], neg[j], zeros[start:end]
+
+
+class _TightIndex(dict):
+    """Constraint index -> Python-int bitset of the rays tight at it, decoded
+    from Z on first use (a step reads few of its constraints)."""
+
+    def __init__(self, Z):
+        super().__init__()
+        self.Z = Z
+
+    def __missing__(self, k):
+        import numpy as np
+
+        tight = self.Z[:, k // 64] & np.uint64(1 << (k % 64))
+        rays = np.packbits(tight != 0, bitorder="little").tobytes()
+        self[k] = int.from_bytes(rays, "little")
+        return self[k]
 
 
 def _dot(a, b):
@@ -154,60 +267,10 @@ def _dot(a, b):
 def _combine(v, dv, u, du):
     # v' = v - (dv/du) u, scaled to coprime integers (orientation irrelevant)
     w = tuple(du * x - dv * y for x, y in zip(v, u))
-    return _int_reduce(w)
-
-
-def _combine_keep(v, dv, u, du):
-    # same, but keep the orientation of v
-    w = tuple(du * x - dv * y for x, y in zip(v, u))
-    if du < 0:
-        w = tuple(-x for x in w)
-    return _int_reduce(w)
-
-
-def _int_reduce(w):
     g = 0
     for x in w:
         g = gcd(g, abs(x))
-    if g > 1:
-        w = tuple(x // g for x in w)
-    return w
-
-
-def _combinations(rays, dots, pos, neg, effdim, extra_bit):
-    """New rays from adjacent (positive, negative) pairs."""
-    if not pos or not neg:
-        return []
-    masks = [r[1] for r in rays]
-    inv = [~z for z in masks]
-    # witnesses against adjacency are rays whose zero set contains the common
-    # zero set of the pair; scan large zero sets first to find them quickly
-    order = sorted(range(len(masks)), key=lambda k: -masks[k].bit_count())
-    new = []
-    # adjacency needs common tight constraints of rank effdim-2, hence at
-    # least that many of them
-    minpop = max(0, effdim - 2)
-    for ip in pos:
-        zp = masks[ip]
-        dp = dots[ip]
-        vp = rays[ip][0]
-        for im in neg:
-            mask = zp & masks[im]
-            if mask.bit_count() < minpop:
-                continue
-            adjacent = True
-            for k in order:
-                if k != ip and k != im and mask & inv[k] == 0:
-                    adjacent = False
-                    break
-            if not adjacent:
-                continue
-            dm = dots[im]
-            vm = rays[im][0]
-            w = _int_reduce(tuple(dp * y - dm * x for x, y in zip(vp, vm)))
-            z = mask if extra_bit is None else mask | extra_bit
-            new.append([w, z])
-    return new
+    return tuple(x // g for x in w) if g > 1 else w
 
 
 # ---------------------------------------------------------------------------

@@ -321,7 +321,10 @@ def _load_vector_matrix(source, atom, base_dir=None):
         path = Path(source)
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
-        real = parse_vectors(path.read_text())
+        try:
+            real = parse_vectors(path.read_text())
+        except ValueError as exc:
+            raise ValueError(f"{source} {exc}") from None
     by_name = {v.name: v for v in real.vectors}
     if atom not in by_name:
         raise ValueError(f"no vector named {atom!r} in {source}")
@@ -359,6 +362,7 @@ def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
     binds = []
     params = []
     refs = []   # (lineno, name) of each $name angle
+    term_lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -388,6 +392,7 @@ def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
                 if any(f is None for f in factors):
                     raise ValueError(f"term must cover all {sites} sites")
                 terms.append((coeff, tuple(factors)))
+                term_lines.append(lineno)
             elif kw == "bind":
                 kind = args[1] if len(args) > 1 else ""
                 if kind == "spin":
@@ -408,6 +413,11 @@ def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
     for lineno, name in refs:
         if name not in declared:
             raise ValueError(f"line {lineno}: angle ${name} names no param")
+    bound = {label for label, _ in binds}
+    for lineno, (_, factors) in zip(term_lines, terms):
+        unbound = sorted(set(factors) - bound)
+        if unbound:
+            raise ValueError(f"line {lineno}: unbound labels {unbound}")
     if sites is None:
         raise ValueError("missing sites header")
     return OperatorExpr(sites, tuple(terms), tuple(binds), tuple(params))

@@ -5,6 +5,7 @@ vector set as the maximal cliques of the orthogonality graph."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -44,18 +45,27 @@ class VerifyReport:
 
 
 def _parse_entry(tok):
-    if "/" in tok:
-        num, den = tok.split("/")
-        return Fraction(int(num), int(den)), True
+    """(value, exact): an integer or a rational p/q exactly, else a float."""
     try:
-        return Fraction(int(tok)), True
-    except ValueError:
-        return float(tok), False
+        if "/" in tok:
+            num, den = tok.split("/")
+            x, exact = Fraction(int(num), int(den)), True
+        else:
+            try:
+                x, exact = Fraction(int(tok)), True
+            except ValueError:
+                x, exact = float(tok), False
+    except (ValueError, ZeroDivisionError):
+        x = None
+    if x is None or not math.isfinite(x):
+        raise ValueError(f"{tok!r} is not a finite number")
+    return x, exact
 
 
 def parse_vectors(text: str):
     """Parse the vector file format: `dim <d>` then `vector <atom> <c1> ...`
-    lines; entries are integers, rationals p/q, or decimal floats."""
+    lines; entries are integers, rationals p/q, or decimal floats.  Every
+    error on a line raises ValueError("line N: ...")."""
     dim = None
     vectors = []
     names = set()
@@ -63,24 +73,31 @@ def parse_vectors(text: str):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        if parts[0] == "dim":
-            dim = int(parts[1])
-        elif parts[0] == "vector":
-            if dim is None:
-                raise ValueError(f"line {lineno}: dim must come first")
-            name = parts[1]
-            if name in names:
-                raise ValueError(f"line {lineno}: duplicate vector {name}")
-            names.add(name)
-            entries = [_parse_entry(t) for t in parts[2:]]
-            if len(entries) != dim:
-                raise ValueError(f"line {lineno}: expected {dim} coordinates")
-            exact = all(e for _, e in entries)
-            coords = tuple(x for x, _ in entries)
-            vectors.append(RealVector(name, coords, exact))
-        else:
-            raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
+        kw, *args = line.split()
+        try:
+            if kw == "dim":
+                if len(args) != 1 or not args[0].isdecimal() or int(args[0]) < 1:
+                    raise ValueError(f"expected 'dim <d>' with d >= 1, got {line!r}")
+                dim = int(args[0])
+            elif kw == "vector":
+                if dim is None:
+                    raise ValueError("dim must come first")
+                if not args:
+                    raise ValueError("expected 'vector <atom> <c1> ...'")
+                name = args[0]
+                if name in names:
+                    raise ValueError(f"duplicate vector {name}")
+                names.add(name)
+                entries = [_parse_entry(t) for t in args[1:]]
+                if len(entries) != dim:
+                    raise ValueError(f"expected {dim} coordinates")
+                exact = all(e for _, e in entries)
+                coords = tuple(x for x, _ in entries)
+                vectors.append(RealVector(name, coords, exact))
+            else:
+                raise ValueError(f"unknown directive {kw!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     if dim is None:
         raise ValueError("missing dim header")
     return Realization(dim, tuple(vectors))

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from correlpoly import exact_hull
 from correlpoly.cli import main
 
 
@@ -71,6 +72,16 @@ def test_hull_preset_against_golden(capsys):
     code, _ = run(capsys, "hull", "--logic", "builtin:epr-2x2",
                   "--terms", "preset:chsh-expect", "--golden", "builtin:chsh-2x2")
     assert code == 0
+
+
+def test_hull_golden_canonicalizes_each_side_once(capsys, monkeypatch):
+    # hull() returns the canonical form, so only the golden file needs it
+    calls = []
+    canonicalize = exact_hull.canonicalize
+    monkeypatch.setattr(exact_hull, "canonicalize", lambda h: calls.append(h) or canonicalize(h))
+    code, _ = run(capsys, "hull", "--logic", "builtin:epr-2x2",
+                  "--terms", "preset:chsh-expect", "--golden", "builtin:chsh-2x2")
+    assert code == 0 and len(calls) == 2
 
 
 def test_hull_facet_count(capsys):
@@ -203,6 +214,21 @@ def test_quantum_malformed_expr_exit_1(capsys, tmp_path, text, lineno):
     assert len(err) == 1 and err[0].startswith(f"error: line {lineno}: ")
 
 
+@pytest.mark.parametrize("expr, vec, message", [
+    ("sites 1\nterm 1 A@1\nbind A proj f.vec a\n", "dim 3\nvector a 1 0\n",
+     "error: line 3: f.vec line 2: expected 3 coordinates"),
+    ("sites 2\nbind A spin 1/2 0 0\nterm 1 A@1 A@2\nterm 1 A@1 B@2\nterm 1 B@1 B@2\n", None,
+     "error: line 4: unbound labels ['B']"),
+])
+def test_quantum_expr_error_names_its_line(capsys, tmp_path, expr, vec, message):
+    f = tmp_path / "op.expr"
+    f.write_text(expr)
+    if vec is not None:
+        (tmp_path / "f.vec").write_text(vec)
+    assert main(["quantum", "--expr", str(f)]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
 # --- verify -----------------------------------------------------------------
 
 def test_verify_pass(capsys):
@@ -234,3 +260,22 @@ def test_verify_derive_dim_mismatch(capsys):
     code, _ = run(capsys, "verify", "--derive", "--vectors", "builtin:yu-oh",
                   "--dim", "4")
     assert code == 1
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ("dim\nvector a 1 0 0\n", 1),
+    ("dim x\n", 1),
+    ("dim 0\n", 1),
+    ("dim 3\nvector\n", 2),
+    ("dim 3\nvector a 1/0 0 0\n", 2),
+    ("dim 3\nvector a 1/2/3 0 0\n", 2),
+    ("dim 3\nvector a x 0 0\n", 2),
+    ("dim 3\nvector a 0 0 0\n", 2),
+    ("dim 3\nvector a 1 0 0\nbasis a\n", 3),
+])
+def test_verify_malformed_vectors_exit_1(capsys, tmp_path, text, lineno):
+    f = tmp_path / "f.vec"
+    f.write_text(text)
+    assert main(["verify", "--derive", "--dim", "3", "--vectors", str(f)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: line {lineno}: ")

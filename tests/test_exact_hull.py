@@ -3,6 +3,7 @@ representation-conversion properties on random vertex sets."""
 
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +163,79 @@ def test_hull_exact_rational_output():
     for row in h.inequalities + h.linearities:
         assert all(isinstance(x, (int, Fraction)) for x in row)
         assert not any(isinstance(x, float) for x in row)
+
+
+# --- large coordinates: the int64 bound and the Python-int fallback ----------
+#
+# Entries near 2**61 leave no room for an int64 product, so the double
+# description must run on Python ints; every answer must stay exact and come
+# back as Python int / Fraction, never as a numpy scalar.
+
+def _golden_pairs():
+    root = resources.files("correlpoly.data") / "golden"
+    names = sorted(f.name[:-4] for f in root.iterdir() if f.name.endswith(".ext"))
+    return [(n, parse_dd((root / f"{n}.ext").read_text()),
+             parse_dd((root / f"{n}.ine").read_text())) for n in names]
+
+
+GOLDEN_PAIRS = _golden_pairs()
+
+
+def _moved(rows, t):
+    # b + a.x >= 0 on P is (b - a.t) + a.y >= 0 on P + t
+    return tuple((r[0] - sum(a * x for a, x in zip(r[1:], t)), *r[1:]) for r in rows)
+
+
+def _python_rows(rows):
+    return all(type(x) is int or (type(x) is Fraction and type(x.numerator) is int
+                                  and type(x.denominator) is int)
+               for r in rows for x in r)
+
+
+def test_golden_pairs_are_bundled():
+    assert len(GOLDEN_PAIRS) == 19
+
+
+@pytest.mark.parametrize("name, v, golden", GOLDEN_PAIRS, ids=[n for n, _, _ in GOLDEN_PAIRS])
+def test_translation_near_2_61_is_exact(name, v, golden):
+    t = tuple(2**61 + 3 * k + 1 for k in range(v.dimension))
+    h = hull(v)
+    moved = HRep(v.dimension, _moved(h.inequalities, t), _moved(h.linearities, t))
+    points = tuple(tuple(Fraction(x) + s for x, s in zip(p, t)) for p in v.points)
+    out = hull(VRep(v.dimension, points))
+    assert out == canonicalize(moved)
+    # the moved rows keep h's order, hence the insertion order of vertices(h)
+    back = vertices(moved)
+    assert back.points == tuple(sorted(set(points)))
+    assert _python_rows(out.inequalities + out.linearities) and _python_rows(back.points)
+    assert _python_rows(h.inequalities + h.linearities)
+    assert _python_rows(vertices(golden).points)
+
+
+def _random_points(seed, n, d, bits):
+    rnd = random.Random(seed)
+    return [tuple(rnd.randrange(1 << bits) for _ in range(d)) for _ in range(n)]
+
+
+BIG = 2**62
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0, 0), (BIG, 1, 0), (1, BIG, 2), (3, 2, BIG),
+     (BIG, BIG, BIG + 1), (BIG + 7, 5, BIG - 3), (2, BIG - 1, BIG)],
+    # facet normals of these need about 80 bits: int64 products would wrap
+    _random_points(1, 9, 3, 40),
+    _random_points(2, 8, 4, 24),
+])
+def test_large_coordinates_match_brute_force(points):
+    h = hull(VRep(len(points[0]), tuple(points)))
+    assert not h.linearities
+    assert set(h.inequalities) == brute_force_facets(points)
+    assert _python_rows(h.inequalities)
+    back = vertices(h)
+    assert set(back.points) <= {tuple(map(Fraction, p)) for p in points}
+    assert canon_key(hull(back)) == canon_key(h)
+    assert _python_rows(back.points)
 
 
 # --- degenerate and error cases ----------------------------------------------
