@@ -248,9 +248,10 @@ def cmd_quantum(args, run):
         doc["state"] = args.state
         doc["projection"] = quantum.project_and_bound(op, quantum.bell_state(args.state))
     if args.optimize:
-        best, bp = quantum.maximize_bound(expr, seed=args.seed)
-        doc["optimized"] = {"lambda_max": best, "params": bp}
-        doc["lambda_max"] = max(doc["lambda_max"], best)
+        opt = quantum.maximize_bound(expr, seed=args.seed)
+        doc["optimized"] = {"lambda_max": opt.lambda_max, "params": opt.params,
+                            "evaluations": opt.evaluations}
+        doc["lambda_max"] = max(doc["lambda_max"], opt.lambda_max)
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 

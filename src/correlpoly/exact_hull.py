@@ -392,63 +392,93 @@ def canonicalize(h: HRep) -> HRep:
 # ---------------------------------------------------------------------------
 
 def _parse_number(tok):
-    if "/" in tok:
-        num, den = tok.split("/")
-        return Fraction(int(num), int(den))
-    if "." in tok or "e" in tok or "E" in tok:
-        return Fraction(tok)  # exact decimal conversion
-    return Fraction(int(tok))
+    """An integer, p/q or exact decimal token as a Fraction."""
+    try:
+        if "/" in tok:
+            num, den = tok.split("/")
+            return Fraction(int(num), int(den))
+        if "." in tok or "e" in tok or "E" in tok:
+            return Fraction(tok)  # exact decimal conversion
+        return Fraction(int(tok))
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{tok!r} is not a rational number") from None
+
+
+def _parse_count(tok, what):
+    if not (tok.isdecimal() and int(tok) >= 1):
+        raise ValueError(f"{what} must be a positive integer, got {tok!r}")
+    return int(tok)
 
 
 def parse_dd(text: str):
-    """Parse the DD interchange format into a VRep or HRep."""
-    lines = [ln for ln in text.splitlines()
+    """Parse the DD interchange format into a VRep or HRep.  An error on a
+    line raises ValueError("line N: ...")."""
+    lines = [(lineno, ln.strip()) for lineno, ln in enumerate(text.splitlines(), start=1)
              if ln.strip() and not ln.lstrip().startswith("*")]
-    pos = 0
     kind = None
-    linearity_idx = set()
-    while pos < len(lines):
-        head = lines[pos].strip()
-        if head in ("V-representation", "H-representation"):
-            kind = head[0]
-        elif head.startswith("linearity"):
-            parts = head.split()
-            k = int(parts[1])
-            linearity_idx = {int(t) for t in parts[2:]}
-            if len(linearity_idx) != k:
-                raise ValueError("linearity count mismatch")
-        elif head == "begin":
-            pos += 1
-            break
-        else:
-            raise ValueError(f"unexpected line before begin: {head!r}")
-        pos += 1
+    linearity = None    # (line number, row indices)
+    for pos, (lineno, head) in enumerate(lines):
+        try:
+            if head in ("V-representation", "H-representation"):
+                kind = head[0]
+            elif head.split()[0] == "linearity":
+                count, *idx = head.split()[1:] or [""]
+                if not count.isdecimal():
+                    raise ValueError(f"linearity count must be an integer, got {count!r}")
+                idx = {_parse_count(t, "linearity row") for t in idx}
+                if len(idx) != int(count):
+                    raise ValueError("linearity count mismatch")
+                linearity = (lineno, idx)
+            elif head == "begin":
+                break
+            else:
+                raise ValueError(f"unexpected line before begin: {head!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     else:
         raise ValueError("missing begin")
     if kind is None:
         raise ValueError("missing V-representation/H-representation header")
-    header = lines[pos].split()
-    nrows, ncols = int(header[0]), int(header[1])
-    pos += 1
-    toks = []
-    while pos < len(lines) and lines[pos].strip() != "end":
-        toks.extend(lines[pos].split())
-        pos += 1
-    if pos >= len(lines):
+    if pos + 1 == len(lines):
+        raise ValueError(f"line {lineno}: expected '<rows> <cols> <type>' after begin")
+    lineno, size = lines[pos + 1]
+    try:
+        fields = size.split()
+        if len(fields) < 2:
+            raise ValueError(f"expected '<rows> <cols> <type>', got {size!r}")
+        nrows, ncols = _parse_count(fields[0], "row count"), _parse_count(fields[1], "column count")
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+    toks, tok_lines = [], []
+    for body_line, ln in lines[pos + 2:]:
+        if ln == "end":
+            break
+        fields = ln.split()
+        toks += fields
+        tok_lines += [body_line] * len(fields)
+    else:
         raise ValueError("missing end")
     if len(toks) != nrows * ncols:
-        raise ValueError(f"expected {nrows}x{ncols} entries, got {len(toks)}")
-    if nrows == 0:
-        raise ValueError("empty body")
-    rows = [tuple(_parse_number(t) for t in toks[i * ncols:(i + 1) * ncols])
-            for i in range(nrows)]
+        raise ValueError(f"line {lineno}: expected {nrows}x{ncols} entries, got {len(toks)}")
+    nums = []
+    try:
+        for t in toks:
+            nums.append(_parse_number(t))
+    except ValueError as exc:
+        raise ValueError(f"line {tok_lines[len(nums)]}: {exc}") from None
+    rows = [tuple(nums[i * ncols:(i + 1) * ncols]) for i in range(nrows)]
+    lin_line, linearity_idx = linearity or (None, set())
     if kind == "V":
-        if linearity_idx:
-            raise ValueError("linearity rows not supported in V-representation")
-        for row in rows:
+        if linearity is not None:
+            raise ValueError(f"line {lin_line}: linearity rows not supported in V-representation")
+        for i, row in enumerate(rows):
             if row[0] != 1:
-                raise ValueError(f"V-row leading marker must be 1, got {row[0]}")
+                raise ValueError(f"line {tok_lines[i * ncols]}: "
+                                 f"V-row leading marker must be 1, got {row[0]}")
         return VRep(ncols - 1, tuple(r[1:] for r in rows))
+    outside = sorted(i for i in linearity_idx if i > nrows)
+    if outside:
+        raise ValueError(f"line {lin_line}: linearity row {outside[0]} is outside 1..{nrows}")
     ineqs, lins = [], []
     for i, row in enumerate(rows, start=1):
         (lins if i in linearity_idx else ineqs).append(row)

@@ -3,10 +3,11 @@
 Builds spin-j component matrices by the ladder construction, projectors and
 tensor-product operators for Bell-type expressions, and computes Hermitian
 spectra with a Jacobi eigensolver in Brent-Luk round-robin order (Brent &
-Luk, SIAM J. Sci. Stat. Comput. 6, 1985).  The extreme eigenvalues of the
-operator substituted for an inequality's left-hand side are the quantum
-bounds; a derivative-free pattern search maximizes them over free measurement
-angles.
+Luk, SIAM J. Sci. Stat. Comput. 6, 1985) that takes one matrix or a stack
+of them.  The extreme eigenvalues of the operator substituted for an
+inequality's left-hand side are the quantum bounds; a grid scan and a
+complete-poll compass search maximize the largest one over free measurement
+angles, solving each scan axis and each poll as one stack.
 
 All arithmetic here is double precision; exact rational work lives in
 exact_hull.
@@ -14,6 +15,7 @@ exact_hull.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -47,8 +49,10 @@ def _check_j(j):
     return j
 
 
+@functools.cache
 def spin_components(j):
-    """(Mx, My, Mz) for spin j, basis ordered m = +j .. -j."""
+    """(Mx, My, Mz) for spin j, basis ordered m = +j .. -j.  Cached per j;
+    the arrays are read-only."""
     j = _check_j(j)
     d = int(2 * j + 1)
     m = np.array([float(j - k) for k in range(d)])
@@ -60,6 +64,8 @@ def spin_components(j):
     mx = (plus + minus) / 2
     my = (plus - minus) / 2j
     mz = np.diag(m).astype(complex)
+    for x in (mx, my, mz):
+        x.flags.writeable = False
     return mx, my, mz
 
 
@@ -74,17 +80,19 @@ def spin_operator(j, direction: Direction):
 
 def _assert_hermitian(h):
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("matrix must be square")
-    if np.max(np.abs(h - h.conj().T)) > HERMITIAN_TOL:
+    if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
+        raise ValueError("matrix must be square, or a stack of square matrices")
+    if np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), initial=0.0) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within 1e-12")
     return h
 
 
-def _offdiag_norm(a):
+def _offdiag_norms(a):
+    """Off-diagonal Frobenius norm of each matrix in a stack (k, n, n)."""
+    k, n, _ = a.shape
     b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return math.sqrt(float(np.sum(np.abs(b) ** 2)))
+    b.reshape(k, n * n)[:, ::n + 1] = 0.0
+    return np.sqrt(np.sum(np.abs(b) ** 2, axis=(1, 2)))
 
 
 def _round_robin(n):
@@ -105,75 +113,112 @@ def _round_robin(n):
 
 
 def _rotate_rows(x, p, q, c, spq, sqp):
-    """x <- U^H x for the round's rotations: rows p and q of every pair,
-    with U[pp] = U[qq] = c, U[pq] = spq and U[qp] = -conj(spq) = -sqp."""
-    row_p, row_q = x[p], x[q]
-    x[p] = c * row_p - spq * row_q
-    x[q] = sqp * row_p + c * row_q
+    """x <- U^H x for the round's rotations in every matrix of the stack x:
+    rows p and q of every pair, with U[pp] = U[qq] = c, U[pq] = spq and
+    U[qp] = -conj(spq) = -sqp."""
+    row_p, row_q = x[:, p], x[:, q]
+    new_p = c * row_p
+    new_p -= spq * row_q
+    row_q *= c
+    row_q += sqp * row_p
+    x[:, p] = new_p
+    x[:, q] = row_q
 
 
 def eigensystem(h, vectors=True):
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix via
-    Jacobi rotations in Brent-Luk round-robin order.
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix, or of
+    each matrix in a stack (k, n, n), via Jacobi rotations in Brent-Luk
+    round-robin order.
 
     A sweep is n-1 rounds (n rounded up to even); each round zeroes up to n/2
-    disjoint off-diagonal entries exactly, applied together as whole-row
-    updates.  Sweeps repeat until the off-diagonal Frobenius mass drops below
-    1e-13 of the matrix norm.  A matrix with zero imaginary part is rotated
-    in real arithmetic.  With vectors=False the eigenvectors are not
-    accumulated and None is returned in their place."""
+    disjoint off-diagonal entries exactly, in every matrix of the stack at
+    once, applied together as whole-row updates.  A matrix leaves the stack
+    once its off-diagonal Frobenius mass drops below 1e-13 of its norm.  A
+    pair whose entry is below 1e-14 ||A||_F / n in every matrix left is
+    skipped; where it is below that cut-off in some matrices only, those get
+    the identity rotation for it (the entry is still set to zero), so a
+    stack of one rotates exactly as a single matrix.  A stack with zero
+    imaginary part is rotated in real arithmetic.  Returns values (n,) and
+    vectors (n, n) for a matrix, (k, n) and (k, n, n) for a stack; with
+    vectors=False the eigenvectors are not accumulated and None is returned
+    in their place."""
     h = _assert_hermitian(h)
-    a = h.copy() if h.imag.any() else h.real.copy()
-    n = a.shape[0]
-    vh = np.eye(n, dtype=a.dtype) if vectors else None   # V^H, updated by rows
-    fro = math.sqrt(float(np.sum(np.abs(a) ** 2)))
-    if fro == 0.0:
-        return np.zeros(n), vh
+    a = h[None] if h.ndim == 2 else h       # a single matrix is a stack of one
+    a = a.copy() if a.imag.any() else a.real.copy()
+    k, n, _ = a.shape
+    complex_ = a.dtype == complex
+    vals = np.empty((k, n))
+    vecs = np.empty_like(a) if vectors else None
+    vh = np.repeat(np.eye(n, dtype=a.dtype)[None], k, axis=0) if vectors else None  # V^H
+    fro = np.sqrt(np.sum(np.abs(a) ** 2, axis=(1, 2)))
     stop = JACOBI_THRESHOLD * fro
-    skip = 1e-14 * fro / max(n, 1)
-    schedule = list(zip(*_round_robin(n)))
-    for _ in range(JACOBI_SWEEP_CAP):
-        off = _offdiag_norm(a)
-        if off <= stop:
+    skip = (1e-14 * fro / max(n, 1))[:, None]
+    live = np.arange(k)         # stack index of each matrix still rotating
+    schedule = list(zip(*_round_robin(n))) if n else []
+    for sweep in range(JACOBI_SWEEP_CAP + 1):
+        done = _offdiag_norms(a) <= stop
+        if done.any():
+            vals[live[done]] = np.diagonal(a, axis1=1, axis2=2)[done].real
+            rest = ~done
+            if vectors:
+                vecs[live[done]] = vh[done].conj().transpose(0, 2, 1)
+                vh = vh[rest]
+            live, a, stop, skip = live[rest], a[rest], stop[rest], skip[rest]
+        if not live.size:
             break
+        if sweep == JACOBI_SWEEP_CAP:
+            raise ArithmeticError(f"Jacobi did not converge in {JACOBI_SWEEP_CAP} sweeps")
         for p, q in schedule:
-            apq = a[p, q]
+            apq = a[:, p, q]
             r = np.abs(apq)
             big = r > skip
+            identity = None
             if not big.all():
-                p, q, apq, r = p[big], q[big], apq[big], r[big]
-                if not p.size:
-                    continue
+                kept = big.any(axis=0)
+                if not kept.all():
+                    if not kept.any():
+                        continue
+                    cols = np.flatnonzero(kept)
+                    p, q, apq, r, big = (x.take(cols, axis=-1) for x in (p, q, apq, r, big))
+                if not big.all():
+                    identity = ~big
+                    r[identity] = 1.0
             phase = apq / r
-            tau = (a[q, q].real - a[p, p].real) / (2 * r)
+            tau = (a[:, q, q].real - a[:, p, p].real) / (2 * r)
             t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(tau, 1.0))
+            if identity is not None:
+                t[identity] = 0.0
             c = 1.0 / np.hypot(t, 1.0)
             s = t * c
-            rot = (p, q, c[:, None], (s * phase)[:, None], (s * np.conj(phase))[:, None])
+            rot = (p, q, c[..., None], (s * phase)[..., None], (s * np.conj(phase))[..., None])
             # The pairs are disjoint, so their rotations commute.  R = U^H A
             # is a row update; A Hermitian makes R^H = A U, and a second row
             # update of that contiguous copy gives U^H A U without gathering
             # columns.
             _rotate_rows(a, *rot)
-            a = a.conj().T.copy()
+            a = a.transpose(0, 2, 1).copy()
+            if complex_:
+                np.conjugate(a, out=a)
             _rotate_rows(a, *rot)
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            a[p, p] = a[p, p].real
-            a[q, q] = a[q, q].real
+            a[:, p, q] = 0.0
+            a[:, q, p] = 0.0
+            if complex_:
+                a[:, p, p] = a[:, p, p].real
+                a[:, q, q] = a[:, q, q].real
             if vectors:
                 _rotate_rows(vh, *rot)                       # V <- V U
-    else:
-        off = _offdiag_norm(a)
-        if off > stop:
-            raise ArithmeticError(f"Jacobi did not converge in {JACOBI_SWEEP_CAP} sweeps")
-    vals = np.diag(a).real
-    order = np.argsort(vals, kind="stable")
-    return vals[order], (vh.conj().T[:, order] if vectors else None)
+    order = np.argsort(vals, axis=-1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=-1)
+    if vectors:
+        vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+    if h.ndim == 2:
+        return vals[0], (vecs[0] if vectors else None)
+    return vals, vecs
 
 
 def eigenvalues(h):
-    """All eigenvalues of a Hermitian matrix, ascending."""
+    """All eigenvalues of a Hermitian matrix, ascending; for a stack
+    (k, n, n), one ascending array per matrix."""
     vals, _ = eigensystem(h, vectors=False)
     return list(vals)
 
@@ -461,7 +506,10 @@ def build_operator(expr: OperatorExpr, bindings):
             m = np.asarray(bindings[label], dtype=complex)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"binding {label!r} is not a square matrix")
-            term = np.kron(term, m)
+            # kron(term, m) as one outer product: entry (i*d + k, j*d + l)
+            # is term[i, j] * m[k, l]
+            d = term.shape[0] * m.shape[0]
+            term = (term[:, None, :, None] * m[None, :, None, :]).reshape(d, d)
         if total is None:
             total = term
         elif total.shape != term.shape:
@@ -477,33 +525,53 @@ def realize_operator(expr: OperatorExpr, params=None):
     return build_operator(expr, resolve_bindings(expr, params))
 
 
+@dataclass(frozen=True)
+class Optimum:
+    """maximize_bound's result; unpacks as (lambda_max, params)."""
+    lambda_max: float
+    params: dict
+    evaluations: int    # operators solved
+
+    def __iter__(self):
+        return iter((self.lambda_max, self.params))
+
+
 def maximize_bound(expr: OperatorExpr, param_names=None, grid=16, seed=0):
     """Largest eigenvalue of the expression's operator, maximized over the
     free angles: per-axis grid scan (default 16 points over one period),
-    then cyclic pattern search halving the step from pi/8 down to 1e-7.
-    Deterministic for a fixed seed; seed 0 starts exactly at the declared
-    defaults."""
+    then complete-poll compass search, halving the step from pi/8 down to
+    1e-7 (Kolda, Lewis & Torczon, SIAM Review 45, 2003).  Each grid axis and
+    each poll is one stack of operators solved together.  Deterministic for
+    a fixed seed; seed 0 starts exactly at the declared defaults."""
     names = list(param_names if param_names is not None else expr.param_names)
     if not names:
         raise ValueError("no free parameters to optimize")
     defaults = expr.defaults
+    evaluations = 0
 
-    def objective(vec):
-        vals = dict(zip(names, vec))
-        return eigenvalues(realize_operator(expr, vals))[-1]
+    def objective(trials):
+        nonlocal evaluations
+        evaluations += len(trials)
+        stack = np.stack([realize_operator(expr, dict(zip(names, t))) for t in trials])
+        return [float(vals[-1]) for vals in eigenvalues(stack)]
+
+    def moved(point, i, x):
+        trial = list(point)
+        trial[i] = x
+        return trial
 
     rng = random.Random(seed)
     point = [defaults[n] + (rng.uniform(-math.pi, math.pi) if seed else 0.0)
              for n in names]
-    best = objective(point)
+    (best,) = objective([point])
 
     for _ in range(8):  # cyclic grid scans until stable
         improved = False
         for i in range(len(names)):
-            for k in range(grid):
-                trial = list(point)
-                trial[i] = -math.pi + 2 * math.pi * k / grid
-                val = objective(trial)
+            # the trials differ from point only in coordinate i, so taking
+            # them in order is the same as evaluating them one at a time
+            trials = [moved(point, i, -math.pi + 2 * math.pi * k / grid) for k in range(grid)]
+            for val, trial in zip(objective(trials), trials):
                 if val > best + 1e-12:
                     best, point = val, trial
                     improved = True
@@ -512,15 +580,12 @@ def maximize_bound(expr: OperatorExpr, param_names=None, grid=16, seed=0):
 
     step = math.pi / 8
     while step > 1e-7:
-        moved = False
-        for i in range(len(names)):
-            for sgn in (1, -1):
-                trial = list(point)
-                trial[i] = point[i] + sgn * step
-                val = objective(trial)
-                if val > best + 1e-13:
-                    best, point = val, trial
-                    moved = True
-        if not moved:
+        trials = [moved(point, i, point[i] + sgn * step)
+                  for i in range(len(names)) for sgn in (1, -1)]
+        vals = objective(trials)
+        k = max(range(len(trials)), key=vals.__getitem__)
+        if vals[k] > best + 1e-13:
+            best, point = vals[k], trials[k]
+        else:
             step /= 2
-    return best, dict(zip(names, point))
+    return Optimum(best, dict(zip(names, point)), evaluations)

@@ -4,6 +4,7 @@ and determinism."""
 import json
 import math
 
+import numpy as np
 import pytest
 
 from correlpoly import exact_hull
@@ -117,6 +118,27 @@ def test_hull_reverse_requires_h_rep(capsys, tmp_path):
     assert run(capsys, "hull", "--input", str(f), "--reverse")[0] == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    ("H-representation\nlinearity\nbegin\n 1 2 real\n 1 0\nend\n",
+     "line 2: linearity count must be an integer, got ''"),
+    ("H-representation\nbegin\n 1\n 1 0\nend\n",
+     "line 3: expected '<rows> <cols> <type>', got '1'"),
+    ("H-representation\nbegin\n",
+     "line 2: expected '<rows> <cols> <type>' after begin"),
+    ("H-representation\nlinearity 1 5\nbegin\n 1 2 real\n 1 0\nend\n",
+     "line 2: linearity row 5 is outside 1..1"),
+    ("H-representation\nbegin\n 2 2 real\n 1 0\n\n 1 x\nend\n",
+     "line 6: 'x' is not a rational number"),
+    ("H-representation\nbegin\n 1 2 real\n 1 1/0\nend\n",
+     "line 4: '1/0' is not a rational number"),
+])
+def test_hull_malformed_dd_exit_1(capsys, tmp_path, text, message):
+    f = tmp_path / "f.ine"
+    f.write_text(text)
+    assert main(["hull", "--input", str(f), "--reverse"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
 def test_hull_noncontextual(capsys):
     code, out = run(capsys, "hull", "--logic", "builtin:pentagon",
                     "--noncontextual", "--golden", "builtin:pentagon-noncontextual")
@@ -157,6 +179,42 @@ def test_quantum_optimize(capsys):
     code, out = run(capsys, "quantum", "--preset", "chsh", "--optimize")
     doc = json.loads(out)
     assert abs(doc["optimized"]["lambda_max"] - 2 * math.sqrt(2)) <= 1e-6
+
+
+def rotated_mermin(seed):
+    """The three-qubit Mermin operator A1B1C2 + A1B2C1 + A2B1C1 - A2B2C2 with
+    each party's two orthogonal settings turned by its own random orthogonal
+    matrix. Turning a party's settings is a local unitary, so the maximum is
+    4, and the declared angles start there; the turns make the 8x8 operators
+    dense."""
+    rng = np.random.default_rng(seed)
+    lines = ["sites 3"]
+    for party in "abc":
+        turn, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        for k in (1, 2):
+            x, y, z = turn[:, k - 1]
+            lines.append(f"param {party}{k}t {math.acos(max(-1.0, min(1.0, z)))!r}")
+            lines.append(f"param {party}{k}p {math.atan2(y, x)!r}")
+    for sign, (i, j, k) in ((8, (1, 1, 2)), (8, (1, 2, 1)), (8, (2, 1, 1)), (-8, (2, 2, 2))):
+        lines.append(f"term {sign} A{i}@1 B{j}@2 C{k}@3")   # S = sigma/2 per site
+    for label, party in zip("ABC", "abc"):
+        for k in (1, 2):
+            lines.append(f"bind {label}{k} spin 1/2 ${party}{k}t ${party}{k}p")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_quantum_optimize_reports_evaluations(capsys, tmp_path, seed):
+    # at the maximum from the start: one solve, a 16-point grid on each of the
+    # 12 angles, then 22 polls of 24 neighbours (steps pi/8 .. pi/8 / 2^21)
+    f = tmp_path / "mermin.op"
+    f.write_text(rotated_mermin(seed))
+    code, out = run(capsys, "quantum", "--expr", str(f), "--optimize")
+    doc = json.loads(out)
+    assert code == 0
+    assert abs(doc["eigenvalues"][-1] - 4) <= 1e-9
+    assert abs(doc["optimized"]["lambda_max"] - 4) <= 1e-9
+    assert doc["optimized"]["evaluations"] == 1 + 12 * 16 + 22 * 24 == 721
 
 
 def test_quantum_kcbs(capsys):

@@ -69,6 +69,16 @@ def test_invalid_j_rejected():
         q.spin_components(-1)
 
 
+def test_spin_components_cached_read_only():
+    mats = q.spin_components(1)
+    assert q.spin_components(1) is mats
+    for m in mats:
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 5
+    assert np.allclose(mats[2], np.diag([1, 0, -1]))
+
+
 # --- eigensolver -------------------------------------------------------------
 
 def _dense_solver_inputs():
@@ -107,6 +117,68 @@ def test_jacobi_matches_dense_solver():
         assert none is None
         assert np.max(np.abs(only - want)) < 1e-10
         assert np.max(np.abs(np.array(q.eigenvalues(h)) - want)) < 1e-10
+
+
+def _hermitian(rng, n, complex_):
+    m = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if complex_ else 0)
+    return (m + m.conj().T) / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 30), st.booleans(), st.integers(0, 2**32 - 1))
+def test_stack_matches_dense_and_single(n, k, complex_, seed):
+    rng = np.random.default_rng(seed)
+    hs = np.array([_hermitian(rng, n, complex_) for _ in range(k)])
+    vals, none = q.eigensystem(hs, vectors=False)
+    assert none is None and vals.shape == (k, n)
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(hs))) <= 1e-10
+    for h, got in zip(hs, vals):
+        assert np.max(np.abs(got - q.eigensystem(h, vectors=False)[0])) <= 1e-12
+    listed = q.eigenvalues(hs)
+    assert len(listed) == k and all(np.array_equal(a, b) for a, b in zip(listed, vals))
+
+
+def test_stack_members_converge_at_different_sweeps():
+    # a diagonal member is done before the first sweep, a tridiagonal one
+    # whose rounds skip most pairs soon after, dense ones last
+    rng = np.random.default_rng(5)
+    n = 8
+    tri = np.diag(np.arange(n, dtype=float)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
+    hs = np.array([_hermitian(rng, n, True), np.diag(np.arange(n, 0, -1.0)), tri,
+                   np.zeros((n, n)), _hermitian(rng, n, True)])
+    vals, vecs = q.eigensystem(hs)
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(hs))) <= 1e-10
+    assert np.array_equal(vals[1], np.arange(1.0, n + 1))
+    assert np.array_equal(vals[3], np.zeros(n))
+    for h, v, w in zip(hs, vals, vecs):
+        single_v, single_w = q.eigensystem(h)
+        assert np.max(np.abs(v - single_v)) <= 1e-12
+        assert np.max(np.linalg.norm(h @ w - w * v, axis=0)) <= 1e-10
+        assert np.max(np.abs(w.conj().T @ w - np.eye(n))) <= 1e-10
+
+
+def test_stack_eigenvector_residuals():
+    rng = np.random.default_rng(11)
+    for n, complex_ in ((3, False), (7, True), (12, True)):
+        hs = np.array([_hermitian(rng, n, complex_) for _ in range(9)])
+        vals, vecs = q.eigensystem(hs)
+        assert vecs.shape == (9, n, n)
+        assert np.max(np.linalg.norm(hs @ vecs - vecs * vals[:, None, :], axis=1)) <= 1e-10
+
+
+def test_stack_rejects_non_hermitian_member():
+    hs = np.array([np.eye(3), np.triu(np.ones((3, 3))), np.eye(3)])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        q.eigenvalues(hs)
+    with pytest.raises(ValueError, match="square"):
+        q.eigenvalues(np.zeros((2, 3, 4)))
+
+
+def test_stack_sweep_cap(monkeypatch):
+    op = q.realize_operator(q.parse_operator_expr(DENSE_8X8))
+    monkeypatch.setattr(q, "JACOBI_SWEEP_CAP", 1)
+    with pytest.raises(ArithmeticError, match="did not converge in 1 sweeps"):
+        q.eigenvalues(np.array([np.eye(8), op, 2 * op]))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -323,6 +395,20 @@ def test_cabello_operator_construction():
     assert np.max(np.abs(evs - frozen_spectrum("contextual-18ray-spectrum"))) <= 5e-6
 
 
+def test_build_operator_matches_kron():
+    expr = q.parse_operator_expr(
+        "sites 3\nterm 1/2 A@1 B@2 C@3\nterm -3 B@1 A@2 C@3\n"
+        "bind A spin 1/2 0.4 1.3\nbind B spin 1/2 2.1 -0.6\nbind C spin 1 1.1 0.2\n")
+    bindings = q.resolve_bindings(expr)
+    want = 0
+    for coeff, factors in expr.terms:   # the Kronecker products in the same order
+        term = np.array([[coeff]], dtype=complex)
+        for label in factors:
+            term = np.kron(term, bindings[label])
+        want = want + term
+    assert np.array_equal(q.build_operator(expr, bindings), want)
+
+
 def test_build_operator_errors():
     expr = q.parse_operator_expr(
         "sites 2\nterm 1 A@1 B@2\nbind A spin 1/2 0 0\nbind B spin 1 0 0\n")
@@ -391,3 +477,14 @@ def test_maximize_deterministic():
     a = q.maximize_bound(expr, seed=0)
     b = q.maximize_bound(expr, seed=0)
     assert a == b
+
+
+@pytest.mark.parametrize("seed", range(11))
+def test_maximize_chsh_reaches_tsirelson(seed):
+    expr = q.load_preset_expr("chsh")
+    opt = q.maximize_bound(expr, seed=seed)
+    assert abs(opt.lambda_max - 2 * math.sqrt(2)) <= 1e-9
+    top = np.linalg.eigvalsh(q.realize_operator(expr, opt.params))[-1]
+    assert abs(opt.lambda_max - top) <= 1e-10
+    best, params = opt
+    assert (best, params) == (opt.lambda_max, opt.params)
