@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import sys
 import time
@@ -16,7 +17,27 @@ from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
-from . import exact_hull, logic_core, quantum, realization, vertex_gen
+from . import exact_hull, logic_core, realization, vertex_gen
+
+
+def _lazy_module(name):
+    """The module `name`, registered in sys.modules but executed only when
+    an attribute of it is first read (importlib.util.LazyLoader)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# quantum imports numpy, which adds about 0.15 s and 12 MiB to every start;
+# only the quantum command needs it.  A lazy module, unlike an import inside
+# cmd_quantum, keeps `import correlpoly.cli` registering every layer module
+# (bench/tracer.py wraps their functions after that import).
+quantum = _lazy_module("correlpoly.quantum")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -105,8 +126,7 @@ def cmd_states(args, run):
             doc["unseparated_pairs"] = [list(p) for p in unseparated]
         print(json.dumps(doc, indent=2))
     elif args.format == "dd":
-        v = exact_hull.VRep(len(logic.atoms),
-                            tuple(tuple(Fraction(b) for b in s.values) for s in states))
+        v = exact_hull.VRep(len(logic.atoms), tuple(s.values for s in states))
         print(exact_hull.emit_dd(v, comments=run.comments()), end="")
     else:
         print(f"{len(states)} states")

@@ -1,20 +1,23 @@
 """Exact rational convex polytope engine.
 
 Converts between vertex (V) and facet (H) representations of convex polytopes
-using the incremental double description method, entirely over exact rational
-arithmetic.  No floating point is used anywhere in this module.
+using the incremental double description method.  Rational input is scaled to
+integer rows once; from there the work is on integers (Python ints, or int64
+where a bound proves that nothing overflows).  No floating point is used
+anywhere in this module.
 
 H-representation rows (b, a) encode the half-space b + a.x >= 0; linearity
 rows encode b + a.x = 0.  This matches the "b  -A" layout of the interchange
 format (A.x <= b written with the constant first and the negated coefficient
-row after it).
+row after it).  Entries are Python ints, or Fractions where a value is not
+an integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Rat = Fraction
 
@@ -40,45 +43,51 @@ class HRep:
 
 
 def _normalize_row(row):
-    """Scale a rational row to coprime integers, preserving orientation."""
-    denom = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in row]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        raise ValueError("zero row")
-    return tuple(x // g for x in ints)
+    """Scale a row of ints and Fractions to coprime integers, preserving
+    orientation.  A zero row stays zero."""
+    denom = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (denom // x.denominator) for x in row]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
 
 
-def _rref(rows, ncols):
-    """Reduced row echelon form over Fraction. Returns (rref rows, pivot cols)."""
-    mat = [[Fraction(x) for x in r] for r in rows]
+def _always_true(row):
+    """Whether the inequality b + a.x >= 0 holds everywhere: a = 0, b >= 0."""
+    return row[0] >= 0 and not any(row[1:])
+
+
+def _echelon(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer rows.
+
+    Returns (basis, pivots): one row per pivot column, in column order, each
+    zero at every other pivot column; all of them carry the same nonzero
+    value at their own pivot, and together they span the rows' row space.
+    Each step replaces a row x by (p*x - f*y) / prev, where y is the pivot
+    row, p its pivot and prev the previous pivot.  That division is exact,
+    since every entry is a minor of the input (Bareiss, Math. Comp. 22,
+    1968), so the entries stay integers without a gcd per row.  Stops once
+    every row is a pivot row.
+    """
+    mat = [list(r) for r in rows]
     pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] != 0:
-                piv = r
-                break
+    prev = 1
+    for col in range(len(mat[0]) if mat else 0):
+        rank = len(pivots)
+        if rank == len(mat):
+            break
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        top = mat[rank]
+        p = top[col]
+        for i, row in enumerate(mat):
+            if i != rank:
+                f = row[col]
+                mat[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
         pivots.append(col)
-        rank += 1
-        if rank == len(mat):
-            break
-    return mat[:rank], pivots
+    return mat[:len(pivots)], pivots
 
 
 # ---------------------------------------------------------------------------
@@ -279,69 +288,70 @@ def _combine(v, dv, u, du):
 
 def hull(v: VRep) -> HRep:
     """Minimal H-representation of conv(points): linearities for the affine
-    hull's codimension, then exactly the facets via double description."""
-    points = []
-    seen = set()
-    for p in v.points:
-        key = tuple(Fraction(x) for x in p)
-        if key not in seen:
-            seen.add(key)
-            points.append(key)
+    hull's codimension, then exactly the facets via double description.
+    What reaches the double description depends only on the set of points,
+    not on their order or repetition."""
     m = v.dimension
+    # one common denominator turns the points into integer points P = denom*x
+    denom = lcm(*(x.denominator for p in v.points for x in p))
+    points = sorted({tuple(x.numerator * (denom // x.denominator) for x in p)
+                     for p in v.points})
 
-    # affine hull: null space of the [1 | p] matrix gives one linearity row
-    # per codimension
-    rref, pivots = _rref([(Fraction(1),) + p for p in points], m + 1)
-    pivset = set(pivots)
+    # affine hull: eliminate the rows [1 | P].  Column 0 is the first pivot,
+    # which leaves the differences P - P0; the other pivots are the columns
+    # on which those have full rank.  Each free column gives one linearity
+    # (b, a) with b + a.P = 0, that is b + (denom*a).x = 0.
+    basis, pivots = _echelon([(1, *p) for p in points])
+    d = basis[0][0]
     linearities = []
-    for col in range(m + 1):
-        if col in pivset:
-            continue
-        vec = [Fraction(0)] * (m + 1)
-        vec[col] = Fraction(1)
-        for rr, pc in zip(rref, pivots):
-            vec[pc] = -rr[col]
-        linearities.append(tuple(vec))
+    for free in sorted(set(range(m + 1)) - set(pivots)):
+        vec = [0] * (m + 1)
+        vec[free] = d
+        for row, pc in zip(basis, pivots):
+            vec[pc] = -row[free]
+        linearities.append((vec[0], *(denom * x for x in vec[1:])))
 
     # affine rank r: dimension of the polytope
-    r = len(rref) - 1
+    r = len(pivots) - 1
     if r <= 0:
         return canonicalize(HRep(m, (), tuple(linearities)))
 
-    # parametrize the affine hull by r coordinates on which the difference
-    # vectors have full rank
+    # parametrize the affine hull by the r pivot coordinates, measured from
+    # the lexicographically least point
+    cols = [c - 1 for c in pivots[1:]]
     p0 = points[0]
-    diffs = [tuple(x - y for x, y in zip(p, p0)) for p in points[1:]]
-    _, cols = _rref(diffs, m)
-    reduced = [tuple(p[j] - p0[j] for j in cols) for p in points]
+    reduced = sorted(tuple(p[j] - p0[j] for j in cols) for p in points)
 
     # facets of the full-dimensional reduced polytope = extreme rays of the
-    # cone of valid inequalities {(b,a) : b + a.w >= 0 for all vertices w}
-    constraints = [(_normalize_row((Fraction(1),) + w), False) for w in reduced]
+    # cone of valid inequalities {(b,a) : b + a.w >= 0 for all vertices w},
+    # inserted in lexicographic order of w: an order fixed by the point set
+    constraints = [((1, *w), False) for w in reduced]
     rays, lin = _dd_cone(r + 1, constraints)
     assert not lin, "dual cone of a full-dimensional polytope is pointed"
 
     inequalities = []
-    for ray in rays:
-        beta, alpha = ray[0], ray[1:]
-        if all(x == 0 for x in alpha):
+    for beta, *alpha in rays:
+        if not any(alpha):
             continue  # the trivial valid inequality 1 >= 0
-        a = [Fraction(0)] * m
+        a = [0] * m
         for j, x in zip(cols, alpha):
-            a[j] = Fraction(x)
-        b = Fraction(beta) - sum(Fraction(x) * p0[j] for j, x in zip(cols, alpha))
+            a[j] = denom * x
+        b = beta - sum(x * p0[j] for j, x in zip(cols, alpha))
         inequalities.append((b, *a))
     return canonicalize(HRep(m, tuple(inequalities), tuple(linearities)))
 
 
 def vertices(h: HRep) -> VRep:
-    """Exact extreme points of a bounded H-polytope."""
+    """Exact extreme points of a bounded H-polytope.  Rows that hold
+    everywhere (0 = 0, or b >= 0 with a zero normal) are left out."""
     m = h.dimension
     constraints = [((1,) + (0,) * m, False)]  # homogenization: t >= 0
     for row in h.linearities:
-        constraints.append((_normalize_row(row), True))
+        if any(row):
+            constraints.append((_normalize_row(row), True))
     for row in h.inequalities:
-        constraints.append((_normalize_row(row), False))
+        if not _always_true(row):
+            constraints.append((_normalize_row(row), False))
     rays, lin = _dd_cone(m + 1, constraints)
     if lin:
         raise ValueError("polyhedron contains a line: " + str(lin[0]))
@@ -361,29 +371,33 @@ def canonicalize(h: HRep) -> HRep:
     """Canonical form: linearity rows in reduced echelon form with coprime
     integer entries and positive leading coefficient; inequality rows reduced
     modulo the linearity space, scaled to coprime integers, deduplicated, and
-    sorted.  Idempotent; two H-representations describe the same polytope with
-    the same affine hull iff their canonical forms are equal."""
+    sorted.  An inequality that reduces to b >= 0 with b >= 0 holds
+    everywhere and is dropped.  Idempotent; two H-representations describe
+    the same polytope with the same affine hull iff their canonical forms
+    are equal."""
     m = h.dimension
     # echelon-reduce linearities with column order a1..am, b so the leading
     # nonzero coefficient is positive
     perm = list(range(1, m + 1)) + [0]
-    rows = [[Fraction(r[j]) for j in perm] for r in h.linearities]
-    rref, pivots = _rref(rows, m + 1)
+    basis, pivots = _echelon([[r[j] for j in perm] for r in map(_normalize_row, h.linearities)])
+    # the basis rows share one pivot value; turn them to make it positive
+    basis = [_normalize_row(row if row[pc] > 0 else [-x for x in row])
+             for row, pc in zip(basis, pivots)]
     inv = {pj: i for i, pj in enumerate(perm)}
-    lin = []
-    for rr in rref:
-        back = [rr[inv[j]] for j in range(m + 1)]
-        lin.append(_normalize_row(back))
+    lin = [tuple(row[inv[j]] for j in range(m + 1)) for row in basis]
 
     ineqs = set()
     for row in h.inequalities:
-        vec = [Fraction(row[j]) for j in perm]
-        for rr, pc in zip(rref, pivots):
-            if vec[pc] != 0:
-                f = vec[pc]
-                vec = [x - f * y for x, y in zip(vec, rr)]
+        row = _normalize_row(row)
+        vec = [row[j] for j in perm]
+        for rr, pc in zip(basis, pivots):
+            if vec[pc]:
+                # rr[pc] > 0, so this keeps the orientation of vec
+                f, lead = vec[pc], rr[pc]
+                vec = [lead * x - f * y for x, y in zip(vec, rr)]
         back = [vec[inv[j]] for j in range(m + 1)]
-        ineqs.add(_normalize_row(back))
+        if not _always_true(back):
+            ineqs.add(_normalize_row(back))
     return HRep(m, tuple(sorted(ineqs)), tuple(sorted(lin)))
 
 
@@ -392,14 +406,15 @@ def canonicalize(h: HRep) -> HRep:
 # ---------------------------------------------------------------------------
 
 def _parse_number(tok):
-    """An integer, p/q or exact decimal token as a Fraction."""
+    """An integer token as an int; a p/q or exact decimal token as a
+    Fraction."""
     try:
         if "/" in tok:
             num, den = tok.split("/")
             return Fraction(int(num), int(den))
         if "." in tok or "e" in tok or "E" in tok:
             return Fraction(tok)  # exact decimal conversion
-        return Fraction(int(tok))
+        return int(tok)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{tok!r} is not a rational number") from None
 
@@ -485,28 +500,23 @@ def parse_dd(text: str):
     return HRep(ncols - 1, tuple(ineqs), tuple(lins))
 
 
-def _fmt(x):
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def emit_dd(rep, comments=()) -> str:
     """Emit a VRep or HRep in the DD interchange format."""
     out = [f"* {c}" for c in comments]
     if isinstance(rep, VRep):
         out.append("V-representation")
-        rows = [(Fraction(1),) + tuple(Fraction(x) for x in p) for p in rep.points]
+        rows = [(1, *p) for p in rep.points]
     else:
         out.append("H-representation")
-        rows = [tuple(Fraction(x) for x in r) for r in rep.inequalities]
-        nin = len(rows)
-        rows += [tuple(Fraction(x) for x in r) for r in rep.linearities]
+        rows = [*rep.inequalities, *rep.linearities]
+        nin = len(rep.inequalities)
         if rep.linearities:
             idx = " ".join(str(i) for i in range(nin + 1, len(rows) + 1))
             out.append(f"linearity {len(rep.linearities)}  {idx}")
     out.append("begin")
     out.append(f" {len(rows)}  {rep.dimension + 1}  real")
     for row in rows:
-        out.append(" " + "  ".join(_fmt(x) for x in row))
+        # str() of an int or Fraction: "n", or "p/q" in lowest terms
+        out.append(" " + "  ".join(map(str, row)))
     out.append("end")
     return "\n".join(out) + "\n"

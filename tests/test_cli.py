@@ -3,10 +3,16 @@ and determinism."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import correlpoly
 from correlpoly import exact_hull
 from correlpoly.cli import main
 
@@ -83,6 +89,24 @@ def test_hull_golden_canonicalizes_each_side_once(capsys, monkeypatch):
     code, _ = run(capsys, "hull", "--logic", "builtin:epr-2x2",
                   "--terms", "preset:chsh-expect", "--golden", "builtin:chsh-2x2")
     assert code == 0 and len(calls) == 2
+
+
+def test_hull_golden_with_equation_also_as_inequality(capsys, tmp_path):
+    # a golden file may list an equation both as a linearity and as an
+    # inequality (either orientation); such a row holds on the whole affine
+    # hull and does not change the polytope
+    golden = exact_hull.parse_dd(
+        (resources.files("correlpoly.data") / "golden" / "bug-edge-expect.ine").read_text())
+    (lin,) = golden.linearities
+    padded = exact_hull.HRep(golden.dimension,
+                             golden.inequalities + (lin, tuple(-x for x in lin)),
+                             golden.linearities)
+    f = tmp_path / "padded.ine"
+    f.write_text(exact_hull.emit_dd(padded))
+    code = main(["hull", "--logic", "builtin:specker-bug", "--terms", "preset:bug-edge-expect",
+                 "--golden", str(f)])
+    assert code == 0
+    assert "golden match" in capsys.readouterr().err
 
 
 def test_hull_facet_count(capsys):
@@ -337,3 +361,23 @@ def test_verify_malformed_vectors_exit_1(capsys, tmp_path, text, lineno):
     assert main(["verify", "--derive", "--dim", "3", "--vectors", str(f)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: line {lineno}: ")
+
+
+# --- start cost ---------------------------------------------------------------
+
+def test_states_and_verify_do_not_import_numpy():
+    # numpy is loaded by the commands that need it, not at start
+    script = "\n".join([
+        "import sys",
+        "from correlpoly.cli import main",
+        "codes = [main(['states', 'builtin:cabello18']),",
+        "         main(['states', 'builtin:gamma3', '--check-separating']),",
+        "         main(['states', 'builtin:firefly', '--format', 'dd']),",
+        "         main(['verify', '--logic', 'builtin:cabello18', '--vectors', 'builtin:cabello18'])]",
+        "print(codes, 'numpy' in sys.modules)",
+    ])
+    src = str(Path(correlpoly.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[2, 0, 0, 0] False"

@@ -4,10 +4,12 @@ representation-conversion properties on random vertex sets."""
 import random
 from fractions import Fraction
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from correlpoly import exact_hull
 from correlpoly.exact_hull import (
     HRep,
     VRep,
@@ -19,7 +21,7 @@ from correlpoly.exact_hull import (
 )
 from correlpoly.vertex_gen import builtin_scenario
 
-from oracles import brute_force_facets
+from oracles import _rank, brute_force_facets
 
 
 def canon_key(h):
@@ -84,7 +86,6 @@ def _full_dim(points):
     d = len(points[0])
     p0 = points[0]
     diffs = [[Fraction(x - y) for x, y in zip(p, p0)] for p in points[1:]]
-    from oracles import _rank
     return _rank(diffs) == d if diffs else d == 0
 
 
@@ -155,6 +156,56 @@ def test_hull_order_independence(points, rnd):
     a = hull(VRep(len(points[0]), tuple(points)))
     b = hull(VRep(len(points[0]), tuple(shuffled)))
     assert canon_key(a) == canon_key(b)
+
+
+def _dd_inputs(points):
+    """hull(points), and every constraint sequence it gave the double
+    description."""
+    seen = []
+    real = exact_hull._dd_cone
+
+    def spy(dim, constraints):
+        seen.append((dim, list(constraints)))
+        return real(dim, constraints)
+
+    with mock.patch.object(exact_hull, "_dd_cone", spy):
+        h = hull(VRep(len(points[0]), tuple(points)))
+    return h, seen
+
+
+# integers, and p/q values of which some are integers written as Fractions
+_COORD = st.one_of(st.integers(-3, 3),
+                   st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.lists(
+           st.tuples(*[_COORD] * d), min_size=1, max_size=9)),
+       st.randoms(use_true_random=False))
+def test_dd_constraint_sequence_ignores_input_order(points, rnd):
+    # the same point set, permuted, with repeats, and with each integer
+    # value once as an int and once as a Fraction
+    twins = [tuple(Fraction(x) for x in p) for p in points]
+    other = points + twins + points[:2]
+    rnd.shuffle(other)
+    h, seen = _dd_inputs(points)
+    h2, seen2 = _dd_inputs(other)
+    assert seen == seen2
+    assert h == h2
+
+
+@pytest.mark.parametrize("name", ["cabello-contextual", "epr-2x3-full"])
+def test_shuffled_golden_hull_gets_file_order_constraints(name):
+    # the benchmark's facets workload hulls seed-shuffled rows
+    v, _ = builtin_scenario(name)
+    points = list(v.points)
+    h, seen = _dd_inputs(points)
+    random.Random(7).shuffle(points)
+    h2, seen2 = _dd_inputs(points)
+    assert len(seen) == 1 and seen == seen2
+    assert h == h2
+    constraints = [c for c, _ in seen[0][1]]
+    assert constraints == sorted(constraints)
 
 
 def test_hull_exact_rational_output():
@@ -238,6 +289,55 @@ def test_large_coordinates_match_brute_force(points):
     assert _python_rows(back.points)
 
 
+# --- fraction-free affine hull (Bareiss) against the Fraction rank oracle ----
+
+@st.composite
+def _affine_point_sets(draw):
+    """Points p0 + sum c_j v_j with rational p0, v_j of up to 2**61 scale,
+    so that the affine dimension is at most the number of directions."""
+    d = draw(st.integers(1, 5))
+    scale = draw(st.sampled_from([1, 2**61]))
+    coord = st.builds(Fraction, st.integers(-3 * scale, 3 * scale), st.integers(1, 5))
+    p0 = draw(st.tuples(*[coord] * d))
+    dirs = draw(st.lists(st.tuples(*[coord] * d), max_size=d))
+    coefs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * len(dirs)),
+                          min_size=1, max_size=8))
+    return [tuple(p0[i] + sum(c * v[i] for c, v in zip(cs, dirs)) for i in range(d))
+            for cs in coefs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_affine_point_sets())
+def test_affine_hull_matches_rank_oracle(points):
+    d = len(points[0])
+    rank = _rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
+    h = hull(VRep(d, tuple(points)))
+    assert d - len(h.linearities) == rank
+    for row in h.linearities:
+        assert all(row[0] + sum(a * x for a, x in zip(row[1:], p)) == 0 for p in points)
+    assert all(_satisfies(h, p) for p in points)
+    assert _python_rows(h.inequalities + h.linearities)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda c: st.lists(
+    st.lists(st.one_of(st.integers(-2, 2), st.integers(-2**62, 2**62)), min_size=c, max_size=c),
+    min_size=1, max_size=7)))
+def test_echelon_matches_rank_oracle(rows):
+    basis, pivots = exact_hull._echelon(rows)
+    assert len(basis) == len(pivots) == _rank(rows)
+    assert pivots == sorted(pivots)
+    lead = {row[pc] for row, pc in zip(basis, pivots)}
+    assert len(lead) <= 1 and 0 not in lead
+    for row, pc in zip(basis, pivots):
+        assert all(row[q] == 0 for q in pivots if q != pc)
+        assert all(type(x) is int for x in row)
+    # every input row lies in the span of the basis, so no division lost a
+    # remainder
+    for row in rows:
+        assert _rank(basis + [row]) == len(basis)
+
+
 # --- degenerate and error cases ----------------------------------------------
 
 def test_single_point_hull():
@@ -267,6 +367,19 @@ def test_infeasible_h_rep_rejected():
 def test_line_containing_h_rep_rejected():
     with pytest.raises(ValueError, match="line"):
         vertices(HRep(2, ((1, 1, 0), (1, -1, 0)), ()))
+
+
+def test_rows_that_always_hold_are_dropped():
+    # 0 >= 0, 2 >= 0 and 0 = 0 hold everywhere; the unit square stays
+    square = ((0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1))
+    h = HRep(2, square + ((0, 0, 0), (Fraction(2), 0, 0)), ((0, 0, 0),))
+    assert vertices(h) == vertices(HRep(2, square, ()))
+    assert canonicalize(h) == canonicalize(HRep(2, square, ()))
+    # an inequality lying in the linearity span reduces to a zero row
+    seg = HRep(2, ((0, 1, 0), (1, -1, 0), (0, 1, -1), (0, -2, 2)), ((0, 1, -1),))
+    assert canonicalize(seg) == hull(VRep(2, ((0, 0), (1, 1))))
+    # a zero normal with a negative constant is kept: it empties the polytope
+    assert (-1, 0, 0) in canonicalize(HRep(2, ((-3, 0, 0),), ())).inequalities
 
 
 # --- interchange format -------------------------------------------------------
@@ -303,3 +416,5 @@ def test_emit_comments_are_ignored_by_parse():
 def test_parse_fractions_and_decimals():
     rep = parse_dd("H-representation\nbegin\n 1 3 real\n 1/2 -0.25 3\nend\n")
     assert rep.inequalities == ((Fraction(1, 2), Fraction(-1, 4), Fraction(3)),)
+    # integer tokens stay ints
+    assert [type(x) for x in rep.inequalities[0]] == [Fraction, Fraction, int]
