@@ -5,7 +5,7 @@ rational convex-hull computation, and obtain the corresponding quantum bounds
 from the spectra of spin-observable operators.
 """
 
-from .exact_hull import HRep, Rat, VRep, canonicalize, emit_dd, hull, parse_dd, vertices
+from .exact_hull import HRep, VRep, canonicalize, emit_dd, hull, parse_dd, vertices
 from .logic_core import (
     Atom,
     Coloring,
@@ -42,7 +42,7 @@ from .vertex_gen import (
 
 __all__ = [
     "Atom", "Coloring", "Context", "HRep", "Logic", "ParityCertificate",
-    "PartitionLogic", "Rat", "RealVector", "Realization", "SCENARIOS",
+    "PartitionLogic", "RealVector", "Realization", "SCENARIOS",
     "TermSpec", "TermTable", "TwoValuedState", "VRep", "VerifyReport",
     "builtin_scenario", "canonicalize", "derive_logic", "emit_dd",
     "enumerate_colorings", "enumerate_states", "gen_noncontextual_vertices",

@@ -1,0 +1,118 @@
+"""What the text formats share: the directive reader of the .logic, .terms,
+.vec and .op formats, the number reader, and the reader of bundled data
+files and of `builtin:`-style names."""
+
+from __future__ import annotations
+
+import math
+from contextlib import contextmanager
+from fractions import Fraction
+from importlib import resources
+from pathlib import Path
+
+_FOLDERS = {".logic": "logics", ".vec": "vectors", ".terms": "terms", ".op": "ops",
+            ".ext": "golden", ".ine": "golden"}
+
+
+@contextmanager
+def at_line(lineno):
+    """Raise a ValueError or OverflowError from the block again as
+    ValueError("line N: ...")."""
+    try:
+        yield
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
+def read_directives(text, grammar, headers):
+    """Call grammar[usage](*args) for every directive line of text, in order.
+
+    grammar maps usage strings such as "dim <d>", "vector <atom> <c>..." or
+    "bind <label> spin <j> <theta> <phi>" to handlers.  A line takes the
+    first usage whose keyword and literal words match its own; it must give
+    one argument per <field>, or at least that many when the last field ends
+    in "...".  The handler gets the arguments in the <field> positions.  A
+    keyword in headers may occur once.  A handler may return a check, called
+    without arguments after the last line.  A ValueError or OverflowError
+    raised in handling a line, or by its check, is raised again as
+    ValueError("line N: ...")."""
+    forms = {}   # keyword -> [(usage, handler, literal words, <field> positions, width)]
+    for usage, handler in grammar.items():
+        words = usage.split()
+        literal = [(i, w) for i, w in enumerate(words) if w[0] != "<"][1:]
+        slots = [i for i, w in enumerate(words) if w[0] == "<"]
+        forms.setdefault(words[0], []).append((usage, handler, literal, slots, len(words)))
+    seen = set()
+    checks = []
+    lineno = 0
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            tokens = raw.partition("#")[0].split()
+            if not tokens:
+                continue
+            kw = tokens[0]
+            if kw not in forms:
+                raise ValueError(f"unknown directive {kw!r}")
+            for usage, handler, literal, slots, width in forms[kw]:
+                if all(i < len(tokens) and tokens[i] == w for i, w in literal):
+                    break
+            else:
+                raise ValueError("expected " + " or ".join(repr(f[0]) for f in forms[kw]))
+            if len(tokens) < width or (len(tokens) > width and not usage.endswith("...")):
+                raise ValueError(f"expected {usage!r}")
+            if kw in headers:
+                if kw in seen:
+                    raise ValueError(f"duplicate {kw} header")
+                seen.add(kw)
+            check = handler(*[tokens[i] for i in slots], *tokens[width:])
+            if check is not None:
+                checks.append((lineno, check))
+        for lineno, check in checks:
+            check()
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
+
+
+def number(tok, kind):
+    """The value of tok: an int for an integer token, a Fraction for a ratio
+    p/q of integers, and kind(tok) for a decimal (a token with a point or an
+    exponent).  kind is Fraction, which keeps every value exact, or float;
+    with float every value must also be finite as a float."""
+    try:
+        if "/" in tok:
+            num, den = tok.split("/")
+            x = Fraction(int(num), int(den))
+        elif "." in tok or "e" in tok or "E" in tok:
+            x = kind(tok)
+        else:
+            x = int(tok)
+        if kind is float and not math.isfinite(x):   # isfinite raises past 2**1024
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"{tok!r} is too large for a float") from None
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{tok!r} is not a rational number") from None
+    return x
+
+
+def bundled(name, suffix):
+    """Text of the bundled data file `name` + suffix (.logic, .vec, .terms,
+    .op, .ext or .ine)."""
+    try:
+        return (resources.files("correlpoly.data") / _FOLDERS[suffix] / (name + suffix)).read_text()
+    except FileNotFoundError:
+        raise ValueError(f"no bundled {suffix} file named {name!r}") from None
+
+
+def read_source(spec, prefix, load, parse, base_dir):
+    """(text, value) for spec: load(name) for spec = prefix + name, with spec
+    itself as the text; otherwise the text of the file spec (relative to
+    base_dir unless None) and parse(text).  A file that cannot be read raises
+    ValueError."""
+    if spec.startswith(prefix):
+        return spec, load(spec[len(prefix):])
+    try:
+        text = Path(base_dir or "", spec).read_text()
+    except OSError as exc:
+        raise ValueError(str(exc)) from None
+    return text, parse(text)

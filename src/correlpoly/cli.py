@@ -14,10 +14,9 @@ import json
 import sys
 import time
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
-from . import exact_hull, logic_core, realization, vertex_gen
+from . import _text, exact_hull, logic_core, realization, vertex_gen
 
 
 def _lazy_module(name):
@@ -71,31 +70,15 @@ class _Run:
         print(f"[{self.echo}] done in {time.time() - self.t0:.2f}s", file=sys.stderr)
 
 
-def _read_source(spec, builtin_loader, parser, run):
-    """Resolve `builtin:<name>` or a file path into a parsed object."""
-    if spec.startswith("builtin:"):
-        run.add_input(spec, spec)
-        return builtin_loader(spec[len("builtin:"):])
-    text = Path(spec).read_text()
+def _load(spec, prefix, load, parse, run):
+    """Resolve `<prefix><name>` or a file path into a parsed object."""
+    text, value = _text.read_source(spec, prefix, load, parse, None)
     run.add_input(spec, text)
-    return parser(text)
+    return value
 
 
 def _load_logic(spec, run):
-    return _read_source(spec, logic_core.load_builtin, logic_core.parse_logic, run)
-
-
-def _load_realization(spec, run):
-    return _read_source(spec, realization.load_builtin, realization.parse_vectors, run)
-
-
-def _load_terms(spec, logic, run):
-    if spec.startswith("preset:"):
-        run.add_input(spec, spec)
-        return vertex_gen.load_preset_terms(spec[len("preset:"):], logic)
-    text = Path(spec).read_text()
-    run.add_input(spec, text)
-    return vertex_gen.parse_terms(text, logic)
+    return _load(spec, "builtin:", logic_core.load_builtin, logic_core.parse_logic, run)
 
 
 def _num(x):
@@ -155,16 +138,6 @@ def _row_sets(h):
     return frozenset(h.linearities), frozenset(h.inequalities)
 
 
-def _load_golden(spec, suffix, run):
-    if spec.startswith("builtin:"):
-        name = spec[len("builtin:"):]
-        text = (resources.files("correlpoly.data") / "golden" / (name + suffix)).read_text()
-    else:
-        text = Path(spec).read_text()
-    run.add_input(spec, text)
-    return exact_hull.parse_dd(text)
-
-
 def _compare_h(ours, golden):
     # ours comes from hull(), which returns the canonical form already
     (lin_a, ineq_a), (lin_b, ineq_b) = _row_sets(ours), _row_sets(exact_hull.canonicalize(golden))
@@ -191,7 +164,10 @@ def cmd_hull(args, run):
         else:
             if not args.terms:
                 raise ValueError("--logic needs --terms (or --noncontextual)")
-            rep = vertex_gen.gen_state_vertices(logic, _load_terms(args.terms, logic, run))
+            terms = _load(args.terms, "preset:",
+                          lambda name: vertex_gen.load_preset_terms(name, logic),
+                          lambda text: vertex_gen.parse_terms(text, logic), run)
+            rep = vertex_gen.gen_state_vertices(logic, terms)
     else:
         raise ValueError("hull needs --input or --logic")
 
@@ -217,7 +193,10 @@ def cmd_hull(args, run):
         print(f"{len(out.points)} vertices", file=sys.stderr)
 
     if args.golden:
-        golden = _load_golden(args.golden, ".ext" if args.reverse else ".ine", run)
+        suffix = ".ext" if args.reverse else ".ine"
+        golden = _load(args.golden, "builtin:",
+                       lambda name: exact_hull.parse_dd(_text.bundled(name, suffix)),
+                       exact_hull.parse_dd, run)
         if isinstance(out, exact_hull.HRep):
             if not isinstance(golden, exact_hull.HRep):
                 raise ValueError("golden file is not an H-representation")
@@ -279,7 +258,8 @@ def cmd_quantum(args, run):
 # --- verify -----------------------------------------------------------------
 
 def cmd_verify(args, run):
-    real = _load_realization(args.vectors, run)
+    real = _load(args.vectors, "builtin:", realization.load_builtin,
+                 realization.parse_vectors, run)
     if args.derive:
         if not args.dim:
             raise ValueError("--derive needs --dim")

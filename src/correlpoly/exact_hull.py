@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-Rat = Fraction
+from ._text import at_line, number
 
 
 @dataclass(frozen=True)
@@ -405,20 +405,6 @@ def canonicalize(h: HRep) -> HRep:
 # interchange format
 # ---------------------------------------------------------------------------
 
-def _parse_number(tok):
-    """An integer token as an int; a p/q or exact decimal token as a
-    Fraction."""
-    try:
-        if "/" in tok:
-            num, den = tok.split("/")
-            return Fraction(int(num), int(den))
-        if "." in tok or "e" in tok or "E" in tok:
-            return Fraction(tok)  # exact decimal conversion
-        return int(tok)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{tok!r} is not a rational number") from None
-
-
 def _parse_count(tok, what):
     if not (tok.isdecimal() and int(tok) >= 1):
         raise ValueError(f"{what} must be a positive integer, got {tok!r}")
@@ -433,7 +419,7 @@ def parse_dd(text: str):
     kind = None
     linearity = None    # (line number, row indices)
     for pos, (lineno, head) in enumerate(lines):
-        try:
+        with at_line(lineno):
             if head in ("V-representation", "H-representation"):
                 kind = head[0]
             elif head.split()[0] == "linearity":
@@ -448,8 +434,6 @@ def parse_dd(text: str):
                 break
             else:
                 raise ValueError(f"unexpected line before begin: {head!r}")
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
     else:
         raise ValueError("missing begin")
     if kind is None:
@@ -457,13 +441,11 @@ def parse_dd(text: str):
     if pos + 1 == len(lines):
         raise ValueError(f"line {lineno}: expected '<rows> <cols> <type>' after begin")
     lineno, size = lines[pos + 1]
-    try:
+    with at_line(lineno):
         fields = size.split()
         if len(fields) < 2:
             raise ValueError(f"expected '<rows> <cols> <type>', got {size!r}")
         nrows, ncols = _parse_count(fields[0], "row count"), _parse_count(fields[1], "column count")
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from None
     toks, tok_lines = [], []
     for body_line, ln in lines[pos + 2:]:
         if ln == "end":
@@ -478,7 +460,7 @@ def parse_dd(text: str):
     nums = []
     try:
         for t in toks:
-            nums.append(_parse_number(t))
+            nums.append(number(t, Fraction))
     except ValueError as exc:
         raise ValueError(f"line {tok_lines[len(nums)]}: {exc}") from None
     rows = [tuple(nums[i * ncols:(i + 1) * ncols]) for i in range(nrows)]

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from importlib import resources
+
+from ._text import bundled, read_directives
 
 
 @dataclass(frozen=True)
@@ -81,47 +82,34 @@ class PartitionLogic:
 
 
 def parse_logic(text: str) -> Logic:
-    """Parse the line-based logic file format: a `logic <name>` header and one
-    `context <atom> <atom> ...` line per context; `#` starts a comment."""
+    """Parse the line-based logic file format: an optional `logic <name>`
+    header and one `context <atom> <atom> ...` line per context; `#` starts
+    a comment.  Every error on a line raises ValueError("line N: ...")."""
     name = "anonymous"
-    atom_names = []
-    atom_ids = {}
-    contexts = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "logic":
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: logic header needs one name")
-            name = parts[1]
-        elif parts[0] == "context":
-            members = parts[1:]
-            if len(members) < 2:
-                raise ValueError(f"line {lineno}: context must have >= 2 atoms")
-            if len(set(members)) != len(members):
-                raise ValueError(f"line {lineno}: repeated atom in context")
-            idx = []
-            for nm in members:
-                if nm not in atom_ids:
-                    atom_ids[nm] = len(atom_names)
-                    atom_names.append(nm)
-                idx.append(atom_ids[nm])
-            contexts.append(Context(tuple(idx)))
-        else:
-            raise ValueError(f"line {lineno}, column 1: unknown directive {parts[0]!r}")
-    atoms = tuple(Atom(i, nm) for i, nm in enumerate(atom_names))
-    return Logic(name, atoms, tuple(contexts))
+    atom_ids = {}   # name -> index, in order of first appearance
+    contexts = {}   # atom set -> Context, in file order
+
+    def header(logic_name):
+        nonlocal name
+        name = logic_name
+
+    def context(*members):
+        if len(set(members)) != len(members):
+            raise ValueError("repeated atom in context")
+        idx = tuple(atom_ids.setdefault(nm, len(atom_ids)) for nm in members)
+        if frozenset(idx) in contexts:
+            raise ValueError("duplicate context")
+        contexts[frozenset(idx)] = Context(idx)
+
+    read_directives(text, {"logic <name>": header, "context <atom> <atom>...": context},
+                    ("logic",))
+    atoms = tuple(Atom(i, nm) for i, nm in enumerate(atom_ids))
+    return Logic(name, atoms, tuple(contexts.values()))
 
 
 def load_builtin(name: str) -> Logic:
     """Load one of the bundled logics by name."""
-    try:
-        text = (resources.files("correlpoly.data") / "logics" / f"{name}.logic").read_text()
-    except FileNotFoundError:
-        raise ValueError(f"unknown built-in logic {name!r}") from None
-    return parse_logic(text)
+    return parse_logic(bundled(name, ".logic"))
 
 
 def enumerate_states(logic: Logic):

@@ -20,10 +20,10 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
 import numpy as np
 
+from ._text import bundled, number, read_directives, read_source
 from .realization import load_builtin as load_builtin_vectors
 from .realization import parse_vectors
 
@@ -43,10 +43,10 @@ class Direction:
 
 
 def _check_j(j):
-    j = Fraction(j)
-    if 2 * j != int(2 * j) or j < 0:
+    x = Fraction(j)
+    if 2 * x != int(2 * x) or x < 0:
         raise ValueError(f"j={j} is not a nonnegative half-integer")
-    return j
+    return x
 
 
 @functools.cache
@@ -359,40 +359,15 @@ class OperatorExpr:
 
 def _load_vector_matrix(source, atom, base_dir=None):
     """Dichotomic observable 2|a><a|/<a|a> - I for the named vector."""
-    if source.startswith("builtin:"):
-        real = load_builtin_vectors(source[len("builtin:"):])
-    else:
-        from pathlib import Path
-        path = Path(source)
-        if base_dir is not None and not path.is_absolute():
-            path = Path(base_dir) / path
-        try:
-            real = parse_vectors(path.read_text())
-        except ValueError as exc:
-            raise ValueError(f"{source} {exc}") from None
+    try:
+        _, real = read_source(source, "builtin:", load_builtin_vectors, parse_vectors, base_dir)
+    except ValueError as exc:
+        raise ValueError(f"{source} {exc}") from None
     by_name = {v.name: v for v in real.vectors}
     if atom not in by_name:
         raise ValueError(f"no vector named {atom!r} in {source}")
     a = np.array([float(x) for x in by_name[atom].coords], dtype=complex)
     return 2 * np.outer(a, a.conj()) / float(np.real(a.conj() @ a)) - np.eye(a.size)
-
-
-def _number(kind, tok):
-    """tok read as `kind` (int, float or Fraction), required finite."""
-    try:
-        x = kind(tok)
-    except (ValueError, ZeroDivisionError):
-        x = None
-    if x is None or not math.isfinite(x):
-        raise ValueError(f"{tok!r} is not a finite number")
-    return x
-
-
-def _fields(args, usage):
-    """The directive's arguments, checked against its usage line's count."""
-    if len(args) != len(usage.split()) - 1:
-        raise ValueError(f"expected '{usage}'")
-    return args
 
 
 def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
@@ -404,76 +379,76 @@ def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
     ValueError("line N: ...")."""
     sites = None
     terms = []
-    binds = []
-    params = []
-    refs = []   # (lineno, name) of each $name angle
-    term_lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kw, *args = line.split()
-        try:
-            if kw == "sites":
-                (count,) = _fields(args, "sites <n>")
-                sites = _number(int, count)
-                if sites < 1:
-                    raise ValueError(f"sites must be at least 1, got {sites}")
-            elif kw == "param":
-                name, default = _fields(args, "param <name> <default>")
-                params.append((name, _number(float, default)))
-            elif kw == "term":
-                if sites is None:
-                    raise ValueError("sites must come first")
-                if not args:
-                    raise ValueError("expected 'term <coeff> <label@site> ...'")
-                coeff = float(_number(Fraction, args[0]))
-                factors = [None] * sites
-                for tok in args[1:]:
-                    label, _, site = tok.rpartition("@")
-                    if not (site.isdecimal() and 1 <= int(site) <= sites):
-                        raise ValueError(f"site of {tok!r} is outside 1..{sites}")
-                    factors[int(site) - 1] = label
-                if any(f is None for f in factors):
-                    raise ValueError(f"term must cover all {sites} sites")
-                terms.append((coeff, tuple(factors)))
-                term_lines.append(lineno)
-            elif kw == "bind":
-                kind = args[1] if len(args) > 1 else ""
-                if kind == "spin":
-                    label, _, j, *angles = _fields(args, "bind <label> spin <j> <theta> <phi>")
-                    refs += [(lineno, t[1:]) for t in angles if t.startswith("$")]
-                    angles = [t if t.startswith("$") else _number(float, t) for t in angles]
-                    binds.append((label, ("spin", _check_j(_number(Fraction, j)), *angles)))
-                elif kind == "proj":
-                    label, _, source, atom = _fields(args, "bind <label> proj <vector-file> <atom>")
-                    binds.append((label, ("proj", _load_vector_matrix(source, atom, base_dir))))
-                else:
-                    raise ValueError(f"bind kind must be spin or proj, got {kind!r}")
-            else:
-                raise ValueError(f"unknown directive {kw!r}")
-        except (ValueError, OSError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    declared = {name for name, _ in params}
-    for lineno, name in refs:
-        if name not in declared:
-            raise ValueError(f"line {lineno}: angle ${name} names no param")
-    bound = {label for label, _ in binds}
-    for lineno, (_, factors) in zip(term_lines, terms):
-        unbound = sorted(set(factors) - bound)
-        if unbound:
-            raise ValueError(f"line {lineno}: unbound labels {unbound}")
+    binds = {}    # label -> spec
+    params = {}   # name -> default
+
+    def set_sites(n):
+        nonlocal sites
+        sites = number(n, float)
+        if not isinstance(sites, int) or sites < 1:
+            raise ValueError(f"sites must be a positive integer, got {n!r}")
+
+    def param(name, default):
+        if name in params:
+            raise ValueError(f"duplicate param {name!r}")
+        params[name] = float(number(default, float))
+
+    def term(coeff, *factors):
+        if sites is None:
+            raise ValueError("sites must come first")
+        coeff = float(number(coeff, float))
+        labels = {}   # site -> label
+        for tok in factors:
+            label, _, site = tok.rpartition("@")
+            k = int(site) if site.isdecimal() else 0
+            if not 1 <= k <= sites:
+                raise ValueError(f"site of {tok!r} is outside 1..{sites}")
+            if k in labels:
+                raise ValueError(f"site {k} given twice")
+            labels[k] = label
+        if len(labels) != sites:
+            raise ValueError(f"term must cover all {sites} sites")
+        factors = tuple(labels[k] for k in range(1, sites + 1))
+        terms.append((coeff, factors))
+
+        def bound():
+            unbound = sorted(set(factors) - binds.keys())
+            if unbound:
+                raise ValueError(f"unbound labels {unbound}")
+        return bound
+
+    def bind(label, spec):
+        if label in binds:
+            raise ValueError(f"duplicate bind label {label!r}")
+        binds[label] = spec
+
+    def bind_spin(label, j, *angles):
+        bind(label, ("spin", _check_j(number(j, float)),
+                     *(t if t.startswith("$") else float(number(t, float)) for t in angles)))
+
+        def declared():
+            for t in angles:
+                if t.startswith("$") and t[1:] not in params:
+                    raise ValueError(f"angle {t} names no param")
+        return declared
+
+    def bind_proj(label, source, atom):
+        bind(label, ("proj", _load_vector_matrix(source, atom, base_dir)))
+
+    read_directives(text, {
+        "sites <n>": set_sites,
+        "param <name> <default>": param,
+        "term <coeff> <label@site>...": term,
+        "bind <label> spin <j> <theta> <phi>": bind_spin,
+        "bind <label> proj <vector-file> <atom>": bind_proj,
+    }, ("sites",))
     if sites is None:
         raise ValueError("missing sites header")
-    return OperatorExpr(sites, tuple(terms), tuple(binds), tuple(params))
+    return OperatorExpr(sites, tuple(terms), tuple(binds.items()), tuple(params.items()))
 
 
 def load_preset_expr(name: str) -> OperatorExpr:
-    try:
-        text = (resources.files("correlpoly.data") / "ops" / f"{name}.op").read_text()
-    except FileNotFoundError:
-        raise ValueError(f"unknown operator preset {name!r}") from None
-    return parse_operator_expr(text)
+    return parse_operator_expr(bundled(name, ".op"))
 
 
 def resolve_bindings(expr: OperatorExpr, params=None):

@@ -5,11 +5,10 @@ vector set as the maximal cliques of the orthogonality graph."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
+from ._text import bundled, number, read_directives
 from .logic_core import Atom, Context, Logic
 
 DEFAULT_TOL = 1e-10
@@ -44,71 +43,39 @@ class VerifyReport:
         return not self.nonorthogonal and not self.collinear
 
 
-def _parse_entry(tok):
-    """(value, exact): an integer or a rational p/q exactly, else a float."""
-    try:
-        if "/" in tok:
-            num, den = tok.split("/")
-            x, exact = Fraction(int(num), int(den)), True
-        else:
-            try:
-                x, exact = Fraction(int(tok)), True
-            except ValueError:
-                x, exact = float(tok), False
-    except (ValueError, ZeroDivisionError):
-        x = None
-    if x is None or not math.isfinite(x):
-        raise ValueError(f"{tok!r} is not a finite number")
-    return x, exact
-
-
 def parse_vectors(text: str):
     """Parse the vector file format: `dim <d>` then `vector <atom> <c1> ...`
-    lines; entries are integers, rationals p/q, or decimal floats.  Every
-    error on a line raises ValueError("line N: ...")."""
+    lines; entries are integers, rationals p/q (both exact), or decimal
+    floats.  Every error on a line raises ValueError("line N: ...")."""
     dim = None
-    vectors = []
-    names = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        kw, *args = line.split()
-        try:
-            if kw == "dim":
-                if len(args) != 1 or not args[0].isdecimal() or int(args[0]) < 1:
-                    raise ValueError(f"expected 'dim <d>' with d >= 1, got {line!r}")
-                dim = int(args[0])
-            elif kw == "vector":
-                if dim is None:
-                    raise ValueError("dim must come first")
-                if not args:
-                    raise ValueError("expected 'vector <atom> <c1> ...'")
-                name = args[0]
-                if name in names:
-                    raise ValueError(f"duplicate vector {name}")
-                names.add(name)
-                entries = [_parse_entry(t) for t in args[1:]]
-                if len(entries) != dim:
-                    raise ValueError(f"expected {dim} coordinates")
-                exact = all(e for _, e in entries)
-                coords = tuple(x for x, _ in entries)
-                vectors.append(RealVector(name, coords, exact))
-            else:
-                raise ValueError(f"unknown directive {kw!r}")
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
+    vectors = {}
+
+    def set_dim(d):
+        nonlocal dim
+        if not (d.isdecimal() and int(d) >= 1):
+            raise ValueError(f"dim must be a positive integer, got {d!r}")
+        dim = int(d)
+
+    def vector(name, *entries):
+        if dim is None:
+            raise ValueError("dim must come first")
+        if name in vectors:
+            raise ValueError(f"duplicate vector {name}")
+        if len(entries) != dim:
+            raise ValueError(f"expected {dim} coordinates")
+        coords = [number(t, float) for t in entries]
+        exact = not any(isinstance(x, float) for x in coords)
+        vectors[name] = RealVector(
+            name, tuple(x if isinstance(x, float) else Fraction(x) for x in coords), exact)
+
+    read_directives(text, {"dim <d>": set_dim, "vector <atom> <c>...": vector}, ("dim",))
     if dim is None:
         raise ValueError("missing dim header")
-    return Realization(dim, tuple(vectors))
+    return Realization(dim, tuple(vectors.values()))
 
 
 def load_builtin(name: str) -> Realization:
-    try:
-        text = (resources.files("correlpoly.data") / "vectors" / f"{name}.vec").read_text()
-    except FileNotFoundError:
-        raise ValueError(f"no built-in realization for {name!r}") from None
-    real = parse_vectors(text)
+    real = parse_vectors(bundled(name, ".vec"))
     return Realization(real.dimension, real.vectors, name)
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
+from ._text import bundled, read_directives
 from .exact_hull import HRep, VRep, parse_dd
 from .logic_core import Logic, enumerate_states, load_builtin, parity_certificate
 
@@ -48,27 +48,22 @@ class TermTable:
 
 def parse_terms(text: str, logic: Logic) -> TermTable:
     """Parse the term table format: one `term <label> <kind> <atoms...>` line
-    per term."""
+    per term.  Every error on a line raises ValueError("line N: ...")."""
     index = {a.name: a.index for a in logic.atoms}
-    terms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] != "term" or len(parts) < 4:
-            raise ValueError(f"line {lineno}: expected `term <label> <kind> <atoms...>`")
-        label, kind = parts[1], parts[2]
+    terms = {}
+
+    def term(label, kind, *names):
+        if label in terms:
+            raise ValueError(f"duplicate term label {label!r}")
         if kind not in KINDS:  # before the atoms: their meaning depends on the kind
-            raise ValueError(f"line {lineno}: unknown term kind {kind!r}")
-        for nm in parts[3:]:
+            raise ValueError(f"unknown term kind {kind!r}")
+        for nm in names:
             if nm not in index:
-                raise ValueError(f"line {lineno}: unknown atom {nm!r}")
-        try:
-            terms.append(TermSpec(label, kind, tuple(index[nm] for nm in parts[3:])))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return TermTable(logic, tuple(terms))
+                raise ValueError(f"unknown atom {nm!r}")
+        terms[label] = TermSpec(label, kind, tuple(index[nm] for nm in names))
+
+    read_directives(text, {"term <label> <kind> <atom>...": term}, ())
+    return TermTable(logic, tuple(terms.values()))
 
 
 def _evaluate(term: TermSpec, values):
@@ -168,11 +163,7 @@ SCENARIO_RECIPES = {
 
 
 def load_preset_terms(name: str, logic: Logic) -> TermTable:
-    try:
-        text = (resources.files("correlpoly.data") / "terms" / f"{name}.terms").read_text()
-    except FileNotFoundError:
-        raise ValueError(f"unknown term preset {name!r}") from None
-    return parse_terms(text, logic)
+    return parse_terms(bundled(name, ".terms"), logic)
 
 
 def scenario_vertices(name: str) -> VRep:
@@ -185,16 +176,12 @@ def scenario_vertices(name: str) -> VRep:
     return gen_state_vertices(logic, load_preset_terms(preset, logic))
 
 
-def _golden(name, suffix):
-    return (resources.files("correlpoly.data") / "golden" / (name + suffix)).read_text()
-
-
 def builtin_scenario(name: str):
     """The bundled (V-representation, golden H-representation) pair for a
     named scenario."""
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}")
-    v = parse_dd(_golden(name, ".ext"))
-    h = parse_dd(_golden(name, ".ine"))
+    v = parse_dd(bundled(name, ".ext"))
+    h = parse_dd(bundled(name, ".ine"))
     assert isinstance(v, VRep) and isinstance(h, HRep)
     return v, h

@@ -287,6 +287,11 @@ def test_quantum_site_out_of_range_exit_1(capsys, tmp_path, term):
     ("sites 1\nparam t abc\n", 2),
     ("sites 1\nterm abc x@1\n", 2),
     ("sites 0\n", 1),
+    ("sites 1\nterm 1 x@1\nsites 2\n", 3),
+    ("sites 1\nparam t 0\nparam t 1\n", 3),
+    ("sites 1\nbind x spin 1/2 0 0\nbind x spin 1/2 0 1\n", 3),
+    ("sites 1\nterm 1 x@1 y@1\nbind x spin 1/2 0 0\nbind y spin 1/2 0 0\n", 2),
+    ("sites 1\nterm 1e999 x@1\nbind x spin 1/2 0 0\n", 2),
 ])
 def test_quantum_malformed_expr_exit_1(capsys, tmp_path, text, lineno):
     f = tmp_path / "op.expr"

@@ -1,0 +1,78 @@
+"""The text formats under random damage: every bundled file, with one line
+mutated, either parses or fails with a ValueError, and the directive formats
+(.logic, .vec, .terms, .op) name the line."""
+
+import warnings
+from importlib import resources
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from correlpoly.exact_hull import parse_dd
+from correlpoly.logic_core import load_builtin, parse_logic
+from correlpoly.quantum import parse_operator_expr
+from correlpoly.realization import parse_vectors
+from correlpoly.vertex_gen import SCENARIO_RECIPES, parse_terms
+
+DATA = resources.files("correlpoly.data")
+TERMS_LOGIC = {preset: logic for logic, preset in SCENARIO_RECIPES.values() if preset}
+# relative `bind ... proj` paths resolve here and find nothing
+NOWHERE = Path(__file__).with_name("no-such-directory")
+
+PARSERS = {
+    ".logic": lambda name, text: parse_logic(text),
+    ".vec": lambda name, text: parse_vectors(text),
+    ".terms": lambda name, text: parse_terms(text, load_builtin(TERMS_LOGIC[name])),
+    ".op": lambda name, text: parse_operator_expr(text, base_dir=NOWHERE),
+    ".ext": lambda name, text: parse_dd(text),
+    ".ine": lambda name, text: parse_dd(text),
+}
+FILES = sorted((f.name, folder) for folder in ("logics", "vectors", "terms", "ops", "golden")
+               for f in (DATA / folder).iterdir())
+
+# tokens that are wrong in most places, besides the file's own tokens
+ODD_TOKENS = ["", "0", "-1", "1/0", "1/2/3", "1e999", "99999999999999999999", "x", "#",
+              "$t1", "A1@9", "@1", "nan", "inf", "logic", "context", "dim", "vector", "term",
+              "sites", "param", "bind", "spin", "proj", "builtin:nope", "begin", "end",
+              "linearity", "real", "*", "V-representation", "H-representation"]
+
+
+def mutate(data, text):
+    """text with one line changed: a token dropped, inserted or replaced, or
+    the line duplicated or deleted."""
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    op = data.draw(st.sampled_from(["drop", "insert", "replace", "duplicate", "delete"]))
+    if op == "duplicate":
+        lines.insert(i, lines[i])
+    elif op == "delete":
+        del lines[i]
+    else:
+        toks = lines[i].split()
+        if not toks:
+            op = "insert"
+        k = data.draw(st.integers(0, len(toks) if op == "insert" else len(toks) - 1))
+        if op != "insert":
+            del toks[k]
+        if op != "drop":
+            own = text.split()
+            toks.insert(k, data.draw(st.sampled_from(ODD_TOKENS) | st.sampled_from(own)))
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("name, folder", FILES, ids=[name for name, _ in FILES])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_mutated_file_parses_or_names_its_line(name, folder, data):
+    suffix = Path(name).suffix
+    text = mutate(data, (DATA / folder / name).read_text())
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # intertwining contexts
+            PARSERS[suffix](Path(name).stem, text)
+    except ValueError as exc:
+        if suffix not in (".ext", ".ine"):
+            # only the end-of-file checks have no line to name
+            assert str(exc).startswith(("line ", "missing ")), str(exc)

@@ -167,10 +167,12 @@ def test_parse_logic_errors():
         parse_logic("context x x y\n")  # repeated atom
     with pytest.raises(ValueError):
         parse_logic("junk\n")
+    with pytest.raises(ValueError, match="line 3: duplicate logic header"):
+        parse_logic("logic a\ncontext x y\nlogic b\n")
 
 
 def test_duplicate_context_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="line 2: duplicate context"):
         parse_logic("context x y\ncontext y x\n")
 
 

@@ -150,3 +150,5 @@ def test_parse_vectors_errors():
         parse_vectors("dim 2\nvector a 1 0\nvector a 0 1\n")  # duplicate
     with pytest.raises(ValueError):
         parse_vectors("dim 2\nvector a 0 0\n")  # zero vector
+    with pytest.raises(ValueError, match="line 3: duplicate dim header"):
+        parse_vectors("dim 3\nvector a 1 0 0\ndim 2\nvector b 1 0\n")

@@ -142,8 +142,8 @@ def test_noncontextual_cubes():
 
 def test_parse_terms_errors():
     logic = load_builtin("two-obs")
-    with pytest.raises(ValueError):
-        parse_terms("term x prob a1\nterm x prob a2\n", logic)  # duplicate label
+    with pytest.raises(ValueError, match="line 2: duplicate term label 'x'"):
+        parse_terms("term x prob a1\nterm x prob a2\n", logic)
     with pytest.raises(ValueError):
         parse_terms("term x joint_prob a1 a1\n", logic)  # repeated atom
     with pytest.raises(ValueError, match="line 1: unknown term kind 'bogus'"):
