@@ -2,12 +2,15 @@
 
 Builds spin-j component matrices by the ladder construction, projectors and
 tensor-product operators for Bell-type expressions, and computes Hermitian
-spectra with a Jacobi eigensolver in Brent-Luk round-robin order (Brent &
-Luk, SIAM J. Sci. Stat. Comput. 6, 1985) that takes one matrix or a stack
-of them.  The extreme eigenvalues of the operator substituted for an
-inequality's left-hand side are the quantum bounds; a grid scan and a
-complete-poll compass search maximize the largest one over free measurement
-angles, solving each scan axis and each poll as one stack.
+spectra of one matrix or a stack of them: eigenvalues by Householder
+reduction to real tridiagonal form and Sturm-count multisection (Barth,
+Martin & Wilkinson, Numer. Math. 9, 1967), eigenvectors (for the
+projectors) by a Jacobi eigensolver in Brent-Luk round-robin order (Brent &
+Luk, SIAM J. Sci. Stat. Comput. 6, 1985).  The extreme eigenvalues of the
+operator substituted for an inequality's left-hand side are the quantum
+bounds; a grid scan and a complete-poll compass search maximize the largest
+one over free measurement angles, building and solving each scan axis and
+each poll as one stack.
 
 All arithmetic here is double precision; exact rational work lives in
 exact_hull.
@@ -28,6 +31,9 @@ from .realization import load_builtin as load_builtin_vectors
 from .realization import parse_vectors
 
 HERMITIAN_TOL = 1e-12
+TINY = float(np.finfo(float).tiny)    # smallest normal float
+SECTION_POINTS = 15   # interior points per interval and multisection round
+SECTION_ROUNDS = 14   # (SECTION_POINTS + 1)^-14 = 2^-56
 JACOBI_SWEEP_CAP = 100
 JACOBI_THRESHOLD = 1e-13  # times the Frobenius norm
 
@@ -71,20 +77,137 @@ def spin_components(j):
 
 def spin_operator(j, direction: Direction):
     """S_j(theta, phi) = sin(t)cos(p) Mx + sin(t)sin(p) My + cos(t) Mz."""
+    return _spin_operators(j, direction.theta, direction.phi)
+
+
+def _spin_operators(j, theta, phi):
+    """S_j(theta, phi) for angles given as floats or as arrays, which
+    broadcast together: shape (*shape, d, d)."""
     mx, my, mz = spin_components(j)
-    t, p = direction.theta, direction.phi
-    return (math.sin(t) * math.cos(p) * mx
-            + math.sin(t) * math.sin(p) * my
-            + math.cos(t) * mz)
+    sin_t = np.sin(theta)
+    return (np.multiply.outer(sin_t * np.cos(phi), mx)
+            + np.multiply.outer(sin_t * np.sin(phi), my)
+            + np.multiply.outer(np.cos(theta), mz))
 
 
 def _assert_hermitian(h):
     h = np.asarray(h, dtype=complex)
     if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
         raise ValueError("matrix must be square, or a stack of square matrices")
+    if not np.isfinite(h).all():
+        raise ValueError("matrix has a NaN or infinite entry")
     if np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), initial=0.0) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within 1e-12")
     return h
+
+
+def _stack_copy(h):
+    """The checked matrix or stack h, and a writable copy of it as a stack
+    (k, n, n): real when h has zero imaginary part."""
+    h = _assert_hermitian(h)
+    a = h[None] if h.ndim == 2 else h       # a single matrix is a stack of one
+    return h, (a.copy() if a.imag.any() else a.real.copy())
+
+
+def _tridiagonalize(a):
+    """Householder reduction of every matrix in the stack a (k, n, n), which
+    it overwrites: the diagonal (k, n) and off-diagonal (k, n-1) of real
+    symmetric tridiagonal matrices with the same eigenvalues.
+
+    Step j reflects rows and columns j+1.. by I - 2uu^H, which maps column j
+    below the diagonal to a multiple of e_1 of modulus ||a[j+1:, j]||.  The
+    complex phases left on the off-diagonal are a diagonal similarity, so only
+    the moduli are kept.  A column whose squared norm is below the smallest
+    normal float is not reflected: on a matrix scaled to entries below 1 it
+    is under the rounding of the rest."""
+    k, n, _ = a.shape
+    e = np.empty((k, max(n - 1, 0)))
+    for j in range(n - 2):
+        x = a[:, j + 1:, j]
+        xx = np.sum((x.conj() * x).real, axis=-1)
+        norm = np.sqrt(xx)
+        e[:, j] = norm
+        x0 = x[:, 0]
+        r = np.abs(x0)
+        keep = xx >= TINY
+        u = x.copy()
+        u[:, 0] += (np.sign(x0) + (r == 0)) * norm
+        # ||u||^2 = 2 (||x||^2 + |x0| ||x||)
+        u *= (keep / np.sqrt(np.maximum(2 * (xx + r * norm), TINY)))[:, None]
+        b = a[:, j + 1:, j + 1:]
+        p = np.sum(b * u[:, None, :], axis=-1)                     # b u
+        uhbu = np.sum((u.conj() * p).real, axis=-1, keepdims=True)
+        w = 2 * (p - uhbu * u)
+        # b <- (I - 2uu^H) b (I - 2uu^H) = b - u w^H - w u^H
+        b -= u[:, :, None] * w.conj()[:, None, :]
+        b -= w[:, :, None] * u.conj()[:, None, :]
+    if n > 1:
+        e[:, -1] = np.abs(a[:, -1, -2])
+    return np.diagonal(a, axis1=1, axis2=2).real.copy(), e
+
+
+def _multisection(d, e):
+    """Every eigenvalue, ascending, of each real symmetric tridiagonal
+    matrix with diagonal d (k, n) and off-diagonal e (k, n-1).
+
+    Eigenvalue i of a matrix starts in its Gershgorin interval.  Each round
+    splits every interval into 16 equal parts and evaluates the Sturm count
+    (the number of negative pivots of T - xI, i.e. of eigenvalues below x)
+    at the 15 interior points of all intervals at once; eigenvalue i keeps
+    the part between the last point whose count is at most i and the next
+    one (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).  The rounds are
+    fixed: 16^-14 = 2^-56 of the Gershgorin span is below one ulp of it.
+    The squares of e are raised to at least the smallest normal float, so
+    that an exact zero pivot gives an infinite one next, never 0/0."""
+    k, n = d.shape
+    radius = np.zeros((k, n))
+    radius[:, 1:] += e
+    radius[:, :-1] += e
+    lo = np.repeat(np.min(d - radius, axis=1, initial=np.inf)[:, None], n, axis=1)
+    hi = np.repeat(np.max(d + radius, axis=1, initial=-np.inf)[:, None], n, axis=1)
+    diag = d.T[:, :, None, None].copy()                   # (n, k, 1, 1)
+    off2 = np.zeros((n, k, 1, 1))                         # e[i-1]^2; none before pivot 0
+    off2[1:, :, 0, 0] = np.maximum(e * e, TINY).T
+    index = np.arange(n)[:, None]
+    parts = np.arange(1, SECTION_POINTS + 1) / (SECTION_POINTS + 1)
+    q, t = np.empty((2, k, n, SECTION_POINTS))
+    with np.errstate(divide="ignore"):
+        for _ in range(SECTION_ROUNDS):
+            width = hi - lo
+            x = lo[..., None] + width[..., None] * parts    # (k, n, points)
+            q.fill(1.0)
+            count = np.zeros(x.shape, np.intp)
+            for i in range(n):
+                np.divide(off2[i], q, out=t)
+                np.subtract(diag[i], x, out=q)
+                q -= t
+                count += q < 0
+            # the new ends are points of x, or lo and hi, by the same formula
+            at = np.sum(count <= index, axis=-1) / (SECTION_POINTS + 1)
+            lo, hi = lo + width * at, lo + width * (at + parts[0])
+    # ascending also where rounding makes two neighbouring counts disagree
+    return np.maximum.accumulate((lo + hi) / 2, axis=-1)
+
+
+def eigenvalues(h):
+    """All eigenvalues of a Hermitian matrix, ascending; for a stack
+    (k, n, n), one ascending array per matrix.
+
+    Each matrix is scaled by a power of two to entries below 1 (exactly),
+    reduced to real tridiagonal form by Householder reflections and its
+    eigenvalues found by Sturm-count multisection, all in one pass over the
+    stack; each result is bit-identical to that of solving its matrix
+    alone.  Real input is reduced in real arithmetic."""
+    h, a = _stack_copy(h)
+    _, scale = np.frexp(np.max(np.abs(a), axis=(1, 2), initial=0.0))
+    flat = a.view(np.float64)               # real and imaginary parts alike
+    np.ldexp(flat, -scale[:, None, None], out=flat)
+    vals = _multisection(*_tridiagonalize(a))
+    with np.errstate(over="ignore"):
+        vals = np.ldexp(vals, scale[:, None]) + 0.0     # + 0.0: no -0.0
+    if not np.isfinite(vals).all():
+        raise ValueError("an eigenvalue exceeds the float range")
+    return list(vals) if h.ndim == 3 else list(vals[0])
 
 
 def _offdiag_norms(a):
@@ -125,7 +248,7 @@ def _rotate_rows(x, p, q, c, spq, sqp):
     x[:, q] = row_q
 
 
-def eigensystem(h, vectors=True):
+def eigensystem(h):
     """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix, or of
     each matrix in a stack (k, n, n), via Jacobi rotations in Brent-Luk
     round-robin order.
@@ -139,17 +262,13 @@ def eigensystem(h, vectors=True):
     the identity rotation for it (the entry is still set to zero), so a
     stack of one rotates exactly as a single matrix.  A stack with zero
     imaginary part is rotated in real arithmetic.  Returns values (n,) and
-    vectors (n, n) for a matrix, (k, n) and (k, n, n) for a stack; with
-    vectors=False the eigenvectors are not accumulated and None is returned
-    in their place."""
-    h = _assert_hermitian(h)
-    a = h[None] if h.ndim == 2 else h       # a single matrix is a stack of one
-    a = a.copy() if a.imag.any() else a.real.copy()
+    vectors (n, n) for a matrix, (k, n) and (k, n, n) for a stack."""
+    h, a = _stack_copy(h)
     k, n, _ = a.shape
     complex_ = a.dtype == complex
     vals = np.empty((k, n))
-    vecs = np.empty_like(a) if vectors else None
-    vh = np.repeat(np.eye(n, dtype=a.dtype)[None], k, axis=0) if vectors else None  # V^H
+    vecs = np.empty_like(a)
+    vh = np.repeat(np.eye(n, dtype=a.dtype)[None], k, axis=0)   # V^H
     fro = np.sqrt(np.sum(np.abs(a) ** 2, axis=(1, 2)))
     stop = JACOBI_THRESHOLD * fro
     skip = (1e-14 * fro / max(n, 1))[:, None]
@@ -159,11 +278,9 @@ def eigensystem(h, vectors=True):
         done = _offdiag_norms(a) <= stop
         if done.any():
             vals[live[done]] = np.diagonal(a, axis1=1, axis2=2)[done].real
+            vecs[live[done]] = vh[done].conj().transpose(0, 2, 1)
             rest = ~done
-            if vectors:
-                vecs[live[done]] = vh[done].conj().transpose(0, 2, 1)
-                vh = vh[rest]
-            live, a, stop, skip = live[rest], a[rest], stop[rest], skip[rest]
+            live, a, vh, stop, skip = live[rest], a[rest], vh[rest], stop[rest], skip[rest]
         if not live.size:
             break
         if sweep == JACOBI_SWEEP_CAP:
@@ -205,22 +322,11 @@ def eigensystem(h, vectors=True):
             if complex_:
                 a[:, p, p] = a[:, p, p].real
                 a[:, q, q] = a[:, q, q].real
-            if vectors:
-                _rotate_rows(vh, *rot)                       # V <- V U
+            _rotate_rows(vh, *rot)                           # V <- V U
     order = np.argsort(vals, axis=-1, kind="stable")
     vals = np.take_along_axis(vals, order, axis=-1)
-    if vectors:
-        vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
-    if h.ndim == 2:
-        return vals[0], (vecs[0] if vectors else None)
-    return vals, vecs
-
-
-def eigenvalues(h):
-    """All eigenvalues of a Hermitian matrix, ascending; for a stack
-    (k, n, n), one ascending array per matrix."""
-    vals, _ = eigensystem(h, vectors=False)
-    return list(vals)
+    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
+    return (vals[0], vecs[0]) if h.ndim == 2 else (vals, vecs)
 
 
 def _fix_phase(vec):
@@ -357,16 +463,18 @@ class OperatorExpr:
         return dict(self.params)
 
 
-def _load_vector_matrix(source, atom, base_dir=None):
-    """Dichotomic observable 2|a><a|/<a|a> - I for the named vector."""
+def _load_vectors(source, base_dir=None):
+    """{name: coordinates} of the vector file or builtin: set `source`."""
     try:
         _, real = read_source(source, "builtin:", load_builtin_vectors, parse_vectors, base_dir)
     except ValueError as exc:
         raise ValueError(f"{source} {exc}") from None
-    by_name = {v.name: v for v in real.vectors}
-    if atom not in by_name:
-        raise ValueError(f"no vector named {atom!r} in {source}")
-    a = np.array([float(x) for x in by_name[atom].coords], dtype=complex)
+    return {v.name: v.coords for v in real.vectors}
+
+
+def _dichotomic(coords):
+    """Dichotomic observable 2|a><a|/<a|a> - I for the vector a."""
+    a = np.array([float(x) for x in coords], dtype=complex)
     return 2 * np.outer(a, a.conj()) / float(np.real(a.conj() @ a)) - np.eye(a.size)
 
 
@@ -381,6 +489,7 @@ def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
     terms = []
     binds = {}    # label -> spec
     params = {}   # name -> default
+    vectors = {}  # source -> {name: coordinates}: each source is read once
 
     def set_sites(n):
         nonlocal sites
@@ -433,7 +542,11 @@ def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
         return declared
 
     def bind_proj(label, source, atom):
-        bind(label, ("proj", _load_vector_matrix(source, atom, base_dir)))
+        if source not in vectors:
+            vectors[source] = _load_vectors(source, base_dir)
+        if atom not in vectors[source]:
+            raise ValueError(f"no vector named {atom!r} in {source}")
+        bind(label, ("proj", _dichotomic(vectors[source][atom])))
 
     read_directives(text, {
         "sites <n>": set_sites,
@@ -452,12 +565,16 @@ def load_preset_expr(name: str) -> OperatorExpr:
 
 
 def resolve_bindings(expr: OperatorExpr, params=None):
-    """Materialize every bind into a matrix, substituting angle parameters."""
+    """Materialize every bind into a matrix, substituting angle parameters.
+    A parameter given as an array of k values makes every spin bind that
+    uses it a stack (k, d, d)."""
     values = expr.defaults
     values.update(params or {})
     unknown = set(values) - set(expr.param_names)
     if unknown:
         raise ValueError(f"unknown parameters {sorted(unknown)}")
+    if not all(np.isfinite(v).all() for v in values.values()):
+        raise ValueError("direction angles must be finite")
 
     def angle(x):
         return values[x[1:]] if isinstance(x, str) else x
@@ -466,31 +583,35 @@ def resolve_bindings(expr: OperatorExpr, params=None):
     for label, spec in expr.binds:
         if spec[0] == "spin":
             _, j, t, p = spec
-            out[label] = spin_operator(j, Direction(angle(t), angle(p)))
+            out[label] = _spin_operators(j, angle(t), angle(p))
         else:
             out[label] = spec[1]
     return out
 
 
 def build_operator(expr: OperatorExpr, bindings):
-    """sum_t coeff_t * kron(factors); Hermitian when every factor is."""
+    """sum_t coeff_t * kron(factors); Hermitian when every factor is.  A
+    binding may be a stack (k, d, d); the operator is then a stack too.
+    Entries that overflow become infinite, which the eigensolvers reject."""
     total = None
-    for coeff, factors in expr.terms:
-        term = np.array([[coeff]], dtype=complex)
-        for label in factors:
-            m = np.asarray(bindings[label], dtype=complex)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"binding {label!r} is not a square matrix")
-            # kron(term, m) as one outer product: entry (i*d + k, j*d + l)
-            # is term[i, j] * m[k, l]
-            d = term.shape[0] * m.shape[0]
-            term = (term[:, None, :, None] * m[None, :, None, :]).reshape(d, d)
-        if total is None:
-            total = term
-        elif total.shape != term.shape:
-            raise ValueError("terms have inconsistent Kronecker dimensions")
-        else:
-            total = total + term
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coeff, factors in expr.terms:
+            term = np.array([[coeff]], dtype=complex)
+            for label in factors:
+                m = np.asarray(bindings[label], dtype=complex)
+                if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+                    raise ValueError(f"binding {label!r} is not a square matrix or a stack of them")
+                # kron(term, m) as one outer product: entry (i*d + k, j*d + l)
+                # is term[i, j] * m[k, l]
+                term = term[..., :, None, :, None] * m[..., None, :, None, :]
+                *stack, a, b, _, _ = term.shape
+                term = term.reshape(*stack, a * b, a * b)
+            if total is None:
+                total = term
+            elif total.shape[-2:] != term.shape[-2:]:
+                raise ValueError("terms have inconsistent Kronecker dimensions")
+            else:
+                total = total + term
     if total is None:
         raise ValueError("expression has no terms")
     return total
@@ -527,7 +648,9 @@ def maximize_bound(expr: OperatorExpr, param_names=None, grid=16, seed=0):
     def objective(trials):
         nonlocal evaluations
         evaluations += len(trials)
-        stack = np.stack([realize_operator(expr, dict(zip(names, t))) for t in trials])
+        # built in one pass from one array of values per angle
+        stack = realize_operator(expr, dict(zip(names, np.array(trials).T)))
+        stack = np.broadcast_to(stack, (len(trials), *stack.shape[-2:]))
         return [float(vals[-1]) for vals in eigenvalues(stack)]
 
     def moved(point, i, x):

@@ -263,6 +263,30 @@ def test_quantum_expr_file(capsys, tmp_path):
     assert doc["eigenvalues"] == [-1.0, 1.0]
 
 
+def test_quantum_zero_eigenvalue_prints_positive_zero(capsys, tmp_path):
+    f = tmp_path / "op.expr"
+    f.write_text("sites 1\nterm 0 A@1\nbind A spin 1/2 0 0\n")
+    code, out = run(capsys, "quantum", "--expr", str(f))
+    assert code == 0 and "-0.0" not in out
+    assert json.loads(out)["eigenvalues"] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("terms, message", [
+    # 1e308 + 1e308 overflows to an infinite entry
+    ("term 1e308 A@1\nterm 1e308 A@1\n", "error: matrix has a NaN or infinite entry"),
+    # finite entries of 1.7e308, eigenvalues of +-2.4e308
+    ("term 1.7e308 Z@1\nterm 1.7e308 Z@1\nterm 1.7e308 X@1\nterm 1.7e308 X@1\n",
+     "error: an eigenvalue exceeds the float range"),
+])
+def test_quantum_non_finite_exit_1(capsys, tmp_path, terms, message):
+    f = tmp_path / "op.expr"
+    f.write_text("sites 1\n" + terms + "bind A spin 1 0 0\nbind Z spin 1/2 0 0\n"
+                 "bind X spin 1/2 1.5707963267948966 0\n")
+    assert main(["quantum", "--expr", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [message]
+
+
 def test_quantum_errors(capsys):
     assert run(capsys, "quantum")[0] == 1
     assert run(capsys, "quantum", "--preset", "nope")[0] == 1

@@ -1,6 +1,6 @@
 """Quantum module: spin matrices, projector identities, singlet correlations,
-the Jacobi eigensolver against an independent dense solver, and operator
-presets against frozen spectra."""
+the eigenvalue kernel and the Jacobi eigensolver against an independent dense
+solver, and operator presets against frozen spectra."""
 
 import math
 import random
@@ -112,10 +112,7 @@ def test_jacobi_matches_dense_solver():
         assert abs(sum(vals) - np.trace(h).real) <= 1e-8 * max(1, abs(np.trace(h)))
         fro2 = float(np.sum(np.abs(h) ** 2))
         assert abs(sum(v * v for v in vals) - fro2) <= 1e-8 * max(1, fro2)
-        # the eigenvalues-only path
-        only, none = q.eigensystem(h, vectors=False)
-        assert none is None
-        assert np.max(np.abs(only - want)) < 1e-10
+        # the eigenvalues-only kernel
         assert np.max(np.abs(np.array(q.eigenvalues(h)) - want)) < 1e-10
 
 
@@ -129,13 +126,14 @@ def _hermitian(rng, n, complex_):
 def test_stack_matches_dense_and_single(n, k, complex_, seed):
     rng = np.random.default_rng(seed)
     hs = np.array([_hermitian(rng, n, complex_) for _ in range(k)])
-    vals, none = q.eigensystem(hs, vectors=False)
-    assert none is None and vals.shape == (k, n)
+    listed = q.eigenvalues(hs)
+    vals = np.array(listed)
+    assert len(listed) == k and vals.shape == (k, n)
     assert np.max(np.abs(vals - np.linalg.eigvalsh(hs))) <= 1e-10
     for h, got in zip(hs, vals):
-        assert np.max(np.abs(got - q.eigensystem(h, vectors=False)[0])) <= 1e-12
-    listed = q.eigenvalues(hs)
-    assert len(listed) == k and all(np.array_equal(a, b) for a, b in zip(listed, vals))
+        single = np.array(q.eigenvalues(h))
+        assert np.max(np.abs(got - single)) <= 1e-12
+        assert np.array_equal(got, single)      # bit-identical
 
 
 def test_stack_members_converge_at_different_sweeps():
@@ -178,7 +176,7 @@ def test_stack_sweep_cap(monkeypatch):
     op = q.realize_operator(q.parse_operator_expr(DENSE_8X8))
     monkeypatch.setattr(q, "JACOBI_SWEEP_CAP", 1)
     with pytest.raises(ArithmeticError, match="did not converge in 1 sweeps"):
-        q.eigenvalues(np.array([np.eye(8), op, 2 * op]))
+        q.eigensystem(np.array([np.eye(8), op, 2 * op]))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -194,35 +192,89 @@ def test_round_robin_schedule(n):
 def test_cabello_jacobi_full_spectrum():
     op = q.realize_operator(q.load_preset_expr("cabelloT"))
     vals, vecs = q.eigensystem(op)
-    assert np.max(np.abs(vals - np.linalg.eigvalsh(op))) <= 1e-10
+    want = np.linalg.eigvalsh(op)
+    assert np.max(np.abs(vals - want)) <= 1e-10
     assert np.max(np.linalg.norm(op @ vecs - vecs * vals, axis=0)) <= 1e-10
-    assert q.eigenvalues(op) == list(vals)
+    evs = np.array(q.eigenvalues(op))
+    assert np.max(np.abs(evs - vals)) <= 1e-12
+    assert np.max(np.abs(evs - want)) <= 1e-10
 
 
 DENSE_8X8 = ("sites 3\nterm 1 A@1 B@2 C@3\nterm 1 B@1 C@2 A@3\n"
              "bind A spin 1/2 0.7 0.3\nbind B spin 1/2 1.9 -1.1\nbind C spin 1/2 2.6 2.2\n")
 
 
-def test_jacobi_sweep_cap(monkeypatch, tmp_path, capsys):
+def test_jacobi_sweep_cap(monkeypatch):
     op = q.realize_operator(q.parse_operator_expr(DENSE_8X8))
     assert op.shape == (8, 8) and np.all(np.abs(op) > 1e-3)
     monkeypatch.setattr(q, "JACOBI_SWEEP_CAP", 1)
     with pytest.raises(ArithmeticError, match="did not converge in 1 sweeps"):
-        q.eigenvalues(op)
-    f = tmp_path / "dense.op"
-    f.write_text(DENSE_8X8)
-    assert cli.main(["quantum", "--expr", str(f)]) == 1
-    assert "error: Jacobi did not converge" in capsys.readouterr().err
+        q.eigensystem(op)
 
 
 def test_jacobi_identity_and_diagonal():
     assert np.allclose(q.eigenvalues(np.eye(5)), np.ones(5))
     assert np.allclose(q.eigenvalues(np.diag([3.0, -1.0, 2.0])), [-1, 2, 3])
+    vals, vecs = q.eigensystem(np.eye(5))
+    assert np.array_equal(vals, np.ones(5)) and np.array_equal(vecs, np.eye(5))
+
+
+def _hard_inputs():
+    """Matrices whose Gershgorin span is zero, whose tridiagonal form splits
+    into blocks, or whose spectrum is one or two heavily repeated values."""
+    rng = np.random.default_rng(3)
+    h = _hermitian(rng, 12, True)
+    yield np.eye(5)
+    yield -2.5 * np.eye(7)
+    yield np.zeros((6, 6))
+    yield np.zeros((1, 1))
+    for scale in (1e300, -1e300, 1e-300, -1e-300):
+        yield scale * h
+    u = rng.normal(size=40) + 1j * rng.normal(size=40)
+    yield np.eye(40) + np.outer(u, u.conj())                 # 1 repeated 39 times
+    yield np.ones((9, 9))                                     # 0 repeated 8 times
+    yield np.kron(np.diag([1.0, -1.0]), np.ones((5, 5)))     # +-5, then 0 repeated 8 times
+    yield np.diag([2.0, 2.0, -1.0, 2.0, -1.0, 0.0])
+    blocks = np.zeros((6, 6))
+    blocks[:3, :3] = _hermitian(rng, 3, False)
+    blocks[3:, 3:] = _hermitian(rng, 3, False)
+    yield blocks
+
+
+def test_eigenvalues_hard_inputs():
+    hard = list(_hard_inputs())
+    for h in hard:
+        want = np.linalg.eigvalsh(h)
+        got = np.array(q.eigenvalues(h))
+        assert np.all(np.isfinite(got)) and np.all(np.diff(got) >= 0)
+        assert np.max(np.abs(got - want)) <= 1e-13 * h.shape[0] * np.max(np.abs(h))
+        assert not np.signbit(got[got == 0]).any()              # never -0.0
+    assert q.eigenvalues(np.zeros((3, 3))) == [0.0, 0.0, 0.0]
+    assert q.eigenvalues(np.zeros((0, 0))) == []
+    assert np.array_equal(q.eigenvalues(np.eye(5)), np.ones(5))
+    # as one stack: each member as it is alone
+    same = [h for h in hard if h.shape == (6, 6)]
+    for got, h in zip(q.eigenvalues(np.array(same)), same):
+        assert np.array_equal(got, q.eigenvalues(h))
 
 
 def test_non_hermitian_rejected():
     with pytest.raises(ValueError):
         q.eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+def test_non_finite_rejected(bad):
+    h = np.eye(3, dtype=complex)
+    h[1, 1] = bad
+    for solve in (q.eigenvalues, q.eigensystem):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            solve(h)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            solve(np.array([np.eye(3), h]))
+    # finite entries whose spectrum is not
+    with pytest.raises(ValueError, match="exceeds the float range"):
+        q.eigenvalues(np.array([[1.5e308, 1.5e308], [1.5e308, -1.5e308]]))
 
 
 # --- projectors ----------------------------------------------------------------
@@ -390,7 +442,7 @@ def test_cabello_operator_construction():
     assert op.shape == (256, 256)
     assert np.max(np.abs(op - op.conj().T)) <= 1e-12
     # independent dense-solver route against the frozen spectrum; the
-    # package's own Jacobi route is exercised in the acceptance suite
+    # package's own eigenvalue kernel is exercised in the acceptance suite
     evs = np.linalg.eigvalsh(op)
     assert np.max(np.abs(evs - frozen_spectrum("contextual-18ray-spectrum"))) <= 5e-6
 
@@ -407,6 +459,20 @@ def test_build_operator_matches_kron():
             term = np.kron(term, bindings[label])
         want = want + term
     assert np.array_equal(q.build_operator(expr, bindings), want)
+
+
+@pytest.mark.parametrize("preset", ["chsh", "kcbs"])
+def test_stacked_build_matches_single_builds(preset):
+    # what maximize_bound builds: one array of values per angle, here with
+    # the last angle left at its default
+    expr = q.load_preset_expr(preset)
+    names = expr.param_names[:-1]
+    trials = np.random.default_rng(7).uniform(-math.pi, math.pi, size=(9, len(names)))
+    stack = q.realize_operator(expr, dict(zip(names, trials.T)))
+    d = q.realize_operator(expr).shape[0]
+    assert stack.shape == (9, d, d)
+    for trial, op in zip(trials, stack):
+        assert np.array_equal(op, q.realize_operator(expr, dict(zip(names, trial))))
 
 
 def test_build_operator_errors():
@@ -436,6 +502,15 @@ def test_projector_binding_normalizes():
     a = q.realize_operator(expr)
     assert np.allclose(a @ a, np.eye(4))       # dichotomic: A^2 = I
     assert np.allclose(np.trace(a), -2)        # one +1, three -1 eigenvalues
+
+
+def test_vector_source_read_once_per_parse(monkeypatch):
+    loaded = []
+    load = q.load_builtin_vectors
+    monkeypatch.setattr(q, "load_builtin_vectors", lambda name: loaded.append(name) or load(name))
+    expr = q.load_preset_expr("cabelloT")
+    assert sum(spec[0] == "proj" for _, spec in expr.binds) == 18
+    assert loaded == ["cabello18"]
 
 
 # --- bounds ----------------------------------------------------------------------
