@@ -73,16 +73,29 @@ def read_directives(text, grammar, headers):
         raise ValueError(f"line {lineno}: {exc}") from None
 
 
+# the largest exponent of a decimal, in absolute value.  The exact value of
+# a decimal costs time that grows faster than its exponent (1e1000000 takes
+# about 0.3 s, and 1e1000000000 would take hours); a bound near the 4300
+# digits that Python reads in an integer token keeps it short.
+MAX_EXPONENT = 4300
+
+
 def number(tok, kind):
     """The value of tok: an int for an integer token, a Fraction for a ratio
     p/q of integers, and kind(tok) for a decimal (a token with a point or an
     exponent).  kind is Fraction, which keeps every value exact, or float;
-    with float every value must also be finite as a float."""
+    with float every value must also be finite as a float.  A decimal's
+    exponent must be at most MAX_EXPONENT in absolute value."""
+    problem = "is not a rational number"
     try:
         if "/" in tok:
             num, den = tok.split("/")
             x = Fraction(int(num), int(den))
         elif "." in tok or "e" in tok or "E" in tok:
+            exponent = tok.lower().partition("e")[2]
+            if exponent and abs(int(exponent)) > MAX_EXPONENT:
+                problem = f"has an exponent outside -{MAX_EXPONENT}..{MAX_EXPONENT}"
+                raise ValueError
             x = kind(tok)
         else:
             x = int(tok)
@@ -91,7 +104,7 @@ def number(tok, kind):
     except OverflowError:
         raise ValueError(f"{tok!r} is too large for a float") from None
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{tok!r} is not a rational number") from None
+        raise ValueError(f"{tok!r} {problem}") from None
     return x
 
 

@@ -103,7 +103,8 @@ def _dd_cone(dim, constraints):
     proves that no product below can overflow and Python ints (dtype object)
     otherwise.  Their zero sets, over the inequality constraints processed
     so far, are the rows of a uint64 matrix Z: constraint j is bit j % 64 of
-    word j // 64.
+    word j // 64.  Constraint 0 is the trivial 0 >= 0, at which every ray is
+    tight; the inequality constraints count from 1.
     """
     # imported here: a module-top import loads numpy before the package's
     # pure-Python modules and raises the peak RSS of every run
@@ -112,7 +113,7 @@ def _dd_cone(dim, constraints):
     lineality = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     R = np.zeros((0, dim), dtype=np.int64)
     Z = np.zeros((0, 0), dtype=np.uint64)
-    nproc = 0     # number of inequality constraints processed (zero-set width)
+    nproc = 1     # zero-set width: constraint 0 and the inequalities processed
     neqpiv = 0    # independent equality constraints absorbed so far
 
     for cvec, is_eq in constraints:
@@ -199,27 +200,42 @@ def _reduce_rows(R):
 
 def _combinations(R, Z, dots, pos, neg, effdim):
     """New rays, and their zero sets, from adjacent (positive, negative) pairs,
-    in the order of `for ip in pos: for im in neg`."""
+    in the order of `for ip in pos: for im in neg`.
+
+    A pair is adjacent iff the rays tight at every constraint of its common
+    zero set are just the pair.  Row k of T is the bitset of the rays tight
+    at constraint k, in uint64 words, filled the first time a candidate
+    needs it (a step reads few of its constraints).  A chunk of candidates
+    is tested at once: one reduceat ANDs the rows of each candidate's common
+    zero set, and the pair is adjacent iff two bits are left.  Every zero
+    set holds constraint 0, at which every ray is tight, so no candidate has
+    an empty list of rows, and each list starts at row 0."""
+    import numpy as np
+
     if not len(pos) or not len(neg):
         return R[:0], Z[:0]
+    T = np.zeros((Z.shape[1] * 64, -(-len(R) // 64)), dtype=np.uint64)
+    Zb = Z.astype("<u8", copy=False).view(np.uint8)
+    filled = set()
+    ips, ims = [pos[:0]], [neg[:0]]
     # adjacency needs common tight constraints of rank effdim-2, hence at
-    # least that many of them
-    minpop = max(0, effdim - 2)
-    tight = _TightIndex(Z)
-    everyone = (1 << len(R)) - 1
-    ips, ims = [], []
-    for ip, im, common in _candidates(Z, pos, neg, minpop):
-        # the pair is adjacent iff no third ray's zero set contains the
-        # common zero set: the rays tight at all of it are just the pair
-        pair = (1 << ip) | (1 << im)
-        acc = everyone
-        for k in common:
-            if acc == pair:
-                break
-            acc &= tight[k]
-        if acc == pair:
-            ips.append(ip)
-            ims.append(im)
+    # least that many of them besides constraint 0
+    for p, n, words in _candidates(Z, pos, neg, max(1, effdim - 1)):
+        # the rows this chunk reads first: bit k % 8 of byte k // 8 of each
+        # ray's zero set, packed over the rays
+        need = [k for k in _bit_indices(np.bitwise_or.reduce(words, axis=0))[0].tolist()
+                if k not in filled]
+        if need:
+            filled.update(need)
+            bits = Zb[:, [k >> 3 for k in need]] & np.array([1 << (k & 7) for k in need], dtype=np.uint8)
+            rows = np.packbits(bits, axis=0, bitorder="little").T
+            T.view(np.uint8)[need, :rows.shape[1]] = rows
+        zeros = _bit_indices(words)[1]  # row-major: pair after pair
+        acc = np.bitwise_and.reduceat(T[zeros], np.flatnonzero(zeros == 0), axis=0)
+        adjacent = np.bitwise_count(acc).sum(axis=1, dtype=np.int64) == 2
+        ips.append(p[adjacent])
+        ims.append(n[adjacent])
+    ips, ims = np.concatenate(ips), np.concatenate(ims)
     new = R[ims]
     new *= dots[ips][:, None]
     new -= dots[ims][:, None] * R[ips]
@@ -227,46 +243,33 @@ def _combinations(R, Z, dots, pos, neg, effdim):
 
 
 def _candidates(Z, pos, neg, minpop):
-    """The pairs (ip, im) of pos x neg, in row-major order, whose common zero
-    set has at least minpop constraints, each with the list of those
-    constraints.  Temporaries stay near 4096 words: the pairs are filtered
-    one block of positive rays at a time, and the zero sets are decoded 64
-    candidates at a time."""
+    """Chunks (p, n, words) of up to 64 pairs (p[i], n[i]) of pos x neg, in
+    row-major order, whose common zero set words[i] = Z[p[i]] & Z[n[i]] has
+    at least minpop constraints.  The pairs are counted one block of about
+    4096 at a time, word by word of the zero sets, so the temporaries of the
+    count stay near 4096 words."""
     import numpy as np
 
-    Zn = Z[neg]
-    pos, neg = pos.tolist(), neg.tolist()
-    block = max(1, 4096 // (len(neg) * max(Z.shape[1], 1)))
+    Zp, Zn = Z[pos].T.copy(), Z[neg].T.copy()  # row w: word w of each zero set
+    block = max(1, 4096 // len(neg))
     for b0 in range(0, len(pos), block):
-        common = Z[pos[b0:b0 + block], None, :] & Zn[None, :, :]
-        counts = np.bitwise_count(common).sum(axis=2, dtype=np.int64)
+        zps = Zp[:, b0:b0 + block, None]
+        counts = np.zeros((zps.shape[1], len(neg)), dtype=np.int64)
+        for zp, zn in zip(zps, Zn):
+            counts += np.bitwise_count(zp & zn)
         bp, bn = np.nonzero(counts >= minpop)
         for c0 in range(0, len(bp), 64):
-            p, n = bp[c0:c0 + 64], bn[c0:c0 + 64]
-            words = common[p, n].astype("<u8", copy=False)
-            bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
-            zeros = np.nonzero(bits)[1].tolist()  # row-major: pair after pair
-            end = 0
-            for i, j, size in zip(p.tolist(), n.tolist(), counts[p, n].tolist()):
-                start, end = end, end + size
-                yield pos[b0 + i], neg[j], zeros[start:end]
+            p, n = pos[b0 + bp[c0:c0 + 64]], neg[bn[c0:c0 + 64]]
+            yield p, n, Z[p] & Z[n]
 
 
-class _TightIndex(dict):
-    """Constraint index -> Python-int bitset of the rays tight at it, decoded
-    from Z on first use (a step reads few of its constraints)."""
+def _bit_indices(words):
+    """np.nonzero of the bits of a uint64 array: bit j of word w of a row is
+    at column 64 * w + j."""
+    import numpy as np
 
-    def __init__(self, Z):
-        super().__init__()
-        self.Z = Z
-
-    def __missing__(self, k):
-        import numpy as np
-
-        tight = self.Z[:, k // 64] & np.uint64(1 << (k % 64))
-        rays = np.packbits(tight != 0, bitorder="little").tobytes()
-        self[k] = int.from_bytes(rays, "little")
-        return self[k]
+    words = words.astype("<u8", copy=False)
+    return np.nonzero(np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little"))
 
 
 def _dot(a, b):

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -161,6 +162,17 @@ def test_hull_malformed_dd_exit_1(capsys, tmp_path, text, message):
     f.write_text(text)
     assert main(["hull", "--input", str(f), "--reverse"]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+
+def test_hull_huge_exponent_exit_1(capsys, tmp_path):
+    # read exactly, 1e1000000000 would take hours: the exponent is bounded
+    f = tmp_path / "f.ine"
+    f.write_text("H-representation\nbegin\n 2 2 real\n 1e1000000000 -1\n 0 1\nend\n")
+    start = time.perf_counter()
+    assert main(["hull", "--input", str(f), "--reverse"]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 4: '1e1000000000' has an exponent outside -4300..4300"]
 
 
 def test_hull_noncontextual(capsys):

@@ -3,6 +3,7 @@ representation-conversion properties on random vertex sets."""
 
 import random
 from fractions import Fraction
+from math import gcd
 from importlib import resources
 from unittest import mock
 
@@ -214,6 +215,106 @@ def test_hull_exact_rational_output():
     for row in h.inequalities + h.linearities:
         assert all(isinstance(x, (int, Fraction)) for x in row)
         assert not any(isinstance(x, float) for x in row)
+
+
+# --- the adjacency test against a rank oracle --------------------------------
+#
+# Two extreme rays of the cone built so far are adjacent iff the processed
+# constraints tight at both have rank r - 2, where r is the rank of all the
+# processed constraints (equalities are tight everywhere).  The oracle below
+# computes that rank by Fraction elimination from the constraint rows and
+# the rays themselves: no zero-set bitset is read.
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _checked_dd(run):
+    """run() with every insertion step of the double description checked
+    against the rank oracle: the new rays must be exactly the combinations
+    of the oracle's adjacent (positive, negative) pairs, in the order of
+    `for ip in pos: for im in neg`.  Returns run()'s result and the number
+    of candidate pairs whose common tight set was empty."""
+    fed = []  # constraints handed to the double description so far
+    empty = 0
+    real_dd, real_combinations = exact_hull._dd_cone, exact_hull._combinations
+
+    def dd(dim, constraints):
+        def feed():
+            for c in constraints:
+                fed.append(c)
+                yield c
+        return real_dd(dim, feed())
+
+    def combinations(R, Z, dots, pos, neg, effdim):
+        nonlocal empty
+        newR, newZ = real_combinations(R, Z, dots, pos, neg, effdim)
+        *done, (c, _) = fed
+        rows = [v for v, _ in done]
+        rank = _rank(rows)
+        assert effdim == rank - _rank([v for v, eq in done if eq])
+        rays = [tuple(int(x) for x in r) for r in R.tolist()]
+        d = [_dot(c, r) for r in rays]
+        assert pos.tolist() == [i for i, x in enumerate(d) if x > 0]
+        assert neg.tolist() == [i for i, x in enumerate(d) if x < 0]
+        tight = [{k for k, v in enumerate(rows) if _dot(v, r) == 0} for r in rays]
+        expected = []
+        for ip in pos.tolist():
+            for im in neg.tolist():
+                common = tight[ip] & tight[im]
+                empty += not common
+                if _rank([rows[k] for k in common]) == rank - 2:
+                    w = [d[ip] * y - d[im] * x for x, y in zip(rays[ip], rays[im])]
+                    g = gcd(*w)
+                    expected.append(tuple(x // g for x in w))
+        assert [tuple(int(x) for x in r) for r in newR.tolist()] == expected
+        return newR, newZ
+
+    with mock.patch.object(exact_hull, "_dd_cone", dd), \
+            mock.patch.object(exact_hull, "_combinations", combinations):
+        return run(), empty
+
+
+def _cube_subsets(values):
+    # 3 to 5 dimensions and at least 2d points: enough faces with four or
+    # more rays that a test admitting a third or fourth ray goes wrong
+    return st.integers(3, 5).flatmap(lambda d: st.lists(
+        st.tuples(*[st.sampled_from(values)] * d), min_size=2 * d, max_size=12, unique=True))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(_cube_subsets((0, 1)), _cube_subsets((-1, 1))))
+def test_adjacency_matches_rank_oracle(points):
+    v = VRep(len(points[0]), tuple(points))
+    h, _ = _checked_dd(lambda: hull(v))
+    back, _ = _checked_dd(lambda: vertices(h))
+    assert canon_key(hull(back)) == canon_key(h)
+
+
+# An interval, a triangle with a point on an edge, and a square, each with
+# its facets in an order that makes the double description meet a cone of
+# effective dimension 2, where a pair of rays has no common tight constraint
+# and is adjacent iff the cone has no third ray.
+LOW_DIMENSIONAL = {
+    "interval": ([(0,), (3,)], [(0, 1), (3, -1)], [(0,), (3,)]),
+    "triangle": ([(0, 0), (0, 1), (0, 2), (1, 0)], [(0, 1, 0), (0, 0, 1), (2, -2, -1)],
+                 [(0, 0), (0, 2), (1, 0)]),
+    "square": ([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 0), (1, -1, 0), (0, 0, 1), (1, 0, -1)],
+               [(0, 0), (1, 0), (0, 1), (1, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", LOW_DIMENSIONAL)
+def test_empty_common_zero_set(name):
+    points, rows, extreme = LOW_DIMENSIONAL[name]
+    d = len(points[0])
+    assert set(rows) == brute_force_facets(points)
+    h, empty_v = _checked_dd(lambda: hull(VRep(d, tuple(points))))
+    assert h == HRep(d, tuple(sorted(rows)), ())
+    back, empty_h = _checked_dd(lambda: vertices(HRep(d, tuple(rows), ())))
+    assert set(back.points) == set(extreme)
+    assert set(vertices(h).points) == set(extreme)
+    assert empty_v + empty_h > 0
 
 
 # --- large coordinates: the int64 bound and the Python-int fallback ----------

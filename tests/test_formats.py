@@ -4,11 +4,13 @@ mutated, either parses or fails with a ValueError, and the directive formats
 
 import warnings
 from importlib import resources
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from correlpoly._text import number
 from correlpoly.exact_hull import parse_dd
 from correlpoly.logic_core import load_builtin, parse_logic
 from correlpoly.quantum import parse_operator_expr
@@ -76,3 +78,13 @@ def test_mutated_file_parses_or_names_its_line(name, folder, data):
         if suffix not in (".ext", ".ine"):
             # only the end-of-file checks have no line to name
             assert str(exc).startswith(("line ", "missing ")), str(exc)
+
+
+def test_decimal_exponent_bound():
+    assert number("1e-4300", Fraction) == Fraction(1, 10**4300)
+    assert number("2.5E+4300", Fraction) == 25 * 10**4299
+    assert number("1e-4300", float) == 0.0
+    for kind in (Fraction, float):
+        for tok in ("1e4301", "-1.5e-4301", "1E1000000000", "0e99999"):
+            with pytest.raises(ValueError, match=f"'{tok}' has an exponent outside -4300..4300"):
+                number(tok, kind)
