@@ -1,6 +1,6 @@
 """What the text formats share: the directive reader of the .logic, .terms,
-.vec and .op formats, the number reader, and the reader of bundled data
-files and of `builtin:`-style names."""
+.vec and .op formats, the number reader and writer, and the reader of
+bundled data files and of `builtin:`-style names."""
 
 from __future__ import annotations
 
@@ -78,6 +78,9 @@ def read_directives(text, grammar, headers):
 # about 0.3 s, and 1e1000000000 would take hours); a bound near the 4300
 # digits that Python reads in an integer token keeps it short.
 MAX_EXPONENT = 4300
+MAX_DIGITS = MAX_EXPONENT + 1       # the digits of 10**MAX_EXPONENT
+_DIGITS_BOUND = 10 ** MAX_DIGITS
+STR_DIGITS = 4300   # the most digits int(), Fraction() and str() convert; Decimal has no limit
 
 
 def number(tok, kind):
@@ -85,27 +88,52 @@ def number(tok, kind):
     p/q of integers, and kind(tok) for a decimal (a token with a point or an
     exponent).  kind is Fraction, which keeps every value exact, or float;
     with float every value must also be finite as a float.  A decimal's
-    exponent must be at most MAX_EXPONENT in absolute value."""
+    exponent must be at most MAX_EXPONENT in absolute value.  An integer in
+    the token, and the numerator and denominator of an exact decimal, have
+    at most MAX_DIGITS digits, so that exact_str writes every exact value
+    read here as a token that reads back the same."""
     problem = "is not a rational number"
     try:
+        read = str
+        if len(tok) > STR_DIGITS:
+            mantissa = tok.lower().partition("e")[0]
+            if max(sum(c.isdigit() for c in part) for part in mantissa.split("/")) > MAX_DIGITS:
+                problem = f"has more than {MAX_DIGITS} digits"
+                raise ValueError
+            from decimal import Decimal as read
         if "/" in tok:
             num, den = tok.split("/")
-            x = Fraction(int(num), int(den))
+            x = Fraction(int(read(num)), int(read(den)))
         elif "." in tok or "e" in tok or "E" in tok:
             exponent = tok.lower().partition("e")[2]
             if exponent and abs(int(exponent)) > MAX_EXPONENT:
                 problem = f"has an exponent outside -{MAX_EXPONENT}..{MAX_EXPONENT}"
                 raise ValueError
-            x = kind(tok)
+            x = kind(read(tok))
+            if kind is Fraction and max(abs(x.numerator), x.denominator) >= _DIGITS_BOUND:
+                problem = f"has more than {MAX_DIGITS} digits"
+                raise ValueError
         else:
-            x = int(tok)
+            x = int(read(tok))
         if kind is float and not math.isfinite(x):   # isfinite raises past 2**1024
             raise OverflowError
     except OverflowError:
         raise ValueError(f"{tok!r} is too large for a float") from None
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ArithmeticError):    # decimal.InvalidOperation is an ArithmeticError
         raise ValueError(f"{tok!r} {problem}") from None
     return x
+
+
+def exact_str(x):
+    """str(x) of an int or Fraction, "n" or "p/q" in lowest terms, whatever
+    its digit count."""
+    try:
+        return str(x)
+    except ValueError:      # more than STR_DIGITS digits
+        from decimal import Decimal
+        x = Fraction(x)
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 def bundled(name, suffix):

@@ -82,7 +82,7 @@ def _load_logic(spec, run):
 
 
 def _num(x):
-    return str(x) if isinstance(x, (int, Fraction)) else repr(x)
+    return _text.exact_str(x) if isinstance(x, (int, Fraction)) else repr(x)
 
 
 # --- states -----------------------------------------------------------------

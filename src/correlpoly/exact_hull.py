@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from ._text import at_line, number
+from ._text import at_line, exact_str, number
 
 
 @dataclass(frozen=True)
@@ -474,7 +474,7 @@ def parse_dd(text: str):
         for i, row in enumerate(rows):
             if row[0] != 1:
                 raise ValueError(f"line {tok_lines[i * ncols]}: "
-                                 f"V-row leading marker must be 1, got {row[0]}")
+                                 f"V-row leading marker must be 1, got {exact_str(row[0])}")
         return VRep(ncols - 1, tuple(r[1:] for r in rows))
     outside = sorted(i for i in linearity_idx if i > nrows)
     if outside:
@@ -501,7 +501,6 @@ def emit_dd(rep, comments=()) -> str:
     out.append("begin")
     out.append(f" {len(rows)}  {rep.dimension + 1}  real")
     for row in rows:
-        # str() of an int or Fraction: "n", or "p/q" in lowest terms
-        out.append(" " + "  ".join(map(str, row)))
+        out.append(" " + "  ".join(map(exact_str, row)))
     out.append("end")
     return "\n".join(out) + "\n"

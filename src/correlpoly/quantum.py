@@ -2,15 +2,14 @@
 
 Builds spin-j component matrices by the ladder construction, projectors and
 tensor-product operators for Bell-type expressions, and computes Hermitian
-spectra of one matrix or a stack of them: eigenvalues by Householder
-reduction to real tridiagonal form and Sturm-count multisection (Barth,
-Martin & Wilkinson, Numer. Math. 9, 1967), eigenvectors (for the
-projectors) by a Jacobi eigensolver in Brent-Luk round-robin order (Brent &
-Luk, SIAM J. Sci. Stat. Comput. 6, 1985).  The extreme eigenvalues of the
-operator substituted for an inequality's left-hand side are the quantum
-bounds; a grid scan and a complete-poll compass search maximize the largest
-one over free measurement angles, building and solving each scan axis and
-each poll as one stack.
+spectra of one matrix or a stack of them by Householder reduction to real
+tridiagonal form and Sturm-count multisection (Barth, Martin & Wilkinson,
+Numer. Math. 9, 1967).  The spectrum of a spin component is known exactly,
+so its projectors are polynomials in it (Lagrange-Sylvester) and need no
+eigenvectors.  The extreme eigenvalues of the operator substituted for an
+inequality's left-hand side are the quantum bounds; a grid scan and a
+complete-poll compass search maximize the largest one over free measurement
+angles, building and solving each scan axis and each poll as one stack.
 
 All arithmetic here is double precision; exact rational work lives in
 exact_hull.
@@ -34,8 +33,6 @@ HERMITIAN_TOL = 1e-12
 TINY = float(np.finfo(float).tiny)    # smallest normal float
 SECTION_POINTS = 15   # interior points per interval and multisection round
 SECTION_ROUNDS = 14   # (SECTION_POINTS + 1)^-14 = 2^-56
-JACOBI_SWEEP_CAP = 100
-JACOBI_THRESHOLD = 1e-13  # times the Frobenius norm
 
 
 @dataclass(frozen=True)
@@ -99,14 +96,6 @@ def _assert_hermitian(h):
     if np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), initial=0.0) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within 1e-12")
     return h
-
-
-def _stack_copy(h):
-    """The checked matrix or stack h, and a writable copy of it as a stack
-    (k, n, n): real when h has zero imaginary part."""
-    h = _assert_hermitian(h)
-    a = h[None] if h.ndim == 2 else h       # a single matrix is a stack of one
-    return h, (a.copy() if a.imag.any() else a.real.copy())
 
 
 def _tridiagonalize(a):
@@ -198,7 +187,9 @@ def eigenvalues(h):
     eigenvalues found by Sturm-count multisection, all in one pass over the
     stack; each result is bit-identical to that of solving its matrix
     alone.  Real input is reduced in real arithmetic."""
-    h, a = _stack_copy(h)
+    h = _assert_hermitian(h)
+    a = h[None] if h.ndim == 2 else h       # a single matrix is a stack of one
+    a = a.copy() if a.imag.any() else a.real.copy()
     _, scale = np.frexp(np.max(np.abs(a), axis=(1, 2), initial=0.0))
     flat = a.view(np.float64)               # real and imaginary parts alike
     np.ldexp(flat, -scale[:, None, None], out=flat)
@@ -210,142 +201,22 @@ def eigenvalues(h):
     return list(vals) if h.ndim == 3 else list(vals[0])
 
 
-def _offdiag_norms(a):
-    """Off-diagonal Frobenius norm of each matrix in a stack (k, n, n)."""
-    k, n, _ = a.shape
-    b = a.copy()
-    b.reshape(k, n * n)[:, ::n + 1] = 0.0
-    return np.sqrt(np.sum(np.abs(b) ** 2, axis=(1, 2)))
-
-
-def _round_robin(n):
-    """Brent-Luk round-robin schedule for n indices: arrays P, Q of shape
-    (rounds, pairs) with P < Q.  No index occurs twice in a round, and the
-    rounds together hold every pair p < q exactly once.  Odd n gets a ghost
-    index n; the index paired with it sits that round out."""
-    m = n + n % 2
-    k = m - 1
-    # circle method: index 0 stays, the ring 1..m-1 turns one place per round,
-    # and position i meets position m-1-i
-    seq = np.hstack([np.zeros((k, 1), dtype=int),
-                     1 + (np.arange(k)[:, None] + np.arange(k)) % k])
-    top, bottom = seq[:, :m // 2], seq[:, ::-1][:, :m // 2]
-    p, q = np.minimum(top, bottom), np.maximum(top, bottom)
-    kept = q < n
-    return p[kept].reshape(k, -1), q[kept].reshape(k, -1)
-
-
-def _rotate_rows(x, p, q, c, spq, sqp):
-    """x <- U^H x for the round's rotations in every matrix of the stack x:
-    rows p and q of every pair, with U[pp] = U[qq] = c, U[pq] = spq and
-    U[qp] = -conj(spq) = -sqp."""
-    row_p, row_q = x[:, p], x[:, q]
-    new_p = c * row_p
-    new_p -= spq * row_q
-    row_q *= c
-    row_q += sqp * row_p
-    x[:, p] = new_p
-    x[:, q] = row_q
-
-
-def eigensystem(h):
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix, or of
-    each matrix in a stack (k, n, n), via Jacobi rotations in Brent-Luk
-    round-robin order.
-
-    A sweep is n-1 rounds (n rounded up to even); each round zeroes up to n/2
-    disjoint off-diagonal entries exactly, in every matrix of the stack at
-    once, applied together as whole-row updates.  A matrix leaves the stack
-    once its off-diagonal Frobenius mass drops below 1e-13 of its norm.  A
-    pair whose entry is below 1e-14 ||A||_F / n in every matrix left is
-    skipped; where it is below that cut-off in some matrices only, those get
-    the identity rotation for it (the entry is still set to zero), so a
-    stack of one rotates exactly as a single matrix.  A stack with zero
-    imaginary part is rotated in real arithmetic.  Returns values (n,) and
-    vectors (n, n) for a matrix, (k, n) and (k, n, n) for a stack."""
-    h, a = _stack_copy(h)
-    k, n, _ = a.shape
-    complex_ = a.dtype == complex
-    vals = np.empty((k, n))
-    vecs = np.empty_like(a)
-    vh = np.repeat(np.eye(n, dtype=a.dtype)[None], k, axis=0)   # V^H
-    fro = np.sqrt(np.sum(np.abs(a) ** 2, axis=(1, 2)))
-    stop = JACOBI_THRESHOLD * fro
-    skip = (1e-14 * fro / max(n, 1))[:, None]
-    live = np.arange(k)         # stack index of each matrix still rotating
-    schedule = list(zip(*_round_robin(n))) if n else []
-    for sweep in range(JACOBI_SWEEP_CAP + 1):
-        done = _offdiag_norms(a) <= stop
-        if done.any():
-            vals[live[done]] = np.diagonal(a, axis1=1, axis2=2)[done].real
-            vecs[live[done]] = vh[done].conj().transpose(0, 2, 1)
-            rest = ~done
-            live, a, vh, stop, skip = live[rest], a[rest], vh[rest], stop[rest], skip[rest]
-        if not live.size:
-            break
-        if sweep == JACOBI_SWEEP_CAP:
-            raise ArithmeticError(f"Jacobi did not converge in {JACOBI_SWEEP_CAP} sweeps")
-        for p, q in schedule:
-            apq = a[:, p, q]
-            r = np.abs(apq)
-            big = r > skip
-            identity = None
-            if not big.all():
-                kept = big.any(axis=0)
-                if not kept.all():
-                    if not kept.any():
-                        continue
-                    cols = np.flatnonzero(kept)
-                    p, q, apq, r, big = (x.take(cols, axis=-1) for x in (p, q, apq, r, big))
-                if not big.all():
-                    identity = ~big
-                    r[identity] = 1.0
-            phase = apq / r
-            tau = (a[:, q, q].real - a[:, p, p].real) / (2 * r)
-            t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(tau, 1.0))
-            if identity is not None:
-                t[identity] = 0.0
-            c = 1.0 / np.hypot(t, 1.0)
-            s = t * c
-            rot = (p, q, c[..., None], (s * phase)[..., None], (s * np.conj(phase))[..., None])
-            # The pairs are disjoint, so their rotations commute.  R = U^H A
-            # is a row update; A Hermitian makes R^H = A U, and a second row
-            # update of that contiguous copy gives U^H A U without gathering
-            # columns.
-            _rotate_rows(a, *rot)
-            a = a.transpose(0, 2, 1).copy()
-            if complex_:
-                np.conjugate(a, out=a)
-            _rotate_rows(a, *rot)
-            a[:, p, q] = 0.0
-            a[:, q, p] = 0.0
-            if complex_:
-                a[:, p, p] = a[:, p, p].real
-                a[:, q, q] = a[:, q, q].real
-            _rotate_rows(vh, *rot)                           # V <- V U
-    order = np.argsort(vals, axis=-1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=-1)
-    vecs = np.take_along_axis(vecs, order[:, None, :], axis=-1)
-    return (vals[0], vecs[0]) if h.ndim == 2 else (vals, vecs)
-
-
-def _fix_phase(vec):
-    """First nonzero component made real positive."""
-    for x in vec:
-        if abs(x) > 1e-12:
-            return vec * (abs(x) / x)
-    return vec
-
-
 def projectors(j, direction: Direction):
-    """Orthogonal projectors F_m onto the eigenvectors of S_j(direction),
-    returned in ascending m = -j .. +j."""
+    """Orthogonal projectors F_m onto the eigenspaces of S_j(direction),
+    returned in ascending m = -j .. +j.  The spectrum of S_j is exactly
+    -j .. +j, so each F_m is the Lagrange-Sylvester polynomial
+    prod_{k != m} (S - kI) / (m - k) in S."""
+    j = _check_j(j)
     s = spin_operator(j, direction)
-    _, vecs = eigensystem(s)
+    eye = np.eye(len(s))
+    ms = [float(k - j) for k in range(len(s))]
     out = []
-    for k in range(vecs.shape[1]):
-        u = _fix_phase(vecs[:, k])
-        out.append(np.outer(u, u.conj()))
+    for m in ms:
+        f = eye
+        for k in ms:
+            if k != m:
+                f = f @ (s - k * eye) / (m - k)
+        out.append(f)
     return out
 
 
@@ -592,7 +463,7 @@ def resolve_bindings(expr: OperatorExpr, params=None):
 def build_operator(expr: OperatorExpr, bindings):
     """sum_t coeff_t * kron(factors); Hermitian when every factor is.  A
     binding may be a stack (k, d, d); the operator is then a stack too.
-    Entries that overflow become infinite, which the eigensolvers reject."""
+    Entries that overflow become infinite, which eigenvalues rejects."""
     total = None
     with np.errstate(over="ignore", invalid="ignore"):
         for coeff, factors in expr.terms:

@@ -175,6 +175,48 @@ def test_hull_huge_exponent_exit_1(capsys, tmp_path):
         "error: line 4: '1e1000000000' has an exponent outside -4300..4300"]
 
 
+@pytest.mark.parametrize("reverse", [True, False], ids=["h-to-v", "v-to-h"])
+def test_hull_prints_values_of_4301_digits(capsys, tmp_path, reverse):
+    # 10**4300 is past the 4300 digits that str() of an int writes
+    big = 10**4300
+    if reverse:
+        f = tmp_path / "f.ine"
+        f.write_text("H-representation\nbegin\n 2 2 real\n 0 1\n 1e4300 -1\nend\n")
+    else:
+        f = tmp_path / "f.ext"
+        f.write_text("V-representation\nbegin\n 2 2 real\n 1 0\n 1 1e4300\nend\n")
+    code, out = run(capsys, "hull", "--input", str(f), *(["--reverse"] if reverse else []))
+    assert code == 0
+    assert " 1" + "0" * 4300 in out
+    back = exact_hull.parse_dd(out)
+    if reverse:
+        assert sorted(back.points) == [(0,), (big,)]
+    else:
+        assert sorted(back.inequalities) == [(0, 1), (big, -1)]
+
+
+def test_messages_write_values_of_4301_digits(capsys, tmp_path):
+    big = "1" + "0" * 4300
+    f = tmp_path / "f.ext"
+    f.write_text("V-representation\nbegin\n 2 2 real\n 1 0\n 1 1e4300\nend\n")
+    code, out = run(capsys, "hull", "--input", str(f), "--golden", "builtin:one-var")
+    assert code == 3
+    assert f"  only in computed inequality: {big} -1" in out.splitlines()
+    f.write_text(f"V-representation\nbegin\n 1 2 real\n {big} 0\nend\n")
+    assert main(["hull", "--input", str(f)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: line 4: V-row leading marker must be 1, got {big}"]
+
+
+def test_hull_token_of_too_many_digits_exit_1(capsys, tmp_path):
+    f = tmp_path / "f.ine"
+    tok = "1" * 4400
+    f.write_text(f"H-representation\nbegin\n 2 2 real\n 0 1\n {tok} -1\nend\n")
+    assert main(["hull", "--input", str(f), "--reverse"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: line 5: '{tok}' has more than 4301 digits"]
+
+
 def test_hull_noncontextual(capsys):
     code, out = run(capsys, "hull", "--logic", "builtin:pentagon",
                     "--noncontextual", "--golden", "builtin:pentagon-noncontextual")

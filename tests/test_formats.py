@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from correlpoly._text import number
+from correlpoly._text import exact_str, number
 from correlpoly.exact_hull import parse_dd
 from correlpoly.logic_core import load_builtin, parse_logic
 from correlpoly.quantum import parse_operator_expr
@@ -87,4 +87,27 @@ def test_decimal_exponent_bound():
     for kind in (Fraction, float):
         for tok in ("1e4301", "-1.5e-4301", "1E1000000000", "0e99999"):
             with pytest.raises(ValueError, match=f"'{tok}' has an exponent outside -4300..4300"):
+                number(tok, kind)
+
+
+def test_digit_bound_and_long_values_read_back():
+    # 4301 digits, those of 10**4300, is the most an integer in a token or a
+    # numerator or denominator of an exact decimal may have
+    n, nines = 10**4301 - 1, "9" * 4301
+    ones = (10**4300 - 1) // 9                  # 4300 ones
+    for tok, want in ((nines, n), ("-" + nines, -n), ("1/" + nines, Fraction(1, n)),
+                      (nines + "/2", Fraction(n, 2)), ("1" * 4300 + ".5", ones + Fraction(1, 2)),
+                      ("99.99e4299", 9999 * 10**4297)):
+        x = number(tok, Fraction)
+        assert x == want
+        assert number(exact_str(x), Fraction) == x
+    assert exact_str(10**4300) == "1" + "0" * 4300
+    assert exact_str(-Fraction(1, 10**4300)) == "-1/1" + "0" * 4300
+    assert exact_str(Fraction(-3, 4)) == "-3/4" and exact_str(7) == "7"
+    for tok in ("1" * 4302, "-" + "9" * 4302, "1/" + "1" * 4302, "1" * 4302 + "/7",
+                "1" * 4301 + ".5", "12.5e4300", "0.01e-4300"):
+        for kind in (Fraction, float):
+            if kind is float and "e" in tok:
+                continue
+            with pytest.raises(ValueError, match=f"^'{tok}' has more than 4301 digits$"):
                 number(tok, kind)

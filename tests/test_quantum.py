@@ -1,10 +1,12 @@
 """Quantum module: spin matrices, projector identities, singlet correlations,
-the eigenvalue kernel and the Jacobi eigensolver against an independent dense
-solver, and operator presets against frozen spectra."""
+the eigenvalue kernel and the spin projectors against an independent dense
+solver (numpy.linalg), and operator presets against frozen spectra."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,13 +81,11 @@ def test_spin_components_cached_read_only():
     assert np.allclose(mats[2], np.diag([1, 0, -1]))
 
 
-# --- eigensolver -------------------------------------------------------------
+# --- eigenvalues ---------------------------------------------------------------
 
 def _dense_solver_inputs():
     """Hermitian test matrices: dense complex at the original sizes, real and
-    complex at n = 1..9 (odd n gives the round-robin ghost index), a
-    degenerate I + rank-1, and a sparse tridiagonal whose rounds have pairs
-    below the skip cut-off."""
+    complex at n = 1..9, a degenerate I + rank-1, and a sparse tridiagonal."""
     rng = np.random.default_rng(42)
     for n in (2, 3, 7, 12, 25):
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -104,16 +104,13 @@ def test_jacobi_matches_dense_solver():
     for h in _dense_solver_inputs():
         n = h.shape[0]
         want = np.linalg.eigvalsh(h)
-        vals, vecs = q.eigensystem(h)
+        vals = np.array(q.eigenvalues(h))
+        assert vals.shape == (n,)
         assert np.max(np.abs(vals - want)) < 1e-10
-        for k in range(n):
-            assert np.linalg.norm(h @ vecs[:, k] - vals[k] * vecs[:, k]) <= 1e-9
         # trace and Frobenius cross-checks
         assert abs(sum(vals) - np.trace(h).real) <= 1e-8 * max(1, abs(np.trace(h)))
         fro2 = float(np.sum(np.abs(h) ** 2))
         assert abs(sum(v * v for v in vals) - fro2) <= 1e-8 * max(1, fro2)
-        # the eigenvalues-only kernel
-        assert np.max(np.abs(np.array(q.eigenvalues(h)) - want)) < 1e-10
 
 
 def _hermitian(rng, n, complex_):
@@ -137,31 +134,18 @@ def test_stack_matches_dense_and_single(n, k, complex_, seed):
 
 
 def test_stack_members_converge_at_different_sweeps():
-    # a diagonal member is done before the first sweep, a tridiagonal one
-    # whose rounds skip most pairs soon after, dense ones last
+    # dense, diagonal, tridiagonal and zero members in one stack
     rng = np.random.default_rng(5)
     n = 8
     tri = np.diag(np.arange(n, dtype=float)) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
     hs = np.array([_hermitian(rng, n, True), np.diag(np.arange(n, 0, -1.0)), tri,
                    np.zeros((n, n)), _hermitian(rng, n, True)])
-    vals, vecs = q.eigensystem(hs)
+    vals = np.array(q.eigenvalues(hs))
     assert np.max(np.abs(vals - np.linalg.eigvalsh(hs))) <= 1e-10
     assert np.array_equal(vals[1], np.arange(1.0, n + 1))
     assert np.array_equal(vals[3], np.zeros(n))
-    for h, v, w in zip(hs, vals, vecs):
-        single_v, single_w = q.eigensystem(h)
-        assert np.max(np.abs(v - single_v)) <= 1e-12
-        assert np.max(np.linalg.norm(h @ w - w * v, axis=0)) <= 1e-10
-        assert np.max(np.abs(w.conj().T @ w - np.eye(n))) <= 1e-10
-
-
-def test_stack_eigenvector_residuals():
-    rng = np.random.default_rng(11)
-    for n, complex_ in ((3, False), (7, True), (12, True)):
-        hs = np.array([_hermitian(rng, n, complex_) for _ in range(9)])
-        vals, vecs = q.eigensystem(hs)
-        assert vecs.shape == (9, n, n)
-        assert np.max(np.linalg.norm(hs @ vecs - vecs * vals[:, None, :], axis=1)) <= 1e-10
+    for h, v in zip(hs, vals):
+        assert np.array_equal(v, q.eigenvalues(h))      # bit-identical
 
 
 def test_stack_rejects_non_hermitian_member():
@@ -172,51 +156,17 @@ def test_stack_rejects_non_hermitian_member():
         q.eigenvalues(np.zeros((2, 3, 4)))
 
 
-def test_stack_sweep_cap(monkeypatch):
-    op = q.realize_operator(q.parse_operator_expr(DENSE_8X8))
-    monkeypatch.setattr(q, "JACOBI_SWEEP_CAP", 1)
-    with pytest.raises(ArithmeticError, match="did not converge in 1 sweeps"):
-        q.eigensystem(np.array([np.eye(8), op, 2 * op]))
-
-
-@pytest.mark.parametrize("n", range(1, 13))
-def test_round_robin_schedule(n):
-    ps, qs = q._round_robin(n)
-    assert ps.shape == qs.shape == (n - 1 + n % 2, n // 2)
-    for row_p, row_q in zip(ps, qs):
-        assert len(set(row_p) | set(row_q)) == 2 * len(row_p)   # disjoint pairs
-    pairs = sorted(zip(ps.ravel().tolist(), qs.ravel().tolist()))
-    assert pairs == [(a, b) for a in range(n) for b in range(a + 1, n)]
-
-
 def test_cabello_jacobi_full_spectrum():
     op = q.realize_operator(q.load_preset_expr("cabelloT"))
-    vals, vecs = q.eigensystem(op)
-    want = np.linalg.eigvalsh(op)
-    assert np.max(np.abs(vals - want)) <= 1e-10
-    assert np.max(np.linalg.norm(op @ vecs - vecs * vals, axis=0)) <= 1e-10
     evs = np.array(q.eigenvalues(op))
-    assert np.max(np.abs(evs - vals)) <= 1e-12
-    assert np.max(np.abs(evs - want)) <= 1e-10
-
-
-DENSE_8X8 = ("sites 3\nterm 1 A@1 B@2 C@3\nterm 1 B@1 C@2 A@3\n"
-             "bind A spin 1/2 0.7 0.3\nbind B spin 1/2 1.9 -1.1\nbind C spin 1/2 2.6 2.2\n")
-
-
-def test_jacobi_sweep_cap(monkeypatch):
-    op = q.realize_operator(q.parse_operator_expr(DENSE_8X8))
-    assert op.shape == (8, 8) and np.all(np.abs(op) > 1e-3)
-    monkeypatch.setattr(q, "JACOBI_SWEEP_CAP", 1)
-    with pytest.raises(ArithmeticError, match="did not converge in 1 sweeps"):
-        q.eigensystem(op)
+    assert evs.shape == (op.shape[0],)
+    assert np.max(np.abs(evs - np.linalg.eigvalsh(op))) <= 1e-10
 
 
 def test_jacobi_identity_and_diagonal():
     assert np.allclose(q.eigenvalues(np.eye(5)), np.ones(5))
     assert np.allclose(q.eigenvalues(np.diag([3.0, -1.0, 2.0])), [-1, 2, 3])
-    vals, vecs = q.eigensystem(np.eye(5))
-    assert np.array_equal(vals, np.ones(5)) and np.array_equal(vecs, np.eye(5))
+    assert np.array_equal(q.eigenvalues(np.eye(5)), np.ones(5))
 
 
 def _hard_inputs():
@@ -267,11 +217,10 @@ def test_non_hermitian_rejected():
 def test_non_finite_rejected(bad):
     h = np.eye(3, dtype=complex)
     h[1, 1] = bad
-    for solve in (q.eigenvalues, q.eigensystem):
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            solve(h)
-        with pytest.raises(ValueError, match="NaN or infinite"):
-            solve(np.array([np.eye(3), h]))
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        q.eigenvalues(h)
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        q.eigenvalues(np.array([np.eye(3), h]))
     # finite entries whose spectrum is not
     with pytest.raises(ValueError, match="exceeds the float range"):
         q.eigenvalues(np.array([[1.5e308, 1.5e308], [1.5e308, -1.5e308]]))
@@ -279,7 +228,7 @@ def test_non_finite_rejected(bad):
 
 # --- projectors ----------------------------------------------------------------
 
-@pytest.mark.parametrize("j", [HALF, 1, TH])
+@pytest.mark.parametrize("j", [HALF, 1, TH, 2, Fraction(5, 2), 3])
 def test_projector_identities(j):
     rng = random.Random(int(2 * j) + 10)
     d = int(2 * j) + 1
@@ -295,6 +244,38 @@ def test_projector_identities(j):
             assert np.max(np.abs(fs[a] @ fs[a] - fs[a])) <= 1e-10
             for b in range(a + 1, d):
                 assert np.max(np.abs(fs[a] @ fs[b])) <= 1e-10
+
+
+@pytest.mark.parametrize("j", [HALF, 1, TH, 2, Fraction(5, 2), 3])
+def test_projectors_match_dense_eigenvectors(j):
+    # the spectrum -j..j has no repeated value, so eigh's ascending
+    # eigenvectors give the projectors one by one
+    rng = random.Random(int(2 * j) + 20)
+    for _ in range(8):
+        direction = rnd_direction(rng)
+        _, vecs = np.linalg.eigh(q.spin_operator(j, direction))
+        fs = q.projectors(j, direction)
+        assert len(fs) == vecs.shape[1]
+        for f, u in zip(fs, vecs.T):
+            assert np.max(np.abs(f - np.outer(u, u.conj()))) <= 1e-12
+
+
+def test_src_uses_no_numpy_linalg():
+    # numpy.linalg is the tests' outside oracle; the program has its own
+    # eigenvalue kernel and closed-form projectors
+    paths = sorted(Path(q.__file__).parent.glob("*.py"))
+    assert Path(q.__file__) in paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            else:
+                continue
+            assert not any("linalg" in n for n in names), f"{path.name}:{node.lineno}"
 
 
 def test_projector_half_closed_form():
