@@ -5,7 +5,9 @@ bundled data files and of `builtin:`-style names."""
 from __future__ import annotations
 
 import math
+import re
 from contextlib import contextmanager
+from decimal import Decimal
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -88,33 +90,33 @@ def number(tok, kind):
     p/q of integers, and kind(tok) for a decimal (a token with a point or an
     exponent).  kind is Fraction, which keeps every value exact, or float;
     with float every value must also be finite as a float.  A decimal's
-    exponent must be at most MAX_EXPONENT in absolute value.  An integer in
-    the token, and the numerator and denominator of an exact decimal, have
-    at most MAX_DIGITS digits, so that exact_str writes every exact value
-    read here as a token that reads back the same."""
+    exponent is at most MAX_EXPONENT in absolute value.  No part of tok
+    between '/', 'e' and 'E', nor the numerator or denominator of an exact
+    decimal, has more than MAX_DIGITS digits: exact_str writes every exact
+    value read here as a token that reads back the same."""
     problem = "is not a rational number"
     try:
-        read = str
-        if len(tok) > STR_DIGITS:
-            mantissa = tok.lower().partition("e")[0]
-            if max(sum(c.isdigit() for c in part) for part in mantissa.split("/")) > MAX_DIGITS:
+        read = int
+        if len(tok) > STR_DIGITS:       # past what int() and Fraction() read
+            if max(sum(c.isdigit() for c in part) for part in re.split("[/eE]", tok)) > MAX_DIGITS:
                 problem = f"has more than {MAX_DIGITS} digits"
                 raise ValueError
-            from decimal import Decimal as read
+            # Decimal reads a long integer, but only one of a sign and digits
+            read = lambda part: int(Decimal(part) if re.fullmatch("[+-]?[0-9]+", part) else part)
         if "/" in tok:
             num, den = tok.split("/")
-            x = Fraction(int(read(num)), int(read(den)))
+            x = Fraction(read(num), read(den))
         elif "." in tok or "e" in tok or "E" in tok:
             exponent = tok.lower().partition("e")[2]
             if exponent and abs(int(exponent)) > MAX_EXPONENT:
                 problem = f"has an exponent outside -{MAX_EXPONENT}..{MAX_EXPONENT}"
                 raise ValueError
-            x = kind(read(tok))
+            x = kind(Decimal(tok) if len(tok) > STR_DIGITS else tok)
             if kind is Fraction and max(abs(x.numerator), x.denominator) >= _DIGITS_BOUND:
                 problem = f"has more than {MAX_DIGITS} digits"
                 raise ValueError
         else:
-            x = int(read(tok))
+            x = read(tok)
         if kind is float and not math.isfinite(x):   # isfinite raises past 2**1024
             raise OverflowError
     except OverflowError:
@@ -130,7 +132,6 @@ def exact_str(x):
     try:
         return str(x)
     except ValueError:      # more than STR_DIGITS digits
-        from decimal import Decimal
         x = Fraction(x)
         num = str(Decimal(x.numerator))
         return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"

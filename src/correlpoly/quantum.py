@@ -205,7 +205,8 @@ def projectors(j, direction: Direction):
     """Orthogonal projectors F_m onto the eigenspaces of S_j(direction),
     returned in ascending m = -j .. +j.  The spectrum of S_j is exactly
     -j .. +j, so each F_m is the Lagrange-Sylvester polynomial
-    prod_{k != m} (S - kI) / (m - k) in S."""
+    prod_{k != m} (S - kI) / (m - k) in S.  Its 2j factors lose accuracy as
+    j grows: off numpy.linalg.eigh's by 1e-14 to j = 3, 2e-12 at 5, 1e-6 at 10."""
     j = _check_j(j)
     s = spin_operator(j, direction)
     eye = np.eye(len(s))

@@ -111,3 +111,21 @@ def test_digit_bound_and_long_values_read_back():
                 continue
             with pytest.raises(ValueError, match=f"^'{tok}' has more than 4301 digits$"):
                 number(tok, kind)
+
+
+def test_long_ratio_sides_are_plain_integers():
+    # past 4300 characters each side of p/q is a sign and digits only: an
+    # exponent in the numerator neither hides the rest of the token from the
+    # digit count nor makes a billion-digit integer, and a long decimal
+    # numerator is not truncated to an integer
+    for tok, problem in (("1e1000000000/" + "1" * 4300, "is not a rational number"),
+                         ("1e5/" + "1" * 10000, "has more than 4301 digits"),
+                         ("1.5" + "0" * 4297 + "/1", "is not a rational number"),
+                         ("1/" + "1" * 4302, "has more than 4301 digits"),
+                         ("1/_" + "1" * 4301, "is not a rational number")):
+        for kind in (Fraction, float):
+            with pytest.raises(ValueError, match=f"^'{tok}' {problem}$"):
+                number(tok, kind)
+    assert number("+" + "1" * 4301 + "/-" + "1" * 4301, Fraction) == -1
+    # a short side keeps what int() reads, an underscore among its digits too
+    assert number("1" * 4000 + "/1_1", Fraction) == Fraction(int("1" * 4000), 11)

@@ -246,10 +246,13 @@ def test_projector_identities(j):
                 assert np.max(np.abs(fs[a] @ fs[b])) <= 1e-10
 
 
-@pytest.mark.parametrize("j", [HALF, 1, TH, 2, Fraction(5, 2), 3])
+@pytest.mark.parametrize("j", [HALF, 1, TH, 2, Fraction(5, 2), 3, 4, 5, 10])
 def test_projectors_match_dense_eigenvectors(j):
     # the spectrum -j..j has no repeated value, so eigh's ascending
-    # eigenvectors give the projectors one by one
+    # eigenvectors give the projectors one by one.  The product of 2j
+    # factors loses accuracy as j grows: 7e-14 at j = 4, 2e-12 at j = 5
+    # and 5e-7 at j = 10 on these directions
+    tol = {5: 1e-11, 10: 5e-6}.get(j, 1e-12)
     rng = random.Random(int(2 * j) + 20)
     for _ in range(8):
         direction = rnd_direction(rng)
@@ -257,7 +260,7 @@ def test_projectors_match_dense_eigenvectors(j):
         fs = q.projectors(j, direction)
         assert len(fs) == vecs.shape[1]
         for f, u in zip(fs, vecs.T):
-            assert np.max(np.abs(f - np.outer(u, u.conj()))) <= 1e-12
+            assert np.max(np.abs(f - np.outer(u, u.conj()))) <= tol
 
 
 def test_src_uses_no_numpy_linalg():
