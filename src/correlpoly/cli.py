@@ -249,7 +249,8 @@ def cmd_quantum(args, run):
     if args.optimize:
         opt = quantum.maximize_bound(expr, seed=args.seed)
         doc["optimized"] = {"lambda_max": opt.lambda_max, "params": opt.params,
-                            "evaluations": opt.evaluations}
+                            "evaluations": opt.evaluations, "upper_bound": opt.upper_bound,
+                            "certified": opt.certified}
         doc["lambda_max"] = max(doc["lambda_max"], opt.lambda_max)
     print(json.dumps(doc, indent=2))
     return EXIT_OK
@@ -319,7 +320,8 @@ def build_parser():
     pq.add_argument("--state",
                     choices=("psi-minus", "psi-plus", "phi-minus", "phi-plus"))
     pq.add_argument("--seed", type=int, default=0,
-                    help="optimizer start jitter (0 = exact declared defaults)")
+                    help="seed of the optimizer's random starts; "
+                         "0 keeps the declared defaults as the first start")
     pq.set_defaults(func=cmd_quantum)
 
     pv = sub.add_parser("verify", help="check or derive a vector realization")

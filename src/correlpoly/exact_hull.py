@@ -344,17 +344,30 @@ def hull(v: VRep) -> HRep:
     return canonicalize(HRep(m, tuple(inequalities), tuple(linearities)))
 
 
+def _row_order(row):
+    """Sort key of a row (b, a): fewest nonzeros in a first, then a, then b.
+    A translation changes only b, and only among rows of one normal a, so it
+    keeps this order.  Ordered by b first, the rows of epr-2x3-full.ine moved
+    by 2^61 along each axis made the double description run for minutes."""
+    return sum(map(bool, row[1:])), row[1:], row[0]
+
+
 def vertices(h: HRep) -> VRep:
     """Exact extreme points of a bounded H-polytope.  Rows that hold
-    everywhere (0 = 0, or b >= 0 with a zero normal) are left out."""
+    everywhere (0 = 0, or b >= 0 with a zero normal) are left out.  The
+    rows reach the double description normalized, deduplicated and sorted
+    by _row_order, linearities first, so what it does depends only on the
+    set of rows, not on their order or repetition."""
     m = h.dimension
+    # an equation and its negation are one linearity: turn each so that its
+    # normal's leading nonzero is positive, which a translation keeps
+    lin = {_normalize_row(row if next((x for x in row[1:] if x), row[0]) > 0
+                          else [-x for x in row])
+           for row in h.linearities if any(row)}
+    ineq = {_normalize_row(row) for row in h.inequalities if not _always_true(row)}
     constraints = [((1,) + (0,) * m, False)]  # homogenization: t >= 0
-    for row in h.linearities:
-        if any(row):
-            constraints.append((_normalize_row(row), True))
-    for row in h.inequalities:
-        if not _always_true(row):
-            constraints.append((_normalize_row(row), False))
+    constraints += [(row, True) for row in sorted(lin, key=_row_order)]
+    constraints += [(row, False) for row in sorted(ineq, key=_row_order)]
     rays, lin = _dd_cone(m + 1, constraints)
     if lin:
         raise ValueError("polyhedron contains a line: " + str(lin[0]))

@@ -3,13 +3,16 @@
 Everything here is deliberately written from scratch (no reuse of package
 internals): exhaustive 2^n state enumeration and sign sweeps,
 hyperplane-enumeration facet computation, and subset-enumeration maximal
-cliques.
+cliques; and a test operator whose maximum is known, built with numpy only.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, prod
 from pathlib import Path
+
+import numpy as np
 
 DATA = Path(__file__).parent / "data"
 
@@ -148,3 +151,25 @@ def brute_force_cliques(vectors, orthogonal):
 
 def frozen_spectrum(name):
     return [float(x) for x in (DATA / f"{name}.txt").read_text().split()]
+
+
+def rotated_mermin(seed):
+    """The three-qubit Mermin operator A1B1C2 + A1B2C1 + A2B1C1 - A2B2C2 with
+    each party's two orthogonal settings turned by its own random orthogonal
+    matrix. Turning a party's settings is a local unitary, so the maximum is
+    4, and the declared angles start there; the turns make the 8x8 operators
+    dense."""
+    rng = np.random.default_rng(seed)
+    lines = ["sites 3"]
+    for party in "abc":
+        turn, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        for k in (1, 2):
+            x, y, z = turn[:, k - 1]
+            lines.append(f"param {party}{k}t {math.acos(max(-1.0, min(1.0, z)))!r}")
+            lines.append(f"param {party}{k}p {math.atan2(y, x)!r}")
+    for sign, (i, j, k) in ((8, (1, 1, 2)), (8, (1, 2, 1)), (8, (2, 1, 1)), (-8, (2, 2, 2))):
+        lines.append(f"term {sign} A{i}@1 B{j}@2 C{k}@3")   # S = sigma/2 per site
+    for label, party in zip("ABC", "abc"):
+        for k in (1, 2):
+            lines.append(f"bind {label}{k} spin 1/2 ${party}{k}t ${party}{k}p")
+    return "\n".join(lines) + "\n"

@@ -10,12 +10,13 @@ import time
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import correlpoly
-from correlpoly import exact_hull
+from correlpoly import exact_hull, quantum
 from correlpoly.cli import main
+
+from oracles import rotated_mermin
 
 
 def run(capsys, *argv):
@@ -135,6 +136,19 @@ def test_hull_reverse(capsys, tmp_path):
     code, out = run(capsys, "hull", "--input", str(out_file), "--reverse")
     assert code == 0
     assert "V-representation" in out
+
+
+def test_hull_reverse_reversed_rows_against_golden(capsys, tmp_path):
+    # the rows of epr-2x3-full.ine reversed: in that order an unsorted
+    # double description ran for minutes
+    golden = (resources.files("correlpoly.data") / "golden" / "epr-2x3-full.ine").read_text()
+    h = exact_hull.parse_dd(golden)
+    f = tmp_path / "reversed.ine"
+    f.write_text(exact_hull.emit_dd(exact_hull.HRep(h.dimension, h.inequalities[::-1],
+                                                    h.linearities[::-1])))
+    code, _ = run(capsys, "hull", "--input", str(f), "--reverse",
+                  "--golden", "builtin:epr-2x3-full")
+    assert code == 0
 
 
 def test_hull_reverse_requires_h_rep(capsys, tmp_path):
@@ -257,34 +271,15 @@ def test_quantum_optimize(capsys):
     code, out = run(capsys, "quantum", "--preset", "chsh", "--optimize")
     doc = json.loads(out)
     assert abs(doc["optimized"]["lambda_max"] - 2 * math.sqrt(2)) <= 1e-6
-
-
-def rotated_mermin(seed):
-    """The three-qubit Mermin operator A1B1C2 + A1B2C1 + A2B1C1 - A2B2C2 with
-    each party's two orthogonal settings turned by its own random orthogonal
-    matrix. Turning a party's settings is a local unitary, so the maximum is
-    4, and the declared angles start there; the turns make the 8x8 operators
-    dense."""
-    rng = np.random.default_rng(seed)
-    lines = ["sites 3"]
-    for party in "abc":
-        turn, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        for k in (1, 2):
-            x, y, z = turn[:, k - 1]
-            lines.append(f"param {party}{k}t {math.acos(max(-1.0, min(1.0, z)))!r}")
-            lines.append(f"param {party}{k}p {math.atan2(y, x)!r}")
-    for sign, (i, j, k) in ((8, (1, 1, 2)), (8, (1, 2, 1)), (8, (2, 1, 1)), (-8, (2, 2, 2))):
-        lines.append(f"term {sign} A{i}@1 B{j}@2 C{k}@3")   # S = sigma/2 per site
-    for label, party in zip("ABC", "abc"):
-        for k in (1, 2):
-            lines.append(f"bind {label}{k} spin 1/2 ${party}{k}t ${party}{k}p")
-    return "\n".join(lines) + "\n"
+    # the norm bound 4 is above Tsirelson's 2*sqrt(2): never reached
+    assert doc["optimized"]["upper_bound"] == 4.0
+    assert doc["optimized"]["certified"] is False
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_quantum_optimize_reports_evaluations(capsys, tmp_path, seed):
-    # at the maximum from the start: one solve, a 16-point grid on each of the
-    # 12 angles, then 22 polls of 24 neighbours (steps pi/8 .. pi/8 / 2^21)
+    # the first start is at the maximum, which is the norm bound 4: the
+    # search ends after one stack of the first and the STARTS random starts
     f = tmp_path / "mermin.op"
     f.write_text(rotated_mermin(seed))
     code, out = run(capsys, "quantum", "--expr", str(f), "--optimize")
@@ -292,7 +287,17 @@ def test_quantum_optimize_reports_evaluations(capsys, tmp_path, seed):
     assert code == 0
     assert abs(doc["eigenvalues"][-1] - 4) <= 1e-9
     assert abs(doc["optimized"]["lambda_max"] - 4) <= 1e-9
-    assert doc["optimized"]["evaluations"] == 1 + 12 * 16 + 22 * 24 == 721
+    assert doc["optimized"]["evaluations"] == 1 + quantum.STARTS
+    assert doc["optimized"]["certified"] is True
+
+
+def test_quantum_optimize_kcbs_certified(capsys):
+    code, out = run(capsys, "quantum", "--preset", "kcbs", "--optimize")
+    opt = json.loads(out)["optimized"]
+    assert code == 0
+    assert abs(opt["lambda_max"] - 5) <= 1e-9
+    assert opt["upper_bound"] == 5.0
+    assert opt["certified"] is True
 
 
 def test_quantum_kcbs(capsys):

@@ -291,16 +291,18 @@ def test_adjacency_matches_rank_oracle(points):
     assert canon_key(hull(back)) == canon_key(h)
 
 
-# An interval, a triangle with a point on an edge, and a square, each with
-# its facets in an order that makes the double description meet a cone of
-# effective dimension 2, where a pair of rays has no common tight constraint
-# and is adjacent iff the cone has no third ray.
+# An interval, a triangle with a point on an edge, and a parallelogram, each
+# with facets that, in the order hull and vertices insert them, make the
+# double description meet a cone of effective dimension 2, where a pair of
+# rays has no common tight constraint and is adjacent iff the cone has no
+# third ray.  vertices inserts the parallelogram's two parallel x-facets
+# first; no square has two parallel facets that its order puts first.
 LOW_DIMENSIONAL = {
     "interval": ([(0,), (3,)], [(0, 1), (3, -1)], [(0,), (3,)]),
     "triangle": ([(0, 0), (0, 1), (0, 2), (1, 0)], [(0, 1, 0), (0, 0, 1), (2, -2, -1)],
                  [(0, 0), (0, 2), (1, 0)]),
-    "square": ([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 0), (1, -1, 0), (0, 0, 1), (1, 0, -1)],
-               [(0, 0), (1, 0), (0, 1), (1, 1)]),
+    "parallelogram": ([(0, 0), (0, 1), (1, -1), (1, 0)], [(0, 1, 0), (1, -1, 0), (0, 1, 1), (1, -1, -1)],
+                      [(0, 0), (0, 1), (1, -1), (1, 0)]),
 }
 
 
@@ -348,6 +350,46 @@ def test_golden_pairs_are_bundled():
     assert len(GOLDEN_PAIRS) == 19
 
 
+class _Seen(Exception):
+    """Raised by the spy in place of running the double description."""
+
+
+def _vertices_dd_input(h):
+    """The constraint sequence vertices(h) gives the double description."""
+    def spy(dim, constraints):
+        raise _Seen(dim, list(constraints))
+
+    with mock.patch.object(exact_hull, "_dd_cone", spy), pytest.raises(_Seen) as seen:
+        vertices(h)
+    return seen.value.args
+
+
+@pytest.mark.parametrize("name, v, h", GOLDEN_PAIRS, ids=[n for n, _, _ in GOLDEN_PAIRS])
+def test_vertices_dd_input_ignores_row_order(name, v, h):
+    # reversed, seed-shuffled and duplicated rows: each inequality once
+    # more as Fractions, each linearity once more negated
+    want = _vertices_dd_input(h)
+    ineq, lin = list(h.inequalities), list(h.linearities)
+    variants = [HRep(h.dimension, tuple(ineq[::-1]), tuple(lin[::-1]))]
+    for seed in range(3):
+        rnd = random.Random(seed)
+        more_ineq = ineq + [tuple(Fraction(x) for x in r) for r in ineq]
+        more_lin = lin + [tuple(-x for x in r) for r in lin]
+        rnd.shuffle(more_ineq)
+        rnd.shuffle(more_lin)
+        variants.append(HRep(h.dimension, tuple(more_ineq), tuple(more_lin)))
+    for variant in variants:
+        assert _vertices_dd_input(variant) == want
+    key = exact_hull._row_order
+    rows = [c for c, is_eq in want[1] if not is_eq][1:]
+    assert all(key(a) < key(b) for a, b in zip(rows, rows[1:]))
+    # a translation moves only the offsets, and keeps the order of the rows
+    t = tuple(2**61 + 3 * k + 1 for k in range(h.dimension))
+    moved = _vertices_dd_input(HRep(h.dimension, _moved(h.inequalities, t),
+                                    _moved(h.linearities, t)))
+    assert [c[1:] for c, _ in moved[1]] == [c[1:] for c, _ in want[1]]
+
+
 @pytest.mark.parametrize("name, v, golden", GOLDEN_PAIRS, ids=[n for n, _, _ in GOLDEN_PAIRS])
 def test_translation_near_2_61_is_exact(name, v, golden):
     t = tuple(2**61 + 3 * k + 1 for k in range(v.dimension))
@@ -356,7 +398,6 @@ def test_translation_near_2_61_is_exact(name, v, golden):
     points = tuple(tuple(Fraction(x) + s for x, s in zip(p, t)) for p in v.points)
     out = hull(VRep(v.dimension, points))
     assert out == canonicalize(moved)
-    # the moved rows keep h's order, hence the insertion order of vertices(h)
     back = vertices(moved)
     assert back.points == tuple(sorted(set(points)))
     assert _python_rows(out.inequalities + out.linearities) and _python_rows(back.points)

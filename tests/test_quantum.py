@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from correlpoly import cli, quantum as q
 
-from oracles import frozen_spectrum
+from oracles import frozen_spectrum, rotated_mermin
 
 HALF = Fraction(1, 2)
 TH = Fraction(3, 2)
@@ -547,3 +547,36 @@ def test_maximize_chsh_reaches_tsirelson(seed):
     assert abs(opt.lambda_max - top) <= 1e-10
     best, params = opt
     assert (best, params) == (opt.lambda_max, opt.params)
+
+
+@pytest.mark.parametrize("seed", range(31))
+def test_maximize_kcbs_certified(seed):
+    # the norm bound 5 is the maximum; before the multi-start, 16 of these
+    # seeds stopped at the local maximum 5/sqrt(2)
+    expr = q.load_preset_expr("kcbs")
+    opt = q.maximize_bound(expr, seed=seed)
+    assert abs(opt.lambda_max - 5) <= 1e-9
+    assert opt.upper_bound == 5 and opt.certified
+    top = np.linalg.eigvalsh(q.realize_operator(expr, opt.params))[-1]
+    assert abs(opt.lambda_max - top) <= 1e-10
+
+
+# --- the norm bound ----------------------------------------------------------------
+
+BOUNDED = {"chsh": q.load_preset_expr("chsh"), "kcbs": q.load_preset_expr("kcbs"),
+           "cabelloT": q.load_preset_expr("cabelloT"),
+           "mermin": q.parse_operator_expr(rotated_mermin(0))}
+
+
+@pytest.mark.parametrize("name, bound", [("chsh", 4), ("kcbs", 5), ("cabelloT", 9), ("mermin", 4)])
+def test_norm_bound(name, bound):
+    assert abs(q.norm_bound(BOUNDED[name]) - bound) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["chsh", "kcbs", "mermin"]),
+       st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=12, max_size=12))
+def test_norm_bound_holds_at_any_angles(name, angles):
+    expr = BOUNDED[name]
+    op = q.realize_operator(expr, dict(zip(expr.param_names, angles)))
+    assert np.linalg.eigvalsh(op)[-1] <= q.norm_bound(expr) + 1e-12
