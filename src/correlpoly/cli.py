@@ -92,6 +92,7 @@ def cmd_states(args, run):
     states = logic_core.enumerate_states(logic)
     unseparated = (logic_core.is_separating(logic, states)
                    if args.check_separating and states else None)
+    cert = None if states else logic_core.parity_certificate(logic)
     if args.format == "json":
         doc = {
             "logic": logic.name,
@@ -99,8 +100,7 @@ def cmd_states(args, run):
             "count": len(states),
             "states": [list(s.values) for s in states],
         }
-        cert = logic_core.parity_certificate(logic)
-        if not states and cert:
+        if cert:
             doc["parity_certificate"] = {
                 "contexts": cert.context_count,
                 "atom_context_counts": list(cert.atom_context_counts),
@@ -109,8 +109,11 @@ def cmd_states(args, run):
             doc["unseparated_pairs"] = [list(p) for p in unseparated]
         print(json.dumps(doc, indent=2))
     elif args.format == "dd":
-        v = exact_hull.VRep(len(logic.atoms), tuple(s.values for s in states))
-        print(exact_hull.emit_dd(v, comments=run.comments()), end="")
+        # a V-representation needs a point: with no state there is nothing
+        # to emit but the certificate below
+        if states:
+            v = exact_hull.VRep(len(logic.atoms), tuple(s.values for s in states))
+            print(exact_hull.emit_dd(v, comments=run.comments()), end="")
     else:
         print(f"{len(states)} states")
         print(" ".join(a.name for a in logic.atoms))
@@ -123,7 +126,6 @@ def cmd_states(args, run):
             else:
                 print("state set is separating")
     if not states:
-        cert = logic_core.parity_certificate(logic)
         if cert and args.format != "json":
             print(f"parity certificate: {cert.context_count} contexts (odd); "
                   "every atom lies in an even number of contexts "

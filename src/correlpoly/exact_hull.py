@@ -1,10 +1,14 @@
 """Exact rational convex polytope engine.
 
 Converts between vertex (V) and facet (H) representations of convex polytopes
-using the incremental double description method.  Rational input is scaled to
-integer rows once; from there the work is on integers (Python ints, or int64
-where a bound proves that nothing overflows).  No floating point is used
-anywhere in this module.
+using the incremental double description method.  One cone computation,
+_dd_cone (extreme rays and lineality of {y : c.y >= 0}), serves both ways:
+hull feeds it the homogenized points, whose valid-inequality cone has the
+affine hull's equations as its lineality; vertices feeds it the homogenized
+rows, each equation as two opposite inequalities.  Rational input is scaled
+to integer rows once; from there the work is on integers (Python ints, or
+int64 where a bound proves that nothing overflows).  No floating point is
+used anywhere in this module.
 
 H-representation rows (b, a) encode the half-space b + a.x >= 0; linearity
 rows encode b + a.x = 0.  This matches the "b  -A" layout of the interchange
@@ -95,16 +99,18 @@ def _echelon(rows):
 # ---------------------------------------------------------------------------
 
 def _dd_cone(dim, constraints):
-    """Extreme rays of {y in R^dim : c.y >= 0 (or = 0) for all constraints}.
+    """Extreme rays and lineality of {y in R^dim : c.y >= 0 for all c}.
 
-    constraints: list of (vector, is_equality).  Returns (rays, lineality):
-    the rays as coprime-integer tuples and a basis of the final lineality
-    space.  The rays are the rows of one integer matrix R, int64 while a bound
-    proves that no product below can overflow and Python ints (dtype object)
-    otherwise.  Their zero sets, over the inequality constraints processed
-    so far, are the rows of a uint64 matrix Z: constraint j is bit j % 64 of
-    word j // 64.  Constraint 0 is the trivial 0 >= 0, at which every ray is
-    tight; the inequality constraints count from 1.
+    constraints: integer vectors of length dim; an equation is the pair c,
+    -c.  Returns (rays, lineality): a basis of the final lineality space,
+    and one coprime-integer representative of each extreme ray of the
+    pointed cone left modulo that space.  The rays are the rows of one
+    integer matrix R, int64 while a bound proves that no product below can
+    overflow and Python ints (dtype object) otherwise.  Their zero sets,
+    over the constraints processed so far, are the rows of a uint64 matrix
+    Z: constraint j is bit j % 64 of word j // 64.  Constraint 0 is the
+    trivial 0 >= 0, at which every ray is tight; the given constraints
+    count from 1.
     """
     # imported here: a module-top import loads numpy before the package's
     # pure-Python modules and raises the peak RSS of every run
@@ -113,22 +119,17 @@ def _dd_cone(dim, constraints):
     lineality = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
     R = np.zeros((0, dim), dtype=np.int64)
     Z = np.zeros((0, 0), dtype=np.uint64)
-    nproc = 1     # zero-set width: constraint 0 and the inequalities processed
-    neqpiv = 0    # independent equality constraints absorbed so far
+    nproc = 1     # zero-set width: constraint 0 and the constraints processed
 
-    for cvec, is_eq in constraints:
+    for cvec in constraints:
         cvec = tuple(cvec)
         R = R.astype(_ray_dtype(R, lineality, cvec, dim), copy=False)
         c = np.array(cvec, dtype=R.dtype)
         word, bit = nproc // 64, np.uint64(1 << (nproc % 64))
-        if not is_eq and word == Z.shape[1]:
+        if word == Z.shape[1]:
             Z = np.concatenate((Z, np.zeros((len(Z), 1), dtype=Z.dtype)), axis=1)
-        # try to pivot a lineality vector out
-        pivot = None
-        for idx, u in enumerate(lineality):
-            if _dot(cvec, u) != 0:
-                pivot = idx
-                break
+        # pivot out the first lineality vector that c does not vanish on
+        pivot = next((i for i, u in enumerate(lineality) if _dot(cvec, u)), None)
         if pivot is not None:
             u = lineality.pop(pivot)
             du = _dot(cvec, u)
@@ -137,19 +138,16 @@ def _dd_cone(dim, constraints):
             # w is u turned to the feasible side of this constraint
             w = u if du > 0 else tuple(-x for x in u)
             R = _reduce_rows(abs(du) * R - (R @ c)[:, None] * np.array(w, dtype=R.dtype))
-            if is_eq:
-                neqpiv += 1
-            else:
-                # the adjustment put every existing ray on this constraint's
-                # hyperplane, so they all gain the new tight bit; the new ray
-                # (the pivoted lineality direction) is tight for everything
-                # processed before but strictly feasible for this constraint
-                Z[:, word] |= bit
-                full = (1 << nproc) - 1
-                z = [(full >> (64 * k)) & 0xFFFF_FFFF_FFFF_FFFF for k in range(Z.shape[1])]
-                R = np.concatenate((R, np.array([w], dtype=R.dtype)))
-                Z = np.concatenate((Z, np.array([z], dtype=Z.dtype)))
-                nproc += 1
+            # the adjustment put every existing ray on this constraint's
+            # hyperplane, so they all gain the new tight bit; the new ray
+            # (the pivoted lineality direction) is tight for everything
+            # processed before but strictly feasible for this constraint
+            Z[:, word] |= bit
+            full = (1 << nproc) - 1
+            z = [(full >> (64 * k)) & 0xFFFF_FFFF_FFFF_FFFF for k in range(Z.shape[1])]
+            R = np.concatenate((R, np.array([w], dtype=R.dtype)))
+            Z = np.concatenate((Z, np.array([z], dtype=Z.dtype)))
+            nproc += 1
             continue
 
         dots = R @ c
@@ -158,15 +156,12 @@ def _dd_cone(dim, constraints):
         zer = np.flatnonzero(dots == 0)
 
         # dimension of the pointed quotient the rays live in
-        effdim = dim - len(lineality) - neqpiv
+        effdim = dim - len(lineality)
         newR, newZ = _combinations(R, Z, dots, pos, neg, effdim)
-        if is_eq:
-            keep = zer
-        else:
-            Z[zer, word] |= bit
-            newZ[:, word] |= bit
-            keep = np.concatenate((pos, zer))
-            nproc += 1
+        Z[zer, word] |= bit
+        newZ[:, word] |= bit
+        keep = np.concatenate((pos, zer))
+        nproc += 1
         # one statement each, so that the old matrix is freed before the
         # next one is built
         R = R[keep]
@@ -290,58 +285,27 @@ def _combine(v, dv, u, du):
 # ---------------------------------------------------------------------------
 
 def hull(v: VRep) -> HRep:
-    """Minimal H-representation of conv(points): linearities for the affine
-    hull's codimension, then exactly the facets via double description.
-    What reaches the double description depends only on the set of points,
-    not on their order or repetition."""
+    """Minimal H-representation of conv(points) via double description.
+
+    The valid inequalities (b, a), b + a.w >= 0 at every point w, form a
+    cone whose lineality space is exactly the affine hull's equations
+    (Fukuda & Prodon, "Double description method revisited", 1996):
+    its extreme rays modulo that space are the facets and the trivial
+    1 >= 0, which canonicalize drops.  What reaches the double description
+    depends only on the set of points, not on their order or repetition."""
     m = v.dimension
     # one common denominator turns the points into integer points P = denom*x
     denom = lcm(*(x.denominator for p in v.points for x in p))
     points = sorted({tuple(x.numerator * (denom // x.denominator) for x in p)
                      for p in v.points})
-
-    # affine hull: eliminate the rows [1 | P].  Column 0 is the first pivot,
-    # which leaves the differences P - P0; the other pivots are the columns
-    # on which those have full rank.  Each free column gives one linearity
-    # (b, a) with b + a.P = 0, that is b + (denom*a).x = 0.
-    basis, pivots = _echelon([(1, *p) for p in points])
-    d = basis[0][0]
-    linearities = []
-    for free in sorted(set(range(m + 1)) - set(pivots)):
-        vec = [0] * (m + 1)
-        vec[free] = d
-        for row, pc in zip(basis, pivots):
-            vec[pc] = -row[free]
-        linearities.append((vec[0], *(denom * x for x in vec[1:])))
-
-    # affine rank r: dimension of the polytope
-    r = len(pivots) - 1
-    if r <= 0:
-        return canonicalize(HRep(m, (), tuple(linearities)))
-
-    # parametrize the affine hull by the r pivot coordinates, measured from
-    # the lexicographically least point
-    cols = [c - 1 for c in pivots[1:]]
+    # measured from the lexicographically least point p0, so the entries stay
+    # as small as the polytope, and inserted in lexicographic order: an order
+    # fixed by the point set
     p0 = points[0]
-    reduced = sorted(tuple(p[j] - p0[j] for j in cols) for p in points)
-
-    # facets of the full-dimensional reduced polytope = extreme rays of the
-    # cone of valid inequalities {(b,a) : b + a.w >= 0 for all vertices w},
-    # inserted in lexicographic order of w: an order fixed by the point set
-    constraints = [((1, *w), False) for w in reduced]
-    rays, lin = _dd_cone(r + 1, constraints)
-    assert not lin, "dual cone of a full-dimensional polytope is pointed"
-
-    inequalities = []
-    for beta, *alpha in rays:
-        if not any(alpha):
-            continue  # the trivial valid inequality 1 >= 0
-        a = [0] * m
-        for j, x in zip(cols, alpha):
-            a[j] = denom * x
-        b = beta - sum(x * p0[j] for j, x in zip(cols, alpha))
-        inequalities.append((b, *a))
-    return canonicalize(HRep(m, tuple(inequalities), tuple(linearities)))
+    rays, lin = _dd_cone(m + 1, [(1, *(x - y for x, y in zip(p, p0))) for p in points])
+    # b + a.(P - p0) >= 0 is (b - a.p0) + (denom*a).x >= 0
+    back = [(b - _dot(a, p0), *(denom * x for x in a)) for b, *a in rays + lin]
+    return canonicalize(HRep(m, tuple(back[:len(rays)]), tuple(back[len(rays):])))
 
 
 def _row_order(row):
@@ -353,11 +317,13 @@ def _row_order(row):
 
 
 def vertices(h: HRep) -> VRep:
-    """Exact extreme points of a bounded H-polytope.  Rows that hold
-    everywhere (0 = 0, or b >= 0 with a zero normal) are left out.  The
+    """Exact extreme points of a bounded H-polytope: x = y / t for each
+    extreme ray (t, y) of the cone t >= 0, b*t + a.y >= 0 over the rows.
+    Rows that hold everywhere (0 = 0, or b >= 0 with a zero normal) are
+    left out; a linearity r enters as the two inequalities r and -r.  The
     rows reach the double description normalized, deduplicated and sorted
-    by _row_order, linearities first, so what it does depends only on the
-    set of rows, not on their order or repetition."""
+    by _row_order, the linearity pairs first, so what it does depends only
+    on the set of rows, not on their order or repetition."""
     m = h.dimension
     # an equation and its negation are one linearity: turn each so that its
     # normal's leading nonzero is positive, which a translation keeps
@@ -365,9 +331,10 @@ def vertices(h: HRep) -> VRep:
                           else [-x for x in row])
            for row in h.linearities if any(row)}
     ineq = {_normalize_row(row) for row in h.inequalities if not _always_true(row)}
-    constraints = [((1,) + (0,) * m, False)]  # homogenization: t >= 0
-    constraints += [(row, True) for row in sorted(lin, key=_row_order)]
-    constraints += [(row, False) for row in sorted(ineq, key=_row_order)]
+    constraints = [(1,) + (0,) * m]  # homogenization: t >= 0
+    for row in sorted(lin, key=_row_order):
+        constraints += [row, tuple(-x for x in row)]
+    constraints += sorted(ineq, key=_row_order)
     rays, lin = _dd_cone(m + 1, constraints)
     if lin:
         raise ValueError("polyhedron contains a line: " + str(lin[0]))

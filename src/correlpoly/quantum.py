@@ -525,15 +525,16 @@ class Optimum:
 
 
 STARTS = 8          # random starts besides the first; 8 reach kcbs's 5 on seeds 0..30
+GRID = 16           # grid-scan points per axis, over one period
 CERTIFY_TOL = 1e-9  # absolute: a value this close to the norm bound is its maximum
 
 
-def maximize_bound(expr: OperatorExpr, param_names=None, grid=16, seed=0):
-    """Largest eigenvalue of the expression's operator, maximized over the
-    free angles, from 1 + STARTS starts: the first is the declared defaults
-    (jittered by the seed unless it is 0), the others uniform in
+def maximize_bound(expr: OperatorExpr, seed=0):
+    """Largest eigenvalue of the expression's operator, maximized over all
+    its angle parameters, from 1 + STARTS starts: the first is the declared
+    defaults (jittered by the seed unless it is 0), the others uniform in
     [-pi, pi) from the same seeded generator.  All starts run a cyclic
-    per-axis grid scan (default 16 points over one period) together, one
+    per-axis grid scan (GRID points over one period) together, one
     stack of operators per axis; the best one is then polished by a
     complete-poll compass search, halving the step from pi/8 down to 1e-7
     (Kolda, Lewis & Torczon, SIAM Review 45, 2003), one stack per poll.
@@ -541,7 +542,7 @@ def maximize_bound(expr: OperatorExpr, param_names=None, grid=16, seed=0):
     The search stops as soon as its best value is within CERTIFY_TOL of
     norm_bound(expr): no angle does better, so the value is certified as the
     maximum.  Deterministic for a fixed seed."""
-    names = list(param_names if param_names is not None else expr.param_names)
+    names = expr.param_names
     if not names:
         raise ValueError("no free parameters to optimize")
     bound = norm_bound(expr)
@@ -567,7 +568,7 @@ def maximize_bound(expr: OperatorExpr, param_names=None, grid=16, seed=0):
     points += [[rng.uniform(-math.pi, math.pi) for _ in names] for _ in range(STARTS)]
     values = objective(points)
     target = bound - CERTIFY_TOL
-    axis = [-math.pi + 2 * math.pi * k / grid for k in range(grid)]
+    axis = [-math.pi + 2 * math.pi * k / GRID for k in range(GRID)]
 
     moving = range(len(points))  # starts that the last scan cycle moved
     for _ in range(8):  # cyclic grid scans until stable
@@ -580,7 +581,7 @@ def maximize_bound(expr: OperatorExpr, param_names=None, grid=16, seed=0):
                 # the trials of one start differ from its point only in
                 # coordinate i, so taking them in order is the same as
                 # evaluating them one at a time
-                for val, x in zip(vals[n * grid:(n + 1) * grid], axis):
+                for val, x in zip(vals[n * GRID:(n + 1) * GRID], axis):
                     if val > values[s] + 1e-12:
                         values[s], points[s] = val, moved(points[s], i, x)
                         improved.add(s)

@@ -40,6 +40,20 @@ def test_states_zero_exit_code(capsys):
     assert "parity certificate" in out
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "dd"])
+@pytest.mark.parametrize("logic, certified", [("cabello18", True), ("yu-oh", False)])
+def test_states_none_exit_2_in_every_format(capsys, fmt, logic, certified):
+    # cabello18 has a parity certificate; yu-oh has no state and none
+    code, out = run(capsys, "states", f"builtin:{logic}", "--format", fmt)
+    assert code == 2
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["count"] == 0 and ("parity_certificate" in doc) == certified
+    else:
+        assert ("parity certificate: " in out) == certified
+    assert "V-representation" not in out
+
+
 def test_states_json(capsys):
     code, out = run(capsys, "states", "builtin:firefly", "--format", "json")
     assert code == 0

@@ -205,7 +205,7 @@ def test_shuffled_golden_hull_gets_file_order_constraints(name):
     h2, seen2 = _dd_inputs(points)
     assert len(seen) == 1 and seen == seen2
     assert h == h2
-    constraints = [c for c, _ in seen[0][1]]
+    constraints = seen[0][1]
     assert constraints == sorted(constraints)
 
 
@@ -221,7 +221,8 @@ def test_hull_exact_rational_output():
 #
 # Two extreme rays of the cone built so far are adjacent iff the processed
 # constraints tight at both have rank r - 2, where r is the rank of all the
-# processed constraints (equalities are tight everywhere).  The oracle below
+# processed constraints: the dimension of the cone modulo its lineality
+# space (an equation is two opposite constraints).  The oracle below
 # computes that rank by Fraction elimination from the constraint rows and
 # the rays themselves: no zero-set bitset is read.
 
@@ -249,10 +250,9 @@ def _checked_dd(run):
     def combinations(R, Z, dots, pos, neg, effdim):
         nonlocal empty
         newR, newZ = real_combinations(R, Z, dots, pos, neg, effdim)
-        *done, (c, _) = fed
-        rows = [v for v, _ in done]
+        *rows, c = fed
         rank = _rank(rows)
-        assert effdim == rank - _rank([v for v, eq in done if eq])
+        assert effdim == rank
         rays = [tuple(int(x) for x in r) for r in R.tolist()]
         d = [_dot(c, r) for r in rays]
         assert pos.tolist() == [i for i, x in enumerate(d) if x > 0]
@@ -282,8 +282,23 @@ def _cube_subsets(values):
         st.tuples(*[st.sampled_from(values)] * d), min_size=2 * d, max_size=12, unique=True))
 
 
+@st.composite
+def _lifted_cube_subsets(draw):
+    """Subsets of {0,1}^k, k = 2 or 3, with at least 2k points, each point p
+    lifted to (p, B.p + t) in R^(k+1) or R^(k+2) with integer B and t: flat
+    polytopes with many facets, whose valid-inequality cone keeps a
+    lineality space of dimension at least one through every step."""
+    k = draw(st.integers(2, 3))
+    extra = draw(st.integers(1, 2))
+    cube = draw(st.lists(st.tuples(*[st.sampled_from((0, 1))] * k),
+                         min_size=2 * k, max_size=8, unique=True))
+    lift = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * (k + 1)),
+                         min_size=extra, max_size=extra))
+    return [p + tuple(t + _dot(b, p) for t, *b in lift) for p in cube]
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(_cube_subsets((0, 1)), _cube_subsets((-1, 1))))
+@given(st.one_of(_cube_subsets((0, 1)), _cube_subsets((-1, 1)), _lifted_cube_subsets()))
 def test_adjacency_matches_rank_oracle(points):
     v = VRep(len(points[0]), tuple(points))
     h, _ = _checked_dd(lambda: hull(v))
@@ -381,13 +396,18 @@ def test_vertices_dd_input_ignores_row_order(name, v, h):
     for variant in variants:
         assert _vertices_dd_input(variant) == want
     key = exact_hull._row_order
-    rows = [c for c, is_eq in want[1] if not is_eq][1:]
-    assert all(key(a) < key(b) for a, b in zip(rows, rows[1:]))
+    # after the homogenization row: each linearity r as the pair r, -r, then
+    # the inequalities, each group in _row_order
+    nlin = 2 * len(h.linearities)
+    pairs, rows = want[1][1:1 + nlin], want[1][1 + nlin:]
+    assert pairs[1::2] == [tuple(-x for x in r) for r in pairs[::2]]
+    for group in (pairs[::2], rows):
+        assert all(key(a) < key(b) for a, b in zip(group, group[1:]))
     # a translation moves only the offsets, and keeps the order of the rows
     t = tuple(2**61 + 3 * k + 1 for k in range(h.dimension))
     moved = _vertices_dd_input(HRep(h.dimension, _moved(h.inequalities, t),
                                     _moved(h.linearities, t)))
-    assert [c[1:] for c, _ in moved[1]] == [c[1:] for c, _ in want[1]]
+    assert [c[1:] for c in moved[1]] == [c[1:] for c in want[1]]
 
 
 @pytest.mark.parametrize("name, v, golden", GOLDEN_PAIRS, ids=[n for n, _, _ in GOLDEN_PAIRS])
@@ -453,7 +473,9 @@ def _affine_point_sets(draw):
 def test_affine_hull_matches_rank_oracle(points):
     d = len(points[0])
     rank = _rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
-    h = hull(VRep(d, tuple(points)))
+    # the affine hull's equations are the lineality space of the cone the
+    # double description builds; every step of it is checked
+    h, _ = _checked_dd(lambda: hull(VRep(d, tuple(points))))
     assert d - len(h.linearities) == rank
     for row in h.linearities:
         assert all(row[0] + sum(a * x for a, x in zip(row[1:], p)) == 0 for p in points)
@@ -481,6 +503,17 @@ def test_echelon_matches_rank_oracle(rows):
 
 
 # --- degenerate and error cases ----------------------------------------------
+
+@pytest.mark.parametrize("name", ["pentagon-prob", "pentagon-all-pair-expect",
+                                  "bug-prob", "bug-edge-expect"])
+def test_linearity_as_two_inequalities(name):
+    # an equation is two opposite inequalities: given that way, in with the
+    # other inequalities, it gives the same vertices
+    _, h = builtin_scenario(name)
+    assert h.linearities
+    split = h.inequalities + h.linearities + tuple(tuple(-x for x in r) for r in h.linearities)
+    assert vertices(HRep(h.dimension, split, ())) == vertices(h)
+
 
 def test_single_point_hull():
     h = hull(VRep(2, ((Fraction(1, 3), Fraction(2)),)))
