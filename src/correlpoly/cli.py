@@ -10,18 +10,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
-import json
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import _text, exact_hull, logic_core, realization, vertex_gen
+from . import _text
 
 
 def _lazy_module(name):
-    """The module `name`, registered in sys.modules but executed only when
-    an attribute of it is first read (importlib.util.LazyLoader)."""
+    """The module `name`, registered in sys.modules and on its package but
+    executed only when an attribute of it is first read
+    (importlib.util.LazyLoader)."""
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec(name)
@@ -29,14 +29,21 @@ def _lazy_module(name):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
     return module
 
 
-# quantum imports numpy, which adds about 0.15 s and 12 MiB to every start;
-# only the quantum command needs it.  A lazy module, unlike an import inside
-# cmd_quantum, keeps `import correlpoly.cli` registering every layer module
-# (bench/tracer.py wraps their functions after that import).
+# Each command executes only the layers it uses: `states` runs logic_core
+# alone, `verify` adds realization, `hull` vertex_gen and exact_hull (and
+# numpy), `quantum` numpy and realization.  Lazy modules, unlike imports
+# inside the commands, keep `import correlpoly.cli` registering all six
+# layers in sys.modules, where bench/tracer.py finds them.
+exact_hull = _lazy_module("correlpoly.exact_hull")
+logic_core = _lazy_module("correlpoly.logic_core")
 quantum = _lazy_module("correlpoly.quantum")
+realization = _lazy_module("correlpoly.realization")
+vertex_gen = _lazy_module("correlpoly.vertex_gen")
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -94,6 +101,8 @@ def cmd_states(args, run):
                    if args.check_separating and states else None)
     cert = None if states else logic_core.parity_certificate(logic)
     if args.format == "json":
+        import json
+
         doc = {
             "logic": logic.name,
             "atoms": [a.name for a in logic.atoms],
@@ -221,6 +230,8 @@ def cmd_hull(args, run):
 # --- quantum ----------------------------------------------------------------
 
 def cmd_quantum(args, run):
+    import json
+
     if args.preset:
         expr = quantum.load_preset_expr(args.preset)
         run.add_input(f"preset:{args.preset}", args.preset)
@@ -261,6 +272,7 @@ def cmd_quantum(args, run):
 # --- verify -----------------------------------------------------------------
 
 def cmd_verify(args, run):
+    tol = realization.DEFAULT_TOL if args.tol is None else args.tol
     real = _load(args.vectors, "builtin:", realization.load_builtin,
                  realization.parse_vectors, run)
     if args.derive:
@@ -269,7 +281,7 @@ def cmd_verify(args, run):
         if real.dimension != args.dim:
             raise ValueError(f"vector file is {real.dimension}-dimensional, "
                              f"--dim says {args.dim}")
-        logic = realization.derive_logic(real.vectors, args.dim, tol=args.tol)
+        logic = realization.derive_logic(real.vectors, args.dim, tol=tol)
         print(f"{len(logic.contexts)} contexts over {len(logic.atoms)} atoms")
         for c in logic.contexts:
             print("context " + " ".join(logic.atoms[a].name for a in c.atoms))
@@ -277,7 +289,7 @@ def cmd_verify(args, run):
     if not args.logic:
         raise ValueError("verify needs --logic (or --derive)")
     logic = _load_logic(args.logic, run)
-    report = realization.verify_realization(logic, real, tol=args.tol)
+    report = realization.verify_realization(logic, real, tol=tol)
     for ci, x, y, d in report.nonorthogonal:
         print(f"context {ci}: <{x}|{y}> = {d} is not orthogonal")
     for ci, size in report.size_warnings:
@@ -329,7 +341,8 @@ def build_parser():
     pv = sub.add_parser("verify", help="check or derive a vector realization")
     pv.add_argument("--logic", help="builtin:<name> or a logic file")
     pv.add_argument("--vectors", required=True, help="builtin:<name> or a vector file")
-    pv.add_argument("--tol", type=float, default=realization.DEFAULT_TOL)
+    # None stands for realization.DEFAULT_TOL, read when verify runs
+    pv.add_argument("--tol", type=float, default=None)
     pv.add_argument("--derive", action="store_true",
                     help="derive the logic from orthogonality instead of checking")
     pv.add_argument("--dim", type=int, help="space dimension for --derive")

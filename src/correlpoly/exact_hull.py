@@ -19,15 +19,15 @@ an integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
+from ._record import Record
 from ._text import at_line, exact_str, number
 
 
-@dataclass(frozen=True)
-class VRep:
+class VRep(Record):
     dimension: int
     points: tuple
 
@@ -39,8 +39,7 @@ class VRep:
                 raise ValueError("point length does not match dimension")
 
 
-@dataclass(frozen=True)
-class HRep:
+class HRep(Record):
     dimension: int
     inequalities: tuple  # tuples (b, a1, .., am): b + a.x >= 0
     linearities: tuple   # tuples (b, a1, .., am): b + a.x = 0
@@ -117,13 +116,14 @@ def _dd_cone(dim, constraints):
     import numpy as np
 
     lineality = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
+    lin_big = 1   # the largest |entry| of the lineality basis
     R = np.zeros((0, dim), dtype=np.int64)
     Z = np.zeros((0, 0), dtype=np.uint64)
     nproc = 1     # zero-set width: constraint 0 and the constraints processed
 
     for cvec in constraints:
         cvec = tuple(cvec)
-        R = R.astype(_ray_dtype(R, lineality, cvec, dim), copy=False)
+        R = R.astype(_ray_dtype(R, lin_big, cvec, dim), copy=False)
         c = np.array(cvec, dtype=R.dtype)
         word, bit = nproc // 64, np.uint64(1 << (nproc % 64))
         if word == Z.shape[1]:
@@ -134,6 +134,8 @@ def _dd_cone(dim, constraints):
             u = lineality.pop(pivot)
             du = _dot(cvec, u)
             lineality = [_combine(v, _dot(cvec, v), u, du) for v in lineality]
+            # only a pivot step changes the lineality
+            lin_big = max(map(abs, chain.from_iterable(lineality)), default=1)
             # r - (dr/du) u, scaled to integers with the orientation of r;
             # w is u turned to the feasible side of this constraint
             w = u if du > 0 else tuple(-x for x in u)
@@ -171,12 +173,13 @@ def _dd_cone(dim, constraints):
     return [tuple(r) for r in R.tolist()], lineality
 
 
-def _ray_dtype(R, lineality, cvec, dim):
+def _ray_dtype(R, lin_big, cvec, dim):
     """int64 while no product of this step can overflow it, else object
-    (Python ints).  With B = max(1, max|R|, max|lineality|), a dot product
-    is at most max|c| * dim * B, and each of the two terms of a combined
-    ray at most that times B: the bound below keeps both under 2**62."""
-    big = max((abs(x) for u in lineality for x in u), default=1)
+    (Python ints).  With B = max(lin_big, max|R|), where lin_big >= 1 bounds
+    the lineality's entries, a dot product is at most max|c| * dim * B, and
+    each of the two terms of a combined ray at most that times B: the bound
+    below keeps both under 2**62."""
+    big = lin_big
     if len(R):
         big = max(big, int(R.max()), -int(R.min()))
     ok = max(abs(x) for x in cvec) * dim * big * big < 1 << 62

@@ -10,24 +10,21 @@ extracts partition-logic representations.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
+from ._record import Record
 from ._text import bundled, read_directives
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     index: int
     name: str
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(Record):
     atoms: tuple  # atom indices, ordered
 
 
-@dataclass(frozen=True)
-class Logic:
+class Logic(Record):
     name: str
     atoms: tuple
     contexts: tuple
@@ -44,9 +41,10 @@ class Logic:
                 raise ValueError("duplicate context")
             for other in seen:
                 if len(key & other) > 1:
+                    # level 3: past Record.__init__, the code that built the logic
                     warnings.warn(
                         f"{self.name}: contexts intertwine in more than one atom",
-                        stacklevel=2)
+                        stacklevel=3)
             seen.add(key)
             covered |= key
         if covered != set(range(len(self.atoms))):
@@ -56,19 +54,16 @@ class Logic:
         return {a.name: a.index for a in self.atoms}[name]
 
 
-@dataclass(frozen=True)
-class TwoValuedState:
+class TwoValuedState(Record):
     values: tuple  # one bit per atom
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(Record):
     colors: tuple
     k: int
 
 
-@dataclass(frozen=True)
-class ParityCertificate:
+class ParityCertificate(Record):
     """Proof that no two-valued state exists: summing the one-1-per-context
     rule over all contexts gives an odd total, yet each atom is counted an
     even number of times."""
@@ -76,8 +71,7 @@ class ParityCertificate:
     context_count: int
 
 
-@dataclass(frozen=True)
-class PartitionLogic:
+class PartitionLogic(Record):
     atom_states: tuple  # per atom, sorted tuple of 1-based state indices
 
 

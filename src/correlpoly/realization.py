@@ -5,17 +5,16 @@ vector set as the maximal cliques of the orthogonality graph."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from ._text import bundled, number, read_directives
 from .logic_core import Atom, Context, Logic
 
 DEFAULT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class RealVector:
+class RealVector(Record):
     name: str
     coords: tuple   # Fraction entries (exact) or float entries
     exact: bool
@@ -25,15 +24,13 @@ class RealVector:
             raise ValueError(f"vector {self.name} is zero")
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(Record):
     dimension: int
     vectors: tuple  # one RealVector per atom, in atom order
     logic_name: str = ""
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(Record):
     nonorthogonal: tuple   # (context index, atom name, atom name, |<x|y>|)
     size_warnings: tuple   # (context index, size)
     collinear: tuple       # (atom name, atom name)

@@ -10,9 +10,9 @@ the GF(2) span of the context-atom incidence columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from ._text import bundled, read_directives
 from .exact_hull import HRep, VRep, parse_dd
 from .logic_core import Logic, enumerate_states, load_builtin, parity_certificate
@@ -22,8 +22,7 @@ KINDS = ("prob", "joint_prob", "expect", "joint_expect")
 _PLUS, _MINUS = Fraction(1), Fraction(-1)
 
 
-@dataclass(frozen=True)
-class TermSpec:
+class TermSpec(Record):
     label: str
     kind: str
     atoms: tuple  # atom indices
@@ -35,8 +34,7 @@ class TermSpec:
             raise ValueError(f"term {self.label}: joint atoms must be distinct")
 
 
-@dataclass(frozen=True)
-class TermTable:
+class TermTable(Record):
     logic: Logic
     terms: tuple
 

@@ -467,19 +467,66 @@ def test_verify_malformed_vectors_exit_1(capsys, tmp_path, text, lineno):
 
 # --- start cost ---------------------------------------------------------------
 
-def test_states_and_verify_do_not_import_numpy():
-    # numpy is loaded by the commands that need it, not at start
-    script = "\n".join([
-        "import sys",
-        "from correlpoly.cli import main",
-        "codes = [main(['states', 'builtin:cabello18']),",
-        "         main(['states', 'builtin:gamma3', '--check-separating']),",
-        "         main(['states', 'builtin:firefly', '--format', 'dd']),",
-        "         main(['verify', '--logic', 'builtin:cabello18', '--vectors', 'builtin:cabello18'])]",
-        "print(codes, 'numpy' in sys.modules)",
-    ])
+LAYERS = ("exact_hull", "logic_core", "quantum", "realization", "vertex_gen")
+
+# Runs in a fresh interpreter and prints one JSON line: the exit codes, and
+# after `import correlpoly.cli` and after each command, the layer modules
+# executed so far and which of `watch` it has imported.  A lazy module's type
+# is importlib's _LazyModule until it executes; reading the type does not
+# execute it.
+_START_PROBE = """
+import sys, types
+before = set(sys.modules)
+watch = ("dataclasses", "inspect", "json", "numpy")
+
+def seen():
+    executed = [n for n in LAYERS if type(sys.modules[f"correlpoly.{n}"]) is types.ModuleType]
+    return executed, [m for m in watch if m in sys.modules and m not in before]
+
+from correlpoly.cli import main
+report = {"import": seen(), "codes": []}
+for argv in COMMANDS:
+    report["codes"].append(main(argv))
+    report[" ".join(argv)] = seen()
+import json
+print(json.dumps(report))
+"""
+
+
+def _start_probe(commands):
+    script = f"LAYERS = {LAYERS!r}\nCOMMANDS = {commands!r}\n{_START_PROBE}"
     src = str(Path(correlpoly.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "[2, 0, 0, 0] False"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_states_and_verify_do_not_import_numpy():
+    # each command executes only the layers it uses, and numpy is loaded by
+    # the commands that need it, not at start
+    report = _start_probe([
+        ["states", "builtin:cabello18"],
+        ["states", "builtin:gamma3", "--check-separating"],
+        ["verify", "--logic", "builtin:cabello18", "--vectors", "builtin:cabello18"],
+        ["states", "builtin:firefly", "--format", "dd"],
+    ])
+    assert report["codes"] == [2, 0, 0, 0]
+    assert report["import"] == [[], []]
+    assert report["states builtin:cabello18"] == [["logic_core"], []]
+    assert report["states builtin:gamma3 --check-separating"] == [["logic_core"], []]
+    assert report["verify --logic builtin:cabello18 --vectors builtin:cabello18"] \
+        == [["logic_core", "realization"], []]
+    # the dd format writes through exact_hull, whose numpy work is in hull
+    # and vertices, not in emit_dd
+    executed, imported = report["states builtin:firefly --format dd"]
+    assert executed == ["exact_hull", "logic_core", "realization"]
+    assert "numpy" not in imported
+
+
+def test_quantum_does_not_execute_the_exact_layers():
+    report = _start_probe([["quantum", "--preset", "chsh"]])
+    assert report["codes"] == [0]
+    executed, imported = report["quantum --preset chsh"]
+    assert "exact_hull" not in executed and "vertex_gen" not in executed
+    assert "quantum" in executed and "numpy" in imported

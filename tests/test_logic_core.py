@@ -6,6 +6,7 @@ from itertools import product
 
 import pytest
 
+from correlpoly import logic_core
 from correlpoly.logic_core import (
     enumerate_colorings,
     enumerate_states,
@@ -181,6 +182,8 @@ def test_overlapping_contexts_warn():
         warnings.simplefilter("always")
         parse_logic("context x y z\ncontext x y w\n")
     assert any("intertwine" in str(w.message) for w in caught)
+    # the warning names the code that built the logic
+    assert {w.filename for w in caught} == {logic_core.__file__}
 
 
 def test_unknown_builtin():

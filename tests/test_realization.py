@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from correlpoly import realization
 from correlpoly.logic_core import load_builtin as load_logic
 from correlpoly.realization import (
     derive_logic,
@@ -103,7 +104,10 @@ def test_derive_cabello18_cliques():
     # maximal-clique logic has extra small contexts; the size-4 cliques are
     # exactly the 9 drawn contexts
     real = load_vectors("cabello18")
-    derived = derive_logic(real.vectors, 4, tol=0)
+    with pytest.warns(UserWarning, match="intertwine") as caught:
+        derived = derive_logic(real.vectors, 4, tol=0)
+    # the warning names derive_logic, which built the logic
+    assert {w.filename for w in caught} == {realization.__file__}
     logic = load_logic("cabello18")
     by_size = {}
     for c in derived.contexts:
