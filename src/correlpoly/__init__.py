@@ -26,6 +26,8 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 
 def __getattr__(name):
+    if name in _EXPORTS:     # a layer module, as an eager import would bind it
+        return importlib.import_module(f".{name}", __name__)
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)

@@ -2,9 +2,9 @@
 
 A subclass declares its fields as class annotations, in order, as a frozen
 dataclass does, and a field with a class-level value may be left out of the
-call.  Records are filled positionally, compare equal only to records of
-the same class with equal fields, hash as the tuple of their fields and
-reject assignment and deletion.  `__post_init__`, when a subclass defines
+call.  Records are filled positionally or by field name, compare equal
+only to records of the same class with equal fields, hash as the tuple of
+their fields and reject assignment and deletion.  `__post_init__`, when a subclass defines
 it, runs after the fields are set.  Importing `dataclasses` (and `inspect`
 with it) costs every start of the command line; this class does not.
 """
@@ -24,11 +24,13 @@ class Record:
         required = len(fields)
         while required and fields[required - 1] in vars(cls):
             required -= 1
-        cls._fields = fields
+        cls._fields = cls.__match_args__ = fields
         cls._defaults = tuple(vars(cls)[f] for f in fields[required:])
 
-    def __init__(self, *values):
+    def __init__(self, *values, **named):
         fields = self._fields
+        if named:
+            values = self._positional(values, named)
         missing = len(fields) - len(values)
         if missing < 0 or missing > len(self._defaults):
             raise TypeError(f"{type(self).__qualname__} takes {len(fields)} fields "
@@ -37,6 +39,26 @@ class Record:
             values += self._defaults[-missing:]
         self.__dict__.update(zip(fields, values))
         self.__post_init__()
+
+    def _positional(self, values, named):
+        """values, then the named fields in field order up to the last one
+        named, a field left out taking its default."""
+        fields, defaults = self._fields, self._defaults
+        later = fields[len(values):]
+        for name in named:
+            if name not in later:
+                raise TypeError(f"{type(self).__qualname__} got an unknown or repeated "
+                                f"field {name!r}")
+        first_default = len(fields) - len(defaults)
+        values = list(values)
+        for i in range(len(values), max(map(fields.index, named)) + 1):
+            if fields[i] in named:
+                values.append(named[fields[i]])
+            elif i >= first_default:
+                values.append(defaults[i - first_default])
+            else:
+                raise TypeError(f"{type(self).__qualname__} is missing field {fields[i]!r}")
+        return tuple(values)
 
     def __post_init__(self):
         pass

@@ -9,9 +9,11 @@ import re
 from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 
+# the package's data directory; read as plain files, because importing
+# importlib.resources costs every start (and imports inspect on 3.12+)
+_DATA = Path(__file__).with_name("data")
 _FOLDERS = {".logic": "logics", ".vec": "vectors", ".terms": "terms", ".op": "ops",
             ".ext": "golden", ".ine": "golden"}
 
@@ -141,7 +143,7 @@ def bundled(name, suffix):
     """Text of the bundled data file `name` + suffix (.logic, .vec, .terms,
     .op, .ext or .ine)."""
     try:
-        return (resources.files("correlpoly.data") / _FOLDERS[suffix] / (name + suffix)).read_text()
+        return (_DATA / _FOLDERS[suffix] / (name + suffix)).read_text()
     except FileNotFoundError:
         raise ValueError(f"no bundled {suffix} file named {name!r}") from None
 

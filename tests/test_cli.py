@@ -493,13 +493,30 @@ print(json.dumps(report))
 """
 
 
-def _start_probe(commands):
-    script = f"LAYERS = {LAYERS!r}\nCOMMANDS = {commands!r}\n{_START_PROBE}"
+def _fresh_python(script):
+    """The stdout lines of script run in a new interpreter on this source."""
     src = str(Path(correlpoly.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    return json.loads(out.stdout.splitlines()[-1])
+    return out.stdout.splitlines()
+
+
+def _start_probe(commands):
+    script = f"LAYERS = {LAYERS!r}\nCOMMANDS = {commands!r}\n{_START_PROBE}"
+    return json.loads(_fresh_python(script)[-1])
+
+
+def test_package_names_load_their_module_on_first_use():
+    # `import correlpoly` executes no layer; a public name or a layer module
+    # read from the package loads it, as the eager imports did
+    lines = _fresh_python(
+        "import sys, correlpoly\n"
+        "print(sorted(m for m in sys.modules if m.startswith('correlpoly.')))\n"
+        "print(correlpoly.logic_core.__name__, correlpoly.hull.__module__)\n"
+        "print(all(hasattr(correlpoly, n) for n in correlpoly.__all__))\n"
+        "print(hasattr(correlpoly, 'no_such_name'))\n")
+    assert lines == ["[]", "correlpoly.logic_core correlpoly.exact_hull", "True", "False"]
 
 
 def test_states_and_verify_do_not_import_numpy():

@@ -53,10 +53,12 @@ def test_every_record_class_is_covered():
 
 @pytest.mark.parametrize("cls, fields, values", RECORDS, ids=[c.__name__ for c, _, _ in RECORDS])
 def test_record_behaves_as_a_frozen_dataclass(cls, fields, values):
-    assert cls._fields == fields
+    assert cls._fields == cls.__match_args__ == fields
     ref = dataclasses.make_dataclass(cls.__name__, fields, frozen=True)(*values)
     r = cls(*values)
     assert tuple(getattr(r, f) for f in fields) == values
+    assert cls(**dict(zip(fields, values))) == r
+    assert cls(values[0], **dict(zip(fields[1:], values[1:]))) == r
     assert r == cls(*values) and not r != cls(*values)
     assert repr(r) == repr(ref)
     assert hash(r) == hash(ref) == hash(values)
@@ -87,8 +89,20 @@ def test_realization_logic_name_defaults_to_empty():
     r = Realization(2, (_VECTOR,))
     assert r.logic_name == ""
     assert r == Realization(2, (_VECTOR,), "")
+    assert Realization(vectors=(_VECTOR,), dimension=2) == r
     with pytest.raises(TypeError):
         Realization(2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: VRep(1, dimension=1),                    # given twice
+    lambda: VRep(dimension=1),                       # points missing
+    lambda: VRep(1, ((0,),), size=1),                # no such field
+    lambda: Realization(2, logic_name="x"),          # vectors missing
+], ids=["repeated", "missing", "unknown", "missing-before-default"])
+def test_record_rejects_wrong_field_names(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 @pytest.mark.parametrize("build, message", [
