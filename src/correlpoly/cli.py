@@ -244,7 +244,9 @@ def cmd_quantum(args, run):
 
     overrides = {}
     for kv in args.param or []:
-        name, _, val = kv.partition("=")
+        name, sep, val = kv.partition("=")
+        if not (name and sep and val):
+            raise ValueError(f"--param expects NAME=VALUE, got {kv!r}")
         overrides[name] = float(val)
     params = expr.defaults
     params.update(overrides)

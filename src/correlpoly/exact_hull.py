@@ -20,7 +20,6 @@ an integer.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 
 from ._record import Record
@@ -104,10 +103,11 @@ def _dd_cone(dim, constraints):
     -c.  Returns (rays, lineality): a basis of the final lineality space,
     and one coprime-integer representative of each extreme ray of the
     pointed cone left modulo that space.  The rays are the rows of one
-    integer matrix R, int64 while a bound proves that no product below can
-    overflow and Python ints (dtype object) otherwise.  Their zero sets,
-    over the constraints processed so far, are the rows of a uint64 matrix
-    Z: constraint j is bit j % 64 of word j // 64.  Constraint 0 is the
+    integer matrix R and the lineality basis those of another, L; both are
+    int64 while one bound proves that no product below can overflow, and
+    Python ints (dtype object) otherwise.  The rays' zero sets, over the
+    constraints processed so far, are the rows of a uint64 matrix Z:
+    constraint j is bit j % 64 of word j // 64.  Constraint 0 is the
     trivial 0 >= 0, at which every ray is tight; the given constraints
     count from 1.
     """
@@ -115,31 +115,30 @@ def _dd_cone(dim, constraints):
     # pure-Python modules and raises the peak RSS of every run
     import numpy as np
 
-    lineality = [tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    lin_big = 1   # the largest |entry| of the lineality basis
+    L = np.eye(dim, dtype=np.int64)
     R = np.zeros((0, dim), dtype=np.int64)
     Z = np.zeros((0, 0), dtype=np.uint64)
     nproc = 1     # zero-set width: constraint 0 and the constraints processed
 
     for cvec in constraints:
-        cvec = tuple(cvec)
-        R = R.astype(_ray_dtype(R, lin_big, cvec, dim), copy=False)
-        c = np.array(cvec, dtype=R.dtype)
+        dtype = _ray_dtype(R, L, cvec)
+        R, L = R.astype(dtype, copy=False), L.astype(dtype, copy=False)
+        c = np.array(cvec, dtype=dtype)
         word, bit = nproc // 64, np.uint64(1 << (nproc % 64))
         if word == Z.shape[1]:
             Z = np.concatenate((Z, np.zeros((len(Z), 1), dtype=Z.dtype)), axis=1)
         # pivot out the first lineality vector that c does not vanish on
-        pivot = next((i for i, u in enumerate(lineality) if _dot(cvec, u)), None)
-        if pivot is not None:
-            u = lineality.pop(pivot)
-            du = _dot(cvec, u)
-            lineality = [_combine(v, _dot(cvec, v), u, du) for v in lineality]
-            # only a pivot step changes the lineality
-            lin_big = max(map(abs, chain.from_iterable(lineality)), default=1)
+        dl = L @ c
+        pivot = np.flatnonzero(dl)
+        if len(pivot):
+            u, du = L[pivot[0]], dl[pivot[0]]
+            L, dl = np.delete(L, pivot[0], axis=0), np.delete(dl, pivot[0])
+            # v - (dv/du) u for every other v, scaled to coprime integers
+            L = _reduce_rows(du * L - dl[:, None] * u)
             # r - (dr/du) u, scaled to integers with the orientation of r;
             # w is u turned to the feasible side of this constraint
-            w = u if du > 0 else tuple(-x for x in u)
-            R = _reduce_rows(abs(du) * R - (R @ c)[:, None] * np.array(w, dtype=R.dtype))
+            w = u if du > 0 else -u
+            R = _reduce_rows(abs(du) * R - (R @ c)[:, None] * w)
             # the adjustment put every existing ray on this constraint's
             # hyperplane, so they all gain the new tight bit; the new ray
             # (the pivoted lineality direction) is tight for everything
@@ -147,7 +146,7 @@ def _dd_cone(dim, constraints):
             Z[:, word] |= bit
             full = (1 << nproc) - 1
             z = [(full >> (64 * k)) & 0xFFFF_FFFF_FFFF_FFFF for k in range(Z.shape[1])]
-            R = np.concatenate((R, np.array([w], dtype=R.dtype)))
+            R = np.concatenate((R, w[None]))
             Z = np.concatenate((Z, np.array([z], dtype=Z.dtype)))
             nproc += 1
             continue
@@ -158,7 +157,7 @@ def _dd_cone(dim, constraints):
         zer = np.flatnonzero(dots == 0)
 
         # dimension of the pointed quotient the rays live in
-        effdim = dim - len(lineality)
+        effdim = dim - len(L)
         newR, newZ = _combinations(R, Z, dots, pos, neg, effdim)
         Z[zer, word] |= bit
         newZ[:, word] |= bit
@@ -170,19 +169,20 @@ def _dd_cone(dim, constraints):
         R = np.concatenate((R, newR))
         Z = Z[keep]
         Z = np.concatenate((Z, newZ))
-    return [tuple(r) for r in R.tolist()], lineality
+    return [tuple(r) for r in R.tolist()], [tuple(u) for u in L.tolist()]
 
 
-def _ray_dtype(R, lin_big, cvec, dim):
-    """int64 while no product of this step can overflow it, else object
-    (Python ints).  With B = max(lin_big, max|R|), where lin_big >= 1 bounds
-    the lineality's entries, a dot product is at most max|c| * dim * B, and
-    each of the two terms of a combined ray at most that times B: the bound
-    below keeps both under 2**62."""
-    big = lin_big
-    if len(R):
-        big = max(big, int(R.max()), -int(R.min()))
-    ok = max(abs(x) for x in cvec) * dim * big * big < 1 << 62
+def _ray_dtype(R, L, cvec):
+    """One dtype for the ray matrix R and the lineality matrix L: int64
+    while no product of this step can overflow it, else object (Python
+    ints).  With B = max(1, max|R|, max|L|), a dot product of c with a row
+    is at most max|c| * dim * B, and each of the two terms of a combined
+    row at most that times B: the bound below keeps both under 2**62."""
+    big = 1
+    for M in (R, L):
+        if len(M):
+            big = max(big, int(M.max()), -int(M.min()))
+    ok = max(abs(x) for x in cvec) * R.shape[1] * big * big < 1 << 62
     return "int64" if ok else object
 
 
@@ -272,15 +272,6 @@ def _bit_indices(words):
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _combine(v, dv, u, du):
-    # v' = v - (dv/du) u, scaled to coprime integers (orientation irrelevant)
-    w = tuple(du * x - dv * y for x, y in zip(v, u))
-    g = 0
-    for x in w:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in w) if g > 1 else w
 
 
 # ---------------------------------------------------------------------------

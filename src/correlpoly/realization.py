@@ -27,7 +27,6 @@ class RealVector(Record):
 class Realization(Record):
     dimension: int
     vectors: tuple  # one RealVector per atom, in atom order
-    logic_name: str = ""
 
 
 class VerifyReport(Record):
@@ -72,8 +71,14 @@ def parse_vectors(text: str):
 
 
 def load_builtin(name: str) -> Realization:
-    real = parse_vectors(bundled(name, ".vec"))
-    return Realization(real.dimension, real.vectors, name)
+    return parse_vectors(bundled(name, ".vec"))
+
+
+def _check_tol(tol):
+    # tol=0 is the exact mode; a negative tol would fail every pair, nan
+    # every comparison, and inf would call every pair collinear
+    if not 0 <= tol < float("inf"):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 
 
 def _dot(x, y):
@@ -109,6 +114,7 @@ def verify_realization(logic: Logic, real: Realization, tol=DEFAULT_TOL) -> Veri
     """Check that every context maps to pairwise orthogonal vectors, warn on
     contexts whose size differs from the space dimension, and flag distinct
     atoms whose vectors span the same ray."""
+    _check_tol(tol)
     by_name = {v.name: v for v in real.vectors}
     missing = [a.name for a in logic.atoms if a.name not in by_name]
     if missing:
@@ -136,6 +142,7 @@ def verify_realization(logic: Logic, real: Realization, tol=DEFAULT_TOL) -> Veri
 def derive_logic(vectors, d: int, tol=DEFAULT_TOL) -> Logic:
     """Logic whose contexts are the maximal cliques (size >= 2) of the
     orthogonality graph on the given vectors."""
+    _check_tol(tol)
     if len(vectors) < d:
         raise ValueError(f"need at least {d} vectors")
     n = len(vectors)

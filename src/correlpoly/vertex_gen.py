@@ -127,15 +127,6 @@ def gen_noncontextual_vertices(logic: Logic) -> VRep:
     return VRep(m, tuple(points))
 
 
-SCENARIOS = (
-    "one-var", "two-var-prob", "two-var-expect", "three-var-prob",
-    "three-var-expect", "bwf-2x2", "chsh-2x2", "epr-2x3-full",
-    "epr-2x3-joints", "pentagon-prob", "pentagon-pair-expect-KCBS",
-    "pentagon-all-pair-expect", "bub-stairs", "pentagon-nonintertwining",
-    "bug-prob", "bug-edge-expect", "cabello-contextual",
-)
-
-
 # How each scenario's V-representation is regenerated from first principles:
 # (logic name, term preset) for state-vertex scenarios, (logic name, None)
 # for noncontextual sign-span scenarios.
@@ -158,6 +149,7 @@ SCENARIO_RECIPES = {
     "bug-edge-expect": ("specker-bug", "bug-edge-expect"),
     "cabello-contextual": ("cabello18", None),
 }
+SCENARIOS = tuple(SCENARIO_RECIPES)
 
 
 def load_preset_terms(name: str, logic: Logic) -> TermTable:

@@ -328,6 +328,13 @@ def test_quantum_state_projection(capsys):
     assert abs(doc["projection"] + 2 * math.sqrt(2)) <= 1e-9
 
 
+@pytest.mark.parametrize("param", ["a", "a=", "=1"])
+def test_quantum_param_needs_name_and_value(capsys, param):
+    assert main(["quantum", "--preset", "chsh", "--param", param]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --param expects NAME=VALUE, got {param!r}"]
+
+
 def test_quantum_expr_file(capsys, tmp_path):
     f = tmp_path / "op.expr"
     f.write_text("sites 1\nterm 2 A@1\nbind A spin 1/2 0 0\n")
@@ -446,6 +453,19 @@ def test_verify_derive_dim_mismatch(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("derive", [False, True], ids=["check", "derive"])
+def test_verify_rejects_nonsense_tol(capsys, tol, derive):
+    # a negative tol failed every pair, nan every comparison, and inf called
+    # every pair collinear: each is an input error, not a verdict
+    mode = ["--derive", "--dim", "3"] if derive else ["--logic", "builtin:pentagon"]
+    assert main(["verify", *mode, "--vectors", "builtin:pentagon", "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: tol must be a finite number >= 0, got {float(tol)}"]
+
+
 @pytest.mark.parametrize("text, lineno", [
     ("dim\nvector a 1 0 0\n", 1),
     ("dim x\n", 1),
@@ -473,11 +493,13 @@ LAYERS = ("exact_hull", "logic_core", "quantum", "realization", "vertex_gen")
 # after `import correlpoly.cli` and after each command, the layer modules
 # executed so far and which of `watch` it has imported.  A lazy module's type
 # is importlib's _LazyModule until it executes; reading the type does not
-# execute it.
+# execute it.  The numpy-free probes run with -S: a site .pth file may import
+# importlib.resources, typing or more before the probe looks, which would
+# hide the package importing them.
 _START_PROBE = """
 import sys, types
 before = set(sys.modules)
-watch = ("dataclasses", "inspect", "json", "numpy")
+watch = ("dataclasses", "importlib.resources", "inspect", "json", "numpy", "typing")
 
 def seen():
     executed = [n for n in LAYERS if type(sys.modules[f"correlpoly.{n}"]) is types.ModuleType]
@@ -493,18 +515,19 @@ print(json.dumps(report))
 """
 
 
-def _fresh_python(script):
-    """The stdout lines of script run in a new interpreter on this source."""
+def _fresh_python(script, *flags):
+    """The stdout lines of script run in a new interpreter, started with
+    flags, on this source."""
     src = str(Path(correlpoly.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", script], env=env,
+    out = subprocess.run([sys.executable, *flags, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     return out.stdout.splitlines()
 
 
-def _start_probe(commands):
+def _start_probe(commands, *flags):
     script = f"LAYERS = {LAYERS!r}\nCOMMANDS = {commands!r}\n{_START_PROBE}"
-    return json.loads(_fresh_python(script)[-1])
+    return json.loads(_fresh_python(script, *flags)[-1])
 
 
 def test_package_names_load_their_module_on_first_use():
@@ -515,7 +538,7 @@ def test_package_names_load_their_module_on_first_use():
         "print(sorted(m for m in sys.modules if m.startswith('correlpoly.')))\n"
         "print(correlpoly.logic_core.__name__, correlpoly.hull.__module__)\n"
         "print(all(hasattr(correlpoly, n) for n in correlpoly.__all__))\n"
-        "print(hasattr(correlpoly, 'no_such_name'))\n")
+        "print(hasattr(correlpoly, 'no_such_name'))\n", "-S")
     assert lines == ["[]", "correlpoly.logic_core correlpoly.exact_hull", "True", "False"]
 
 
@@ -527,7 +550,7 @@ def test_states_and_verify_do_not_import_numpy():
         ["states", "builtin:gamma3", "--check-separating"],
         ["verify", "--logic", "builtin:cabello18", "--vectors", "builtin:cabello18"],
         ["states", "builtin:firefly", "--format", "dd"],
-    ])
+    ], "-S")
     assert report["codes"] == [2, 0, 0, 0]
     assert report["import"] == [[], []]
     assert report["states builtin:cabello18"] == [["logic_core"], []]
@@ -536,12 +559,12 @@ def test_states_and_verify_do_not_import_numpy():
         == [["logic_core", "realization"], []]
     # the dd format writes through exact_hull, whose numpy work is in hull
     # and vertices, not in emit_dd
-    executed, imported = report["states builtin:firefly --format dd"]
-    assert executed == ["exact_hull", "logic_core", "realization"]
-    assert "numpy" not in imported
+    assert report["states builtin:firefly --format dd"] \
+        == [["exact_hull", "logic_core", "realization"], []]
 
 
 def test_quantum_does_not_execute_the_exact_layers():
+    # with site: numpy is installed in site-packages
     report = _start_probe([["quantum", "--preset", "chsh"]])
     assert report["codes"] == [0]
     executed, imported = report["quantum --preset chsh"]

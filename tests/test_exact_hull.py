@@ -234,8 +234,10 @@ def _checked_dd(run):
     """run() with every insertion step of the double description checked
     against the rank oracle: the new rays must be exactly the combinations
     of the oracle's adjacent (positive, negative) pairs, in the order of
-    `for ip in pos: for im in neg`.  Returns run()'s result and the number
-    of candidate pairs whose common tight set was empty."""
+    `for ip in pos: for im in neg`, and the final lineality a coprime
+    integer basis of the constraints' orthogonal complement.  Returns
+    run()'s result and the number of candidate pairs whose common tight set
+    was empty."""
     fed = []  # constraints handed to the double description so far
     empty = 0
     real_dd, real_combinations = exact_hull._dd_cone, exact_hull._combinations
@@ -245,7 +247,14 @@ def _checked_dd(run):
             for c in constraints:
                 fed.append(c)
                 yield c
-        return real_dd(dim, feed())
+        rays, lineality = real_dd(dim, feed())
+        # the lineality: a basis of coprime Python-int rows orthogonal to
+        # every constraint, as many as the constraints leave free
+        assert _rank(lineality) == len(lineality) == dim - _rank(fed)
+        for u in lineality:
+            assert all(type(x) is int for x in u) and gcd(*u) == 1
+            assert all(_dot(c, u) == 0 for c in fed)
+        return rays, lineality
 
     def combinations(R, Z, dots, pos, neg, effdim):
         nonlocal empty

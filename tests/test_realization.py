@@ -47,6 +47,15 @@ def test_exact_mode_rejects_float_coordinates():
                            tol=0)
 
 
+@pytest.mark.parametrize("tol", [-1e-10, float("nan"), float("inf"), float("-inf")])
+def test_tol_must_be_finite_and_nonnegative(tol):
+    real = load_vectors("pentagon")
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        verify_realization(load_logic("pentagon"), real, tol=tol)
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+        derive_logic(real.vectors, real.dimension, tol=tol)
+
+
 def test_perturbed_realization_fails():
     real = load_vectors("pentagon")
     text = ["dim 3"]

@@ -39,7 +39,7 @@ RECORDS = [
     (ParityCertificate, ("atom_context_counts", "context_count"), ((2, 2), 3)),
     (PartitionLogic, ("atom_states",), (((1,), (2,)),)),
     (RealVector, ("name", "coords", "exact"), ("a", (Fraction(1), Fraction(0)), True)),
-    (Realization, ("dimension", "vectors", "logic_name"), (2, (_VECTOR,), "x")),
+    (Realization, ("dimension", "vectors"), (2, (_VECTOR,))),
     (VerifyReport, ("nonorthogonal", "size_warnings", "collinear"), ((), ((0, 2),), ())),
     (TermSpec, ("label", "kind", "atoms"), ("t", "prob", (0,))),
     (TermTable, ("logic", "terms"), (_LOGIC, (_TERM,))),
@@ -75,9 +75,8 @@ def test_record_behaves_as_a_frozen_dataclass(cls, fields, values):
     assert tuple(getattr(r, f) for f in fields) == values
     with pytest.raises(TypeError):
         cls(*values, values[-1])
-    if cls is not Realization:
-        with pytest.raises(TypeError):
-            cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
 
 
 def test_record_repr_text():
@@ -85,21 +84,11 @@ def test_record_repr_text():
     assert repr(Atom(0, "a")) == "Atom(index=0, name='a')"
 
 
-def test_realization_logic_name_defaults_to_empty():
-    r = Realization(2, (_VECTOR,))
-    assert r.logic_name == ""
-    assert r == Realization(2, (_VECTOR,), "")
-    assert Realization(vectors=(_VECTOR,), dimension=2) == r
-    with pytest.raises(TypeError):
-        Realization(2)
-
-
 @pytest.mark.parametrize("build", [
     lambda: VRep(1, dimension=1),                    # given twice
     lambda: VRep(dimension=1),                       # points missing
     lambda: VRep(1, ((0,),), size=1),                # no such field
-    lambda: Realization(2, logic_name="x"),          # vectors missing
-], ids=["repeated", "missing", "unknown", "missing-before-default"])
+], ids=["repeated", "missing", "unknown"])
 def test_record_rejects_wrong_field_names(build):
     with pytest.raises(TypeError):
         build()

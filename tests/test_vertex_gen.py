@@ -15,7 +15,6 @@ from correlpoly.logic_core import (
     parse_logic,
 )
 from correlpoly.vertex_gen import (
-    SCENARIO_RECIPES,
     SCENARIOS,
     builtin_scenario,
     gen_noncontextual_vertices,
@@ -165,7 +164,6 @@ def test_context_product_not_state_evaluable():
 def test_unknown_scenario():
     with pytest.raises(ValueError):
         builtin_scenario("nope")
-    assert set(SCENARIO_RECIPES) == set(SCENARIOS)
 
 
 # --- randomized consistency ---------------------------------------------------------
