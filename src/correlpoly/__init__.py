@@ -18,9 +18,8 @@ _EXPORTS = {
                    "parse_logic", "partition_logic"),
     "realization": ("RealVector", "Realization", "VerifyReport", "derive_logic",
                     "parse_vectors", "verify_realization"),
-    "vertex_gen": ("SCENARIOS", "TermSpec", "TermTable", "builtin_scenario",
-                   "gen_noncontextual_vertices", "gen_state_vertices", "parse_terms",
-                   "scenario_vertices"),
+    "vertex_gen": ("TermSpec", "TermTable", "gen_noncontextual_vertices",
+                   "gen_state_vertices", "parse_terms"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

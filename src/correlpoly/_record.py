@@ -1,4 +1,4 @@
-"""The immutable value records of the exact layers.
+"""The immutable value records of the package.
 
 A subclass declares its fields as class annotations, in order, as a frozen
 dataclass does.  Records are filled positionally, by field name or both,
@@ -6,14 +6,26 @@ every field given once; they compare equal only to records of the same
 class with equal fields, hash as the tuple of their fields and reject
 assignment and deletion.  `__post_init__`, when a subclass defines it, runs
 after the fields are set.  Importing `dataclasses` (and `inspect` with it)
-costs every start of the command line; this class does not.
+costs every start of the command line; this class does not.  The functions
+of `dataclasses` (`fields`, `asdict`, `replace`, ...) accept records too: the
+`__dataclass_fields__` they read is built when it is read, from the module
+that their caller has imported already.
 """
 
 from __future__ import annotations
 
 
+class _DataclassFields:
+    def __get__(self, obj, cls):
+        import dataclasses
+
+        return dataclasses.make_dataclass(cls.__name__, cls.__annotations__.items(),
+                                          frozen=True).__dataclass_fields__
+
+
 class Record:
     _fields = ()
+    __dataclass_fields__ = _DataclassFields()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)

@@ -12,7 +12,6 @@ import hashlib
 import importlib.util
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import _text
@@ -88,10 +87,6 @@ def _load_logic(spec, run):
     return _load(spec, "builtin:", logic_core.load_builtin, logic_core.parse_logic, run)
 
 
-def _num(x):
-    return _text.exact_str(x) if isinstance(x, (int, Fraction)) else repr(x)
-
-
 # --- states -----------------------------------------------------------------
 
 def cmd_states(args, run):
@@ -157,9 +152,9 @@ def _compare_h(ours, golden):
     msgs = []
     for label, a, b in (("linearity", lin_a, lin_b), ("inequality", ineq_a, ineq_b)):
         for row in sorted(a - b):
-            msgs.append(f"only in computed {label}: {' '.join(_num(x) for x in row)}")
+            msgs.append(f"only in computed {label}: {' '.join(map(_text.exact_str, row))}")
         for row in sorted(b - a):
-            msgs.append(f"only in golden {label}: {' '.join(_num(x) for x in row)}")
+            msgs.append(f"only in golden {label}: {' '.join(map(_text.exact_str, row))}")
     return msgs
 
 
@@ -216,8 +211,10 @@ def cmd_hull(args, run):
             if not isinstance(golden, exact_hull.VRep):
                 raise ValueError("golden file is not a V-representation")
             a, b = set(out.points), set(golden.points)
-            msgs = ([f"only in computed: {' '.join(_num(x) for x in p)}" for p in sorted(a - b)]
-                    + [f"only in golden: {' '.join(_num(x) for x in p)}" for p in sorted(b - a)])
+            msgs = ([f"only in computed: {' '.join(map(_text.exact_str, p))}"
+                     for p in sorted(a - b)]
+                    + [f"only in golden: {' '.join(map(_text.exact_str, p))}"
+                       for p in sorted(b - a)])
         if msgs:
             print("golden mismatch:")
             for m in msgs:

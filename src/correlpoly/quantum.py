@@ -21,11 +21,11 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 # the package's modules before numpy: in the other order the peak RSS of a
 # quantum run is higher
+from ._record import Record
 from ._text import bundled, number, read_directives, read_source
 from .realization import load_builtin as load_builtin_vectors
 from .realization import parse_vectors
@@ -38,8 +38,7 @@ SECTION_POINTS = 15   # interior points per interval and multisection round
 SECTION_ROUNDS = 14   # (SECTION_POINTS + 1)^-14 = 2^-56
 
 
-@dataclass(frozen=True)
-class Direction:
+class Direction(Record):
     theta: float
     phi: float
 
@@ -310,8 +309,7 @@ def project_and_bound(op, state):
 
 # --- operator expressions -------------------------------------------------
 
-@dataclass(frozen=True)
-class OperatorExpr:
+class OperatorExpr(Record):
     """A signed combination of tensor-product terms over labeled one-site
     observables, with optional named angle parameters."""
     sites: int
@@ -513,8 +511,7 @@ def norm_bound(expr: OperatorExpr):
                for coeff, factors in expr.terms)
 
 
-@dataclass(frozen=True)
-class Optimum:
+class Optimum(Record):
     """maximize_bound's result; unpacks as (lambda_max, params)."""
     lambda_max: float
     params: dict

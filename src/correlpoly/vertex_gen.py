@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from ._record import Record
 from ._text import bundled, read_directives
-from .exact_hull import HRep, VRep, parse_dd
-from .logic_core import Logic, enumerate_states, load_builtin, parity_certificate
+from .exact_hull import VRep
+from .logic_core import Logic, enumerate_states, parity_certificate
 
 KINDS = ("prob", "joint_prob", "expect", "joint_expect")
 
@@ -30,6 +30,9 @@ class TermSpec(Record):
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown term kind {self.kind!r}")
+        if self.kind in ("prob", "expect") and len(self.atoms) != 1:
+            raise ValueError(f"term {self.label}: {self.kind} takes one atom, "
+                             f"got {len(self.atoms)}")
         if self.kind in ("joint_prob", "joint_expect") and len(set(self.atoms)) != len(self.atoms):
             raise ValueError(f"term {self.label}: joint atoms must be distinct")
 
@@ -127,51 +130,5 @@ def gen_noncontextual_vertices(logic: Logic) -> VRep:
     return VRep(m, tuple(points))
 
 
-# How each scenario's V-representation is regenerated from first principles:
-# (logic name, term preset) for state-vertex scenarios, (logic name, None)
-# for noncontextual sign-span scenarios.
-SCENARIO_RECIPES = {
-    "one-var": ("one-obs", "one-var"),
-    "two-var-prob": ("two-obs", "two-var-prob"),
-    "two-var-expect": ("two-obs", "two-var-expect"),
-    "three-var-prob": ("three-obs", "three-var-prob"),
-    "three-var-expect": ("three-obs", "three-var-expect"),
-    "bwf-2x2": ("epr-2x2", "bwf-prob"),
-    "chsh-2x2": ("epr-2x2", "chsh-expect"),
-    "epr-2x3-full": ("epr-2x3", "epr-2x3-full"),
-    "epr-2x3-joints": ("epr-2x3", "epr-2x3-joints"),
-    "pentagon-prob": ("pentagon", "pentagon-prob"),
-    "pentagon-pair-expect-KCBS": ("pentagon", "pentagon-pair-expect"),
-    "pentagon-all-pair-expect": ("pentagon", "pentagon-all-pair-expect"),
-    "bub-stairs": ("pentagon", "bub-stairs"),
-    "pentagon-nonintertwining": ("pentagon", "pentagon-nonintertwining"),
-    "bug-prob": ("specker-bug", "bug-prob"),
-    "bug-edge-expect": ("specker-bug", "bug-edge-expect"),
-    "cabello-contextual": ("cabello18", None),
-}
-SCENARIOS = tuple(SCENARIO_RECIPES)
-
-
 def load_preset_terms(name: str, logic: Logic) -> TermTable:
     return parse_terms(bundled(name, ".terms"), logic)
-
-
-def scenario_vertices(name: str) -> VRep:
-    """Recompute a scenario's V-representation from its logic and term table
-    (independently of the bundled golden files)."""
-    logic_name, preset = SCENARIO_RECIPES[name]
-    logic = load_builtin(logic_name)
-    if preset is None:
-        return gen_noncontextual_vertices(logic)
-    return gen_state_vertices(logic, load_preset_terms(preset, logic))
-
-
-def builtin_scenario(name: str):
-    """The bundled (V-representation, golden H-representation) pair for a
-    named scenario."""
-    if name not in SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}")
-    v = parse_dd(bundled(name, ".ext"))
-    h = parse_dd(bundled(name, ".ine"))
-    assert isinstance(v, VRep) and isinstance(h, HRep)
-    return v, h

@@ -21,13 +21,10 @@ from correlpoly.logic_core import (
     load_builtin,
     parity_certificate,
 )
-from correlpoly.vertex_gen import (
-    builtin_scenario,
-    gen_noncontextual_vertices,
-    scenario_vertices,
-)
+from correlpoly.vertex_gen import gen_noncontextual_vertices
 
 from oracles import brute_force_facets, brute_force_states, frozen_spectrum
+from scenarios import builtin_scenario, scenario_vertices
 
 
 def canon_key(h):

@@ -271,6 +271,14 @@ def test_hull_unknown_term_atom_exit_1(capsys, tmp_path):
     assert "line 2: unknown atom 'zz'" in capsys.readouterr().err
 
 
+def test_hull_prob_term_with_two_atoms_exit_1(capsys, tmp_path):
+    bad = tmp_path / "bad.terms"
+    bad.write_text("term p1 prob a1 a2\n")
+    assert main(["hull", "--logic", "builtin:epr-2x2", "--terms", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "line 1: term p1: prob takes one atom, got 2" in err
+
+
 # --- quantum ----------------------------------------------------------------
 
 def test_quantum_chsh(capsys):
@@ -570,3 +578,4 @@ def test_quantum_does_not_execute_the_exact_layers():
     executed, imported = report["quantum --preset chsh"]
     assert "exact_hull" not in executed and "vertex_gen" not in executed
     assert "quantum" in executed and "numpy" in imported
+    assert "dataclasses" not in imported

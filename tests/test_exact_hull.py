@@ -20,9 +20,9 @@ from correlpoly.exact_hull import (
     parse_dd,
     vertices,
 )
-from correlpoly.vertex_gen import builtin_scenario
 
 from oracles import _rank, brute_force_facets
+from scenarios import builtin_scenario
 
 
 def canon_key(h):

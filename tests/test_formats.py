@@ -15,7 +15,9 @@ from correlpoly.exact_hull import parse_dd
 from correlpoly.logic_core import load_builtin, parse_logic
 from correlpoly.quantum import parse_operator_expr
 from correlpoly.realization import parse_vectors
-from correlpoly.vertex_gen import SCENARIO_RECIPES, parse_terms
+from correlpoly.vertex_gen import parse_terms
+
+from scenarios import SCENARIO_RECIPES
 
 DATA = resources.files("correlpoly.data")
 TERMS_LOGIC = {preset: logic for logic, preset in SCENARIO_RECIPES.values() if preset}

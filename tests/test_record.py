@@ -1,4 +1,4 @@
-"""The value records of the exact layers: the behaviour of the frozen
+"""The value records of the package: the behaviour of the frozen
 dataclasses they replace, compared with a frozen dataclass of the same
 fields, and the checks each record runs on construction."""
 
@@ -18,6 +18,7 @@ from correlpoly.logic_core import (
     PartitionLogic,
     TwoValuedState,
 )
+from correlpoly.quantum import Direction, OperatorExpr, Optimum
 from correlpoly.realization import Realization, RealVector, VerifyReport
 from correlpoly.vertex_gen import TermSpec, TermTable
 
@@ -25,6 +26,7 @@ _LOGIC_FIELDS = ("l", (Atom(0, "a"), Atom(1, "b")), (Context((0, 1)),))
 _LOGIC = Logic(*_LOGIC_FIELDS)
 _VECTOR = RealVector("a", (Fraction(1), Fraction(0)), True)
 _TERM = TermSpec("t", "prob", (0,))
+_EXPR_FIELDS = (1, ((1.0, ("z",)),), (("z", ("spin", Fraction(1, 2), "$t", 0.0)),), (("t", 0.5),))
 
 # every record class, its fields pinned (a Python that made class annotations
 # lazy without filling __annotations__ would give empty records), and values
@@ -43,6 +45,11 @@ RECORDS = [
     (VerifyReport, ("nonorthogonal", "size_warnings", "collinear"), ((), ((0, 2),), ())),
     (TermSpec, ("label", "kind", "atoms"), ("t", "prob", (0,))),
     (TermTable, ("logic", "terms"), (_LOGIC, (_TERM,))),
+    (Direction, ("theta", "phi"), (0.5, -1.0)),
+    (OperatorExpr, ("sites", "terms", "binds", "params"), _EXPR_FIELDS),
+    # params is a dict in maximize_bound's results; a tuple here, to hash
+    (Optimum, ("lambda_max", "params", "evaluations", "upper_bound", "certified"),
+     (2.0, (("t", 0.5),), 9, 4.0, False)),
 ]
 
 
@@ -77,6 +84,11 @@ def test_record_behaves_as_a_frozen_dataclass(cls, fields, values):
         cls(*values, values[-1])
     with pytest.raises(TypeError):
         cls(*values[:-1])
+    # the functions of dataclasses accept records
+    assert dataclasses.is_dataclass(r)
+    assert tuple(f.name for f in dataclasses.fields(r)) == fields
+    assert dataclasses.asdict(r) == dataclasses.asdict(ref)
+    assert dataclasses.replace(r, **{fields[-1]: values[-1]}) == r
 
 
 def test_record_repr_text():
@@ -99,8 +111,12 @@ def test_record_rejects_wrong_field_names(build):
     (lambda: VRep(2, ((0,),)), "does not match dimension"),
     (lambda: Logic("l", (Atom(0, "a"), Atom(1, "a")), (Context((0, 1)),)), "duplicate atom names"),
     (lambda: TermSpec("t", "odds", (0,)), "unknown term kind"),
+    (lambda: TermSpec("t", "expect", (0, 1)), "expect takes one atom"),
     (lambda: RealVector("z", (Fraction(0), Fraction(0)), True), "vector z is zero"),
     (lambda: TermTable(_LOGIC, (_TERM, TermSpec("t", "expect", (1,)))), "duplicate term labels"),
+    (lambda: Direction(0.0, float("nan")), "angles must be finite"),
+    (lambda: OperatorExpr(2, *_EXPR_FIELDS[1:]), "one factor per site"),
+    (lambda: OperatorExpr(1, ((1.0, ("y",)),), *_EXPR_FIELDS[2:]), "unbound labels"),
 ])
 def test_post_init_checks_still_raise(build, message):
     with pytest.raises(ValueError, match=message):

@@ -15,16 +15,14 @@ from correlpoly.logic_core import (
     parse_logic,
 )
 from correlpoly.vertex_gen import (
-    SCENARIOS,
-    builtin_scenario,
     gen_noncontextual_vertices,
     gen_state_vertices,
     load_preset_terms,
     parse_terms,
-    scenario_vertices,
 )
 
 from oracles import brute_force_sign_points
+from scenarios import GOLDEN, SCENARIO_RECIPES, SCENARIOS, builtin_scenario, scenario_vertices
 
 LOGICS = sorted(f.name.removesuffix(".logic")
                 for f in (resources.files("correlpoly.data") / "logics").iterdir()
@@ -37,6 +35,12 @@ def test_scenario_vertices_match_golden(name):
     golden, _ = builtin_scenario(name)
     assert ours.dimension == golden.dimension
     assert set(ours.points) == {tuple(map(Fraction, p)) for p in golden.points}
+
+
+def test_every_golden_pair_has_a_recipe():
+    ines = sorted(f.name.removesuffix(".ine") for f in GOLDEN.iterdir() if f.name.endswith(".ine"))
+    assert list(SCENARIOS) == ines and len(SCENARIOS) == 19
+    assert set(SCENARIO_RECIPES) == set(SCENARIOS)
 
 
 def test_epr_2x2_state_rows():
@@ -149,6 +153,11 @@ def test_parse_terms_errors():
         parse_terms("term x bogus a1\n", logic)
     with pytest.raises(ValueError, match="line 2: unknown atom 'zz'"):
         parse_terms("term x prob a1\nterm y prob zz\n", logic)
+    # one atom's probability or expectation: a second atom is not dropped
+    with pytest.raises(ValueError, match="line 2: term y: prob takes one atom, got 2"):
+        parse_terms("term x prob a1\nterm y prob a1 a2\n", logic)
+    with pytest.raises(ValueError, match="line 1: term E: expect takes one atom, got 2"):
+        parse_terms("term E expect a2 a1\n", logic)
     with pytest.raises(ValueError):
         gen_state_vertices(logic, parse_terms("", logic))  # empty table
 
