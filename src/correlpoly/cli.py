@@ -62,7 +62,7 @@ class _Run:
     def __init__(self, argv):
         self.echo = "correlpoly " + " ".join(argv)
         self.inputs = []
-        self.t0 = time.time()
+        self.t0 = time.perf_counter()
 
     def add_input(self, name, text):
         self.inputs.append((name, _digest(text)))
@@ -73,7 +73,7 @@ class _Run:
         return out
 
     def finish(self):
-        print(f"[{self.echo}] done in {time.time() - self.t0:.2f}s", file=sys.stderr)
+        print(f"[{self.echo}] done in {time.perf_counter() - self.t0:.2f}s", file=sys.stderr)
 
 
 def _load(spec, prefix, load, parse, run):

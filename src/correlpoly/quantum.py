@@ -3,14 +3,17 @@
 Builds spin-j component matrices by the ladder construction, projectors and
 tensor-product operators for Bell-type expressions, and computes Hermitian
 spectra of one matrix or a stack of them by Householder reduction to real
-tridiagonal form and Sturm-count multisection (Barth, Martin & Wilkinson,
-Numer. Math. 9, 1967).  The spectrum of a spin component is known exactly,
-so its projectors are polynomials in it (Lagrange-Sylvester) and need no
-eigenvectors.  The extreme eigenvalues of the operator substituted for an
-inequality's left-hand side are the quantum bounds.  A multi-start grid scan
-and a complete-poll compass search maximize the largest one over free
-measurement angles, building and solving each scan axis (for all starts) and
-each poll as one stack, and stop once the norm bound certifies the maximum.
+tridiagonal form, each step one matrix-vector and one rank-two product, and
+Sturm-count multisection (Barth, Martin & Wilkinson, Numer. Math. 9, 1967)
+whose counts run from both ends of the tridiagonal matrix at once, as a
+twisted factorization (Parlett & Dhillon, Linear Algebra Appl. 309, 2000).
+The spectrum of a spin component is known exactly, so its projectors are
+polynomials in it (Lagrange-Sylvester) and need no eigenvectors.  The
+extreme eigenvalues of the operator substituted for an inequality's
+left-hand side are the quantum bounds.  A multi-start grid scan and a
+complete-poll compass search maximize the largest one over free measurement
+angles, building and solving each scan axis (for all starts) and each poll
+as one stack, and stop once the norm bound certifies the maximum.
 
 All arithmetic here is double precision; exact rational work lives in
 exact_hull.
@@ -106,11 +109,13 @@ def _tridiagonalize(a):
     symmetric tridiagonal matrices with the same eigenvalues.
 
     Step j reflects rows and columns j+1.. by I - 2uu^H, which maps column j
-    below the diagonal to a multiple of e_1 of modulus ||a[j+1:, j]||.  The
-    complex phases left on the off-diagonal are a diagonal similarity, so only
-    the moduli are kept.  A column whose squared norm is below the smallest
-    normal float is not reflected: on a matrix scaled to entries below 1 it
-    is under the rounding of the rest."""
+    below the diagonal to a multiple of e_1 of modulus ||a[j+1:, j]||.  On
+    the trailing block b that is two products: p = bu, then the rank-two
+    update b - [u w][w u]^H with w = 2(p - (u^H p)u).  The complex phases
+    left on the off-diagonal are a diagonal similarity, so only the moduli
+    are kept.  A column whose squared norm is below the smallest normal
+    float is not reflected: on a matrix scaled to entries below 1 it is
+    under the rounding of the rest."""
     k, n, _ = a.shape
     e = np.empty((k, max(n - 1, 0)))
     for j in range(n - 2):
@@ -126,12 +131,14 @@ def _tridiagonalize(a):
         # ||u||^2 = 2 (||x||^2 + |x0| ||x||)
         u *= (keep / np.sqrt(np.maximum(2 * (xx + r * norm), TINY)))[:, None]
         b = a[:, j + 1:, j + 1:]
-        p = np.sum(b * u[:, None, :], axis=-1)                     # b u
+        p = (b @ u[:, :, None])[:, :, 0]                           # b u
         uhbu = np.sum((u.conj() * p).real, axis=-1, keepdims=True)
         w = 2 * (p - uhbu * u)
-        # b <- (I - 2uu^H) b (I - 2uu^H) = b - u w^H - w u^H
-        b -= u[:, :, None] * w.conj()[:, None, :]
-        b -= w[:, :, None] * u.conj()[:, None, :]
+        # b <- (I - 2uu^H) b (I - 2uu^H) = b - [u w] [w u]^H; concatenate
+        # costs less than stack on the small stacks of the optimizer
+        uw = np.concatenate((u[:, :, None], w[:, :, None]), 2)
+        wu_h = np.concatenate((w.conj()[:, None], u.conj()[:, None]), 1)
+        b -= uw @ wu_h
     if n > 1:
         e[:, -1] = np.abs(a[:, -1, -2])
     return np.diagonal(a, axis1=1, axis2=2).real.copy(), e
@@ -148,31 +155,59 @@ def _multisection(d, e):
     the part between the last point whose count is at most i and the next
     one (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).  The rounds are
     fixed: 16^-14 = 2^-56 of the Gershgorin span is below one ulp of it.
+
+    The pivots come from both ends at once.  With m = n // 2, step i
+    eliminates row i top-down and row n-1-i bottom-up, both halves as one
+    array; for an odd n the bottom half then takes row m as well.  Row m's
+    pivot is last: D-[m] - e[m-1]^2/D+[m-1], that is d[m] - x -
+    e[m-1]^2/D+[m-1] - e[m]^2/D-[m+1].  These are the pivots of a twisted
+    factorization of T - xI (Parlett & Dhillon, Linear Algebra Appl. 309,
+    2000), an LDL^T in another elimination order, which makes no fill; by
+    Sylvester's law of inertia its negative pivots count the eigenvalues
+    below x as the top-down ones do, in half the sequential steps.
     The squares of e are raised to at least the smallest normal float, so
-    that an exact zero pivot gives an infinite one next, never 0/0."""
+    that an exact zero pivot gives an infinite one next, never 0/0; d's
+    -0.0 becomes +0.0, so that a zero pivot is never -0.0, which would
+    count as nonnegative but divide like a negative one."""
     k, n = d.shape
     radius = np.zeros((k, n))
     radius[:, 1:] += e
     radius[:, :-1] += e
     lo = np.repeat(np.min(d - radius, axis=1, initial=np.inf)[:, None], n, axis=1)
     hi = np.repeat(np.max(d + radius, axis=1, initial=-np.inf)[:, None], n, axis=1)
-    diag = d.T[:, :, None, None].copy()                   # (n, k, 1, 1)
-    off2 = np.zeros((n, k, 1, 1))                         # e[i-1]^2; none before pivot 0
-    off2[1:, :, 0, 0] = np.maximum(e * e, TINY).T
+    m = n // 2
+    diag = (d.T + 0.0)[:, :, None, None]                  # (n, k, 1, 1)
+    off2 = np.zeros((n + 1, k, 1, 1))      # e[i-1]^2; none above row 0 or below row n-1
+    off2[1:n, :, 0, 0] = np.maximum(e * e, TINY).T
+    # step i takes row i top-down and row n-1-i bottom-up, each with its
+    # coupling to the row taken before it
+    ends = np.stack((diag[:m], diag[::-1][:m]), 1)          # (m, 2, k, 1, 1)
+    ends2 = np.stack((off2[:m], off2[::-1][:m]), 1)
     index = np.arange(n)[:, None]
     parts = np.arange(1, SECTION_POINTS + 1) / (SECTION_POINTS + 1)
-    q, t = np.empty((2, k, n, SECTION_POINTS))
+    q, t = np.empty((2, 2, k, n, SECTION_POINTS))
+    neg = np.zeros((m + 1, 2, k, n, SECTION_POINTS), bool)  # q < 0, step by step
     with np.errstate(divide="ignore"):
         for _ in range(SECTION_ROUNDS):
             width = hi - lo
             x = lo[..., None] + width[..., None] * parts    # (k, n, points)
             q.fill(1.0)
-            count = np.zeros(x.shape, np.intp)
-            for i in range(n):
-                np.divide(off2[i], q, out=t)
-                np.subtract(diag[i], x, out=q)
+            for i in range(m):
+                np.divide(ends2[i], q, out=t)
+                np.subtract(ends[i], x, out=q)
                 q -= t
-                count += q < 0
+                np.less(q, 0, out=neg[i])
+            if n % 2:               # the bottom half takes row m as well
+                np.divide(off2[m + 1], q[1], out=t[1])
+                np.subtract(diag[m], x, out=q[1])
+                q[1] -= t[1]
+            # row m's pivot, D-[m] - e[m-1]^2/D+[m-1], in the last bottom
+            # slot: for an even n that of D-[m], which it replaces
+            np.divide(off2[m], q[0], out=t[0])
+            q[1] -= t[0]
+            np.less(q[1], 0, out=neg[n - m - 1, 1])
+            # a narrow sum: bool -> intp is several times slower
+            count = np.sum(neg, axis=(0, 1), dtype=np.min_scalar_type(n))
             # the new ends are points of x, or lo and hi, by the same formula
             at = np.sum(count <= index, axis=-1) / (SECTION_POINTS + 1)
             lo, hi = lo + width * at, lo + width * (at + parts[0])

@@ -100,7 +100,7 @@ def _dense_solver_inputs():
     yield np.diag(np.arange(8.0)) + np.diag(np.ones(7), 1) + np.diag(np.ones(7), -1)
 
 
-def test_jacobi_matches_dense_solver():
+def test_eigenvalues_match_dense_solver():
     for h in _dense_solver_inputs():
         n = h.shape[0]
         want = np.linalg.eigvalsh(h)
@@ -156,14 +156,14 @@ def test_stack_rejects_non_hermitian_member():
         q.eigenvalues(np.zeros((2, 3, 4)))
 
 
-def test_cabello_jacobi_full_spectrum():
+def test_cabello_full_spectrum():
     op = q.realize_operator(q.load_preset_expr("cabelloT"))
     evs = np.array(q.eigenvalues(op))
     assert evs.shape == (op.shape[0],)
     assert np.max(np.abs(evs - np.linalg.eigvalsh(op))) <= 1e-10
 
 
-def test_jacobi_identity_and_diagonal():
+def test_eigenvalues_identity_and_diagonal():
     assert np.allclose(q.eigenvalues(np.eye(5)), np.ones(5))
     assert np.allclose(q.eigenvalues(np.diag([3.0, -1.0, 2.0])), [-1, 2, 3])
     assert np.array_equal(q.eigenvalues(np.eye(5)), np.ones(5))
@@ -206,6 +206,41 @@ def test_eigenvalues_hard_inputs():
     same = [h for h in hard if h.shape == (6, 6)]
     for got, h in zip(q.eigenvalues(np.array(same)), same):
         assert np.array_equal(got, q.eigenvalues(h))
+
+
+def _tridiagonal(d, e):
+    t = np.diag(e, 1)
+    t += t.T
+    t[np.diag_indices(len(d))] = d      # keeps a -0.0 that adding would lose
+    return t
+
+
+def _split_inputs(n):
+    """Real symmetric tridiagonal matrices of order n, which Householder
+    reduction hands to the Sturm count with the same diagonal and the moduli
+    of the off-diagonal: random; with a zero coupling where its top and
+    bottom halves meet, between rows m-1 and m or m and m+1 (m = n // 2);
+    with equal diagonal entries; with no coupling; with -0.0 on the
+    diagonal."""
+    rng = np.random.default_rng(n)
+    d, e = rng.normal(size=n), rng.normal(size=n - 1)
+    yield _tridiagonal(d, e)
+    for cut in (n // 2 - 1, n // 2):
+        if 0 <= cut < n - 1:
+            yield _tridiagonal(d, np.where(np.arange(n - 1) == cut, 0.0, e))
+    yield _tridiagonal(np.full(n, 0.5), e)
+    yield _tridiagonal(d, np.zeros(n - 1))
+    yield _tridiagonal(np.full(n, -0.0), e)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_eigenvalues_at_the_two_ended_split(n):
+    hs = np.array(list(_split_inputs(n)))
+    for h, got in zip(hs, q.eigenvalues(hs)):
+        assert np.max(np.abs(got - np.linalg.eigvalsh(h))) <= 1e-10
+        assert np.all(np.diff(got) >= 0)
+        assert not np.signbit(got[got == 0]).any()              # never -0.0
+        assert np.array_equal(got, q.eigenvalues(h))            # bit-identical
 
 
 def test_non_hermitian_rejected():
