@@ -571,6 +571,26 @@ def test_states_and_verify_do_not_import_numpy():
         == [["exact_hull", "logic_core", "realization"], []]
 
 
+def test_small_hulls_do_not_import_numpy():
+    # a double description whose insertion steps all have at most 4096
+    # (positive, negative) ray pairs runs on Python ints throughout
+    golden = resources.files("correlpoly.data") / "golden"
+    small = [["hull", "--logic", "builtin:cabello18", "--noncontextual",
+              "--golden", "builtin:cabello-contextual"],
+             ["hull", "--input", str(golden / "chsh-2x2.ine"), "--reverse"]]
+    report = _start_probe(small, "-S")
+    assert report["codes"] == [0, 0]
+    for argv in small:
+        executed, imported = report[" ".join(argv)]
+        assert "exact_hull" in executed and "numpy" not in imported
+    # epr-2x3-full's H->V hands its cone to the numpy loop; with site: numpy
+    # is installed in site-packages
+    large = ["hull", "--input", str(golden / "epr-2x3-full.ine"), "--reverse"]
+    report = _start_probe([large])
+    assert report["codes"] == [0]
+    assert "numpy" in report[" ".join(large)][1]
+
+
 def test_quantum_does_not_execute_the_exact_layers():
     # with site: numpy is installed in site-packages
     report = _start_probe([["quantum", "--preset", "chsh"]])

@@ -1,6 +1,8 @@
 """Exact hull engine: golden conversions, brute-force oracle agreement, and
 representation-conversion properties on random vertex sets."""
 
+import functools
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -232,21 +234,27 @@ def _dot(a, b):
 
 def _checked_dd(run):
     """run() with every insertion step of the double description checked
-    against the rank oracle: the new rays must be exactly the combinations
-    of the oracle's adjacent (positive, negative) pairs, in the order of
-    `for ip in pos: for im in neg`, and the final lineality a coprime
-    integer basis of the constraints' orthogonal complement.  Returns
-    run()'s result and the number of candidate pairs whose common tight set
-    was empty."""
+    against the rank oracle, on either path: the new rays must be exactly
+    the combinations of the oracle's adjacent (positive, negative) pairs, in
+    the order of `for ip in pos: for im in neg`, every step that pivots no
+    lineality vector out must pass through that check, and the final
+    lineality must be a coprime integer basis of the constraints'
+    orthogonal complement.  Returns run()'s result and the number of
+    candidate pairs whose common tight set was empty."""
     fed = []  # constraints handed to the double description so far
-    empty = 0
-    real_dd, real_combinations = exact_hull._dd_cone, exact_hull._combinations
+    empty = steps = 0
+    real_dd = exact_hull._dd_cone
+    real_combinations = exact_hull._combinations
+    real_int_combinations = exact_hull._int_combinations
 
     def dd(dim, constraints):
+        nonlocal steps
         def feed():
             for c in constraints:
                 fed.append(c)
                 yield c
+        fed.clear()
+        steps = 0
         rays, lineality = real_dd(dim, feed())
         # the lineality: a basis of coprime Python-int rows orthogonal to
         # every constraint, as many as the constraints leave free
@@ -254,34 +262,64 @@ def _checked_dd(run):
         for u in lineality:
             assert all(type(x) is int for x in u) and gcd(*u) == 1
             assert all(_dot(c, u) == 0 for c in fed)
+        # a constraint pivots iff it raises the rank of those before it
+        assert steps == len(fed) - _rank(fed)
         return rays, lineality
 
-    def combinations(R, Z, dots, pos, neg, effdim):
-        nonlocal empty
-        newR, newZ = real_combinations(R, Z, dots, pos, neg, effdim)
+    def check(rays, pos, neg, effdim, new):
+        """One step: rays are the current rays, pos and neg index them."""
+        nonlocal empty, steps
+        steps += 1
         *rows, c = fed
         rank = _rank(rows)
         assert effdim == rank
-        rays = [tuple(int(x) for x in r) for r in R.tolist()]
         d = [_dot(c, r) for r in rays]
-        assert pos.tolist() == [i for i, x in enumerate(d) if x > 0]
-        assert neg.tolist() == [i for i, x in enumerate(d) if x < 0]
+        assert pos == [i for i, x in enumerate(d) if x > 0]
+        assert neg == [i for i, x in enumerate(d) if x < 0]
         tight = [{k for k, v in enumerate(rows) if _dot(v, r) == 0} for r in rays]
         expected = []
-        for ip in pos.tolist():
-            for im in neg.tolist():
+        for ip in pos:
+            for im in neg:
                 common = tight[ip] & tight[im]
                 empty += not common
                 if _rank([rows[k] for k in common]) == rank - 2:
                     w = [d[ip] * y - d[im] * x for x, y in zip(rays[ip], rays[im])]
                     g = gcd(*w)
                     expected.append(tuple(x // g for x in w))
-        assert [tuple(int(x) for x in r) for r in newR.tolist()] == expected
+        assert new == expected
+
+    def combinations(R, Z, dots, pos, neg, effdim):
+        newR, newZ = real_combinations(R, Z, dots, pos, neg, effdim)
+        check([tuple(int(x) for x in r) for r in R.tolist()], pos.tolist(), neg.tolist(),
+              effdim, [tuple(int(x) for x in r) for r in newR.tolist()])
         return newR, newZ
 
+    def int_combinations(rays, zs, T, live, pos, neg, effdim):
+        new = real_int_combinations(rays, zs, T, live, pos, neg, effdim)
+        assert all(d == _dot(fed[-1], rays[s]) for s, d in pos + neg)
+        alive = [s for s in range(live.bit_length()) if live >> s & 1]
+        index = {s: i for i, s in enumerate(alive)}
+        check([rays[s] for s in alive], [index[s] for s, _ in pos], [index[s] for s, _ in neg],
+              effdim, [r for r, _ in new])
+        return new
+
     with mock.patch.object(exact_hull, "_dd_cone", dd), \
-            mock.patch.object(exact_hull, "_combinations", combinations):
+            mock.patch.object(exact_hull, "_combinations", combinations), \
+            mock.patch.object(exact_hull, "_int_combinations", int_combinations):
         return run(), empty
+
+
+def _on_both_paths(test):
+    """The test, run once with the numpy loop taking the cone from its first
+    constraint on and once with the Python-int phase running it to the end,
+    so that each path, and the numpy loop's int64/object switch, sees the
+    same inputs."""
+    @functools.wraps(test)
+    def both(*args, **kwargs):
+        for limit in (-1, math.inf):
+            with mock.patch.object(exact_hull, "_NUMPY_PAIRS", limit):
+                test(*args, **kwargs)
+    return both
 
 
 def _cube_subsets(values):
@@ -308,6 +346,7 @@ def _lifted_cube_subsets(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(_cube_subsets((0, 1)), _cube_subsets((-1, 1)), _lifted_cube_subsets()))
+@_on_both_paths
 def test_adjacency_matches_rank_oracle(points):
     v = VRep(len(points[0]), tuple(points))
     h, _ = _checked_dd(lambda: hull(v))
@@ -331,6 +370,7 @@ LOW_DIMENSIONAL = {
 
 
 @pytest.mark.parametrize("name", LOW_DIMENSIONAL)
+@_on_both_paths
 def test_empty_common_zero_set(name):
     points, rows, extreme = LOW_DIMENSIONAL[name]
     d = len(points[0])
@@ -420,6 +460,7 @@ def test_vertices_dd_input_ignores_row_order(name, v, h):
 
 
 @pytest.mark.parametrize("name, v, golden", GOLDEN_PAIRS, ids=[n for n, _, _ in GOLDEN_PAIRS])
+@_on_both_paths
 def test_translation_near_2_61_is_exact(name, v, golden):
     t = tuple(2**61 + 3 * k + 1 for k in range(v.dimension))
     h = hull(v)
@@ -449,6 +490,7 @@ BIG = 2**62
     _random_points(1, 9, 3, 40),
     _random_points(2, 8, 4, 24),
 ])
+@_on_both_paths
 def test_large_coordinates_match_brute_force(points):
     h = hull(VRep(len(points[0]), tuple(points)))
     assert not h.linearities
@@ -479,6 +521,7 @@ def _affine_point_sets(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(_affine_point_sets())
+@_on_both_paths
 def test_affine_hull_matches_rank_oracle(points):
     d = len(points[0])
     rank = _rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
