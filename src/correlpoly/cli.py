@@ -275,12 +275,7 @@ def cmd_verify(args, run):
     real = _load(args.vectors, "builtin:", realization.load_builtin,
                  realization.parse_vectors, run)
     if args.derive:
-        if not args.dim:
-            raise ValueError("--derive needs --dim")
-        if real.dimension != args.dim:
-            raise ValueError(f"vector file is {real.dimension}-dimensional, "
-                             f"--dim says {args.dim}")
-        logic = realization.derive_logic(real.vectors, args.dim, tol=tol)
+        logic = realization.derive_logic(real.vectors, real.dimension, tol=tol)
         print(f"{len(logic.contexts)} contexts over {len(logic.atoms)} atoms")
         for c in logic.contexts:
             print("context " + " ".join(logic.atoms[a].name for a in c.atoms))
@@ -344,7 +339,6 @@ def build_parser():
     pv.add_argument("--tol", type=float, default=None)
     pv.add_argument("--derive", action="store_true",
                     help="derive the logic from orthogonality instead of checking")
-    pv.add_argument("--dim", type=int, help="space dimension for --derive")
     pv.set_defaults(func=cmd_verify)
     return p
 
@@ -352,7 +346,11 @@ def build_parser():
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; only --help exits 0
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     run = _Run(argv)
     try:
         code = args.func(args, run)

@@ -7,9 +7,9 @@ hull feeds it the homogenized points, whose valid-inequality cone has the
 affine hull's equations as its lineality; vertices feeds it the homogenized
 rows, each equation as two opposite inequalities.  Rational input is scaled
 to integer rows once; from there the work is on integers: Python ints and
-bitsets until a step has more than 4096 (positive, negative) ray pairs,
-which most bundled cones never reach, and numpy arrays from there on.  No
-floating point is used anywhere in this module.
+bitsets until the cone is pointed and a step has more than 4096 (positive,
+negative) ray pairs, which most bundled cones never reach, and numpy arrays
+from there on.  No floating point is used anywhere in this module.
 
 H-representation rows (b, a) encode the half-space b + a.x >= 0; linearity
 rows encode b + a.x = 0.  This matches the "b  -A" layout of the interchange
@@ -104,8 +104,8 @@ def _echelon(rows):
 # double description core
 # ---------------------------------------------------------------------------
 
-# a step with more (positive, negative) ray pairs than this goes to the numpy
-# loop, whose pair count runs in blocks of this size
+# a step of a pointed cone with more (positive, negative) ray pairs than this
+# goes to the numpy loop, whose pair count runs in blocks of this size
 _NUMPY_PAIRS = 4096
 
 
@@ -121,11 +121,14 @@ def _dd_cone(dim, constraints):
     The cone starts on Python ints, without numpy: rays and lineality
     vectors are coprime int tuples, each ray has a slot, never reused, and
     a zero set of given constraints; T[k] is the int bitset of the slots
-    tight at constraint k, and `live` that of the current rays.  Before
-    the first step with more than _NUMPY_PAIRS (positive, negative) pairs,
-    the state goes to _dd_numpy.  A conversion that never gets there
-    skips numpy's import, 0.08-0.11 s and 13 MiB of peak RSS per process
-    on one core of a shared 2-vCPU Xeon.
+    tight at constraint k, and `live` that of the current rays.  A
+    constraint that a lineality vector does not vanish on pivots it out,
+    here only: once the lineality is empty, before the first step with
+    more than _NUMPY_PAIRS (positive, negative) pairs, the pointed cone
+    goes to _dd_numpy.  A conversion that never gets there, such as the
+    hull of a flat polytope, whose lineality never empties, skips numpy's
+    import, 0.08-0.11 s and 13 MiB of peak RSS per process on one core of
+    a shared 2-vCPU Xeon.
     """
     constraints = iter(constraints)
     lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
@@ -139,14 +142,17 @@ def _dd_cone(dim, constraints):
         piv = next((i for i, x in enumerate(dl) if x), None)
         pos = [(s, d) for s, d in zip(alive, dots) if d > 0] if piv is None else []
         neg = [(s, d) for s, d in zip(alive, dots) if d < 0] if piv is None else []
-        if len(pos) * len(neg) > _NUMPY_PAIRS:
+        if not lin and len(pos) * len(neg) > _NUMPY_PAIRS:
             # rebinding frees the zero sets before numpy loads
             rays = [rays[s] for s in alive]
             zs = [sum(1 << j for j in zs[s]) | 1 for s in alive]
-            return _dd_numpy(dim, rays, zs, lin, k, chain([c], constraints))
+            return _dd_numpy(dim, rays, zs, k, chain([c], constraints)), []
         if piv is not None:
-            # as in _dd_numpy; w, u turned to the feasible side of c, is a
-            # new ray tight at every constraint before c
+            # every other lineality vector v becomes v - (dv/du) u and every
+            # ray r becomes r - (dr/du) u, scaled to coprime integers with the
+            # orientation of r: all of them now vanish on c.  w, u turned to
+            # the feasible side of c, is a new ray tight at every constraint
+            # before c
             u, du = lin.pop(piv), dl.pop(piv)
             lin = [_coprime([du * x - dv * y for x, y in zip(v, u)]) for v, dv in zip(lin, dl)]
             w = u if du > 0 else tuple(-x for x in u)
@@ -221,65 +227,36 @@ def _int_combinations(rays, zs, T, live, pos, neg, effdim):
              zs[p] & zs[n] | {len(T) - 1}) for p, n in sorted(pairs)]
 
 
-def _dd_numpy(dim, rays, zsets, lin, nproc, constraints):
-    """_dd_cone on numpy arrays, from the state its Python-int phase hands
-    over: the rays, their zero sets as int bitsets, the lineality basis, the
-    number nproc of constraints processed (constraint 0 included) and the
-    remaining constraints.  The rays are the rows of one integer matrix R
-    and the lineality basis those of another, L; both are int64 while one
-    bound proves that no product below can overflow, and Python ints (dtype
-    object) otherwise.  The zero sets are the rows of a uint64 matrix Z:
-    constraint j is bit j % 64 of word j // 64.
+def _dd_numpy(dim, rays, zsets, nproc, constraints):
+    """_dd_cone on numpy arrays, from the pointed cone its Python-int phase
+    hands over: the rays, their zero sets as int bitsets, the number nproc
+    of constraints processed (constraint 0 included) and the remaining
+    constraints.  The rays are the rows of one integer matrix R, int64
+    while one bound proves that no product below can overflow, and Python
+    ints (dtype object) otherwise.  The zero sets are the rows of a uint64
+    matrix Z: constraint j is bit j % 64 of word j // 64.
     """
     # imported here: a module-top import loads numpy before the package's
     # pure-Python modules and raises the peak RSS of every run
     import numpy as np
 
-    L = np.array(lin, dtype=object).reshape(-1, dim)
     R = np.array(rays, dtype=object).reshape(-1, dim)
     words = -(-nproc // 64)
     Z = np.array([[z >> 64 * w & 0xFFFF_FFFF_FFFF_FFFF for w in range(words)] for z in zsets],
                  dtype=np.uint64).reshape(-1, words)
 
     for cvec in constraints:
-        dtype = _ray_dtype(R, L, cvec)
-        R, L = R.astype(dtype, copy=False), L.astype(dtype, copy=False)
-        c = np.array(cvec, dtype=dtype)
+        R = R.astype(_ray_dtype(R, cvec), copy=False)
+        c = np.array(cvec, dtype=R.dtype)
         word, bit = nproc // 64, np.uint64(1 << (nproc % 64))
         if word == Z.shape[1]:
             Z = np.concatenate((Z, np.zeros((len(Z), 1), dtype=Z.dtype)), axis=1)
-        # pivot out the first lineality vector that c does not vanish on
-        dl = L @ c
-        pivot = np.flatnonzero(dl)
-        if len(pivot):
-            u, du = L[pivot[0]], dl[pivot[0]]
-            L, dl = np.delete(L, pivot[0], axis=0), np.delete(dl, pivot[0])
-            # v - (dv/du) u for every other v, scaled to coprime integers
-            L = _reduce_rows(du * L - dl[:, None] * u)
-            # r - (dr/du) u, scaled to integers with the orientation of r;
-            # w is u turned to the feasible side of this constraint
-            w = u if du > 0 else -u
-            R = _reduce_rows(abs(du) * R - (R @ c)[:, None] * w)
-            # the adjustment put every existing ray on this constraint's
-            # hyperplane, so they all gain the new tight bit; the new ray
-            # (the pivoted lineality direction) is tight for everything
-            # processed before but strictly feasible for this constraint
-            Z[:, word] |= bit
-            full = (1 << nproc) - 1
-            z = [(full >> (64 * k)) & 0xFFFF_FFFF_FFFF_FFFF for k in range(Z.shape[1])]
-            R = np.concatenate((R, w[None]))
-            Z = np.concatenate((Z, np.array([z], dtype=Z.dtype)))
-            nproc += 1
-            continue
-
         dots = R @ c
         pos = np.flatnonzero(dots > 0)
         neg = np.flatnonzero(dots < 0)
         zer = np.flatnonzero(dots == 0)
 
-        # dimension of the pointed quotient the rays live in
-        effdim = dim - len(L)
-        newR, newZ = _combinations(R, Z, dots, pos, neg, effdim)
+        newR, newZ = _combinations(R, Z, dots, pos, neg, dim)
         Z[zer, word] |= bit
         newZ[:, word] |= bit
         keep = np.concatenate((pos, zer))
@@ -290,33 +267,18 @@ def _dd_numpy(dim, rays, zsets, lin, nproc, constraints):
         R = np.concatenate((R, newR))
         Z = Z[keep]
         Z = np.concatenate((Z, newZ))
-    return [tuple(r) for r in R.tolist()], [tuple(u) for u in L.tolist()]
+    return [tuple(r) for r in R.tolist()]
 
 
-
-
-def _ray_dtype(R, L, cvec):
-    """One dtype for the ray matrix R and the lineality matrix L: int64
-    while no product of this step can overflow it, else object (Python
-    ints).  With B = max(1, max|R|, max|L|), a dot product of c with a row
-    is at most max|c| * dim * B, and each of the two terms of a combined
-    row at most that times B: the bound below keeps both under 2**62."""
-    big = 1
-    for M in (R, L):
-        if len(M):
-            big = max(big, int(M.max()), -int(M.min()))
+def _ray_dtype(R, cvec):
+    """The dtype for the ray matrix R: int64 while no product of this step
+    can overflow it, else object (Python ints).  With B = max(1, max|R|),
+    a dot product of c with a row is at most max|c| * dim * B, and each of
+    the two terms of a combined row at most that times B: the bound below
+    keeps both under 2**62."""
+    big = max(1, int(R.max()), -int(R.min())) if len(R) else 1
     ok = max(abs(x) for x in cvec) * R.shape[1] * big * big < 1 << 62
     return "int64" if ok else object
-
-
-def _reduce_rows(R):
-    """R with each row divided, in place, by the gcd of its entries."""
-    import numpy as np
-
-    g = np.gcd.reduce(R, axis=1)
-    g[g == 0] = 1
-    R //= g[:, None]
-    return R
 
 
 def _combinations(R, Z, dots, pos, neg, effdim):
@@ -360,7 +322,10 @@ def _combinations(R, Z, dots, pos, neg, effdim):
     new = R[ims]
     new *= dots[ips][:, None]
     new -= dots[ims][:, None] * R[ips]
-    return _reduce_rows(new), Z[ips] & Z[ims]
+    # each row divided by the gcd of its entries; no row is zero, as the cone
+    # is pointed
+    new //= np.gcd.reduce(new, axis=1)[:, None]
+    return new, Z[ips] & Z[ims]
 
 
 def _candidates(Z, pos, neg, minpop):

@@ -256,6 +256,25 @@ def test_hull_argument_errors(capsys):
     assert run(capsys, "hull", "--logic", "builtin:pentagon")[0] == 1
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["states"], 1),
+    (["hull", "--bogus"], 1),
+    (["frobnicate"], 1),
+    (["quantum", "--preset", "chsh", "--state", "nope"], 1),
+    (["verify", "--vectors", "builtin:pentagon", "--tol", "x"], 1),
+    (["--help"], 0),
+], ids=["states", "hull-bogus", "frobnicate", "quantum-state", "verify-tol", "help"])
+def test_usage_error_exit_codes(capsys, argv, code):
+    # exit 2 says that the logic admits no two-valued state, so argparse's
+    # own exit code for a usage error is not passed on; its message is
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == "" and "usage: correlpoly" in captured.err
+    else:
+        assert captured.out.startswith("usage: correlpoly")
+
+
 def test_hull_deterministic_output(capsys):
     _, a = run(capsys, "hull", "--logic", "builtin:pentagon",
                "--terms", "preset:bub-stairs")
@@ -448,17 +467,10 @@ def test_verify_fail_exit_4(capsys, tmp_path):
 
 
 def test_verify_derive(capsys):
-    code, out = run(capsys, "verify", "--derive", "--vectors", "builtin:yu-oh",
-                    "--dim", "3")
+    code, out = run(capsys, "verify", "--derive", "--vectors", "builtin:yu-oh")
     assert code == 0
     assert "16 contexts over 13 atoms" in out
     assert "context z1 z2 z3" in out
-
-
-def test_verify_derive_dim_mismatch(capsys):
-    code, _ = run(capsys, "verify", "--derive", "--vectors", "builtin:yu-oh",
-                  "--dim", "4")
-    assert code == 1
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
@@ -466,7 +478,7 @@ def test_verify_derive_dim_mismatch(capsys):
 def test_verify_rejects_nonsense_tol(capsys, tol, derive):
     # a negative tol failed every pair, nan every comparison, and inf called
     # every pair collinear: each is an input error, not a verdict
-    mode = ["--derive", "--dim", "3"] if derive else ["--logic", "builtin:pentagon"]
+    mode = ["--derive"] if derive else ["--logic", "builtin:pentagon"]
     assert main(["verify", *mode, "--vectors", "builtin:pentagon", "--tol", tol]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -488,7 +500,7 @@ def test_verify_rejects_nonsense_tol(capsys, tol, derive):
 def test_verify_malformed_vectors_exit_1(capsys, tmp_path, text, lineno):
     f = tmp_path / "f.vec"
     f.write_text(text)
-    assert main(["verify", "--derive", "--dim", "3", "--vectors", str(f)]) == 1
+    assert main(["verify", "--derive", "--vectors", str(f)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: line {lineno}: ")
 
@@ -571,15 +583,21 @@ def test_states_and_verify_do_not_import_numpy():
         == [["exact_hull", "logic_core", "realization"], []]
 
 
-def test_small_hulls_do_not_import_numpy():
+def test_small_hulls_do_not_import_numpy(tmp_path):
     # a double description whose insertion steps all have at most 4096
-    # (positive, negative) ray pairs runs on Python ints throughout
-    golden = resources.files("correlpoly.data") / "golden"
+    # (positive, negative) ray pairs runs on Python ints throughout, and so
+    # does the hull of a flat polytope, whose cone keeps a lineality space:
+    # epr-2x3-full's terms and P1 = (1 + E1) / 2
+    data = resources.files("correlpoly.data")
+    golden = data / "golden"
+    flat = tmp_path / "epr-2x3-flat.terms"
+    flat.write_text((data / "terms" / "epr-2x3-full.terms").read_text() + "term P1 prob a1\n")
     small = [["hull", "--logic", "builtin:cabello18", "--noncontextual",
               "--golden", "builtin:cabello-contextual"],
-             ["hull", "--input", str(golden / "chsh-2x2.ine"), "--reverse"]]
+             ["hull", "--input", str(golden / "chsh-2x2.ine"), "--reverse"],
+             ["hull", "--logic", "builtin:epr-2x3", "--terms", str(flat)]]
     report = _start_probe(small, "-S")
-    assert report["codes"] == [0, 0]
+    assert report["codes"] == [0, 0, 0]
     for argv in small:
         executed, imported = report[" ".join(argv)]
         assert "exact_hull" in executed and "numpy" not in imported

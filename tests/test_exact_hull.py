@@ -310,10 +310,10 @@ def _checked_dd(run):
 
 
 def _on_both_paths(test):
-    """The test, run once with the numpy loop taking the cone from its first
-    constraint on and once with the Python-int phase running it to the end,
-    so that each path, and the numpy loop's int64/object switch, sees the
-    same inputs."""
+    """The test, run once with the numpy loop taking the cone at its first
+    step after the lineality is empty and once with the Python-int phase
+    running it to the end, so that each path, and the numpy loop's
+    int64/object switch, sees the same inputs."""
     @functools.wraps(test)
     def both(*args, **kwargs):
         for limit in (-1, math.inf):
@@ -352,6 +352,30 @@ def test_adjacency_matches_rank_oracle(points):
     h, _ = _checked_dd(lambda: hull(v))
     back, _ = _checked_dd(lambda: vertices(h))
     assert canon_key(hull(back)) == canon_key(h)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_lifted_cube_subsets())
+def test_flat_hull_never_enters_the_numpy_loop(points):
+    # the lineality of a flat polytope's cone never empties, so even a
+    # handoff limit of -1 keeps the whole cone on Python ints
+    m = len(points[0])
+    k = _rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
+
+    def numpy_loop(*args):
+        raise AssertionError("a flat cone reached the numpy loop")
+
+    with mock.patch.object(exact_hull, "_NUMPY_PAIRS", -1), \
+            mock.patch.object(exact_hull, "_dd_numpy", numpy_loop):
+        h = hull(VRep(m, tuple(points)))
+    # the first k coordinates are a full-dimensional cube subset and the
+    # others affine functions of them: the facets are the oracle's, padded
+    # with zeros, modulo the affine hull's m - k equations
+    assert len(h.linearities) == m - k
+    assert all(_satisfies(HRep(m, (), h.linearities), p) for p in points)
+    facets = brute_force_facets([p[:k] for p in points])
+    padded = tuple(r + (0,) * (m - k) for r in facets)
+    assert h == canonicalize(HRep(m, padded, h.linearities))
 
 
 # An interval, a triangle with a point on an edge, and a parallelogram, each
