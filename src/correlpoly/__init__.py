@@ -12,14 +12,12 @@ import importlib
 # layer that its command does not use
 _EXPORTS = {
     "exact_hull": ("HRep", "VRep", "canonicalize", "emit_dd", "hull", "parse_dd", "vertices"),
-    "logic_core": ("Atom", "Coloring", "Context", "Logic", "ParityCertificate",
-                   "PartitionLogic", "TwoValuedState", "enumerate_colorings",
-                   "enumerate_states", "is_separating", "parity_certificate",
-                   "parse_logic", "partition_logic"),
+    "logic_core": ("Logic", "ParityCertificate", "enumerate_colorings", "enumerate_states",
+                   "is_separating", "parity_certificate", "parse_logic", "partition_logic"),
     "realization": ("RealVector", "Realization", "VerifyReport", "derive_logic",
                     "parse_vectors", "verify_realization"),
-    "vertex_gen": ("TermSpec", "TermTable", "gen_noncontextual_vertices",
-                   "gen_state_vertices", "parse_terms"),
+    "vertex_gen": ("TermSpec", "gen_noncontextual_vertices", "gen_state_vertices",
+                   "parse_terms"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -100,9 +100,9 @@ def cmd_states(args, run):
 
         doc = {
             "logic": logic.name,
-            "atoms": [a.name for a in logic.atoms],
+            "atoms": list(logic.atoms),
             "count": len(states),
-            "states": [list(s.values) for s in states],
+            "states": [list(s) for s in states],
         }
         if cert:
             doc["parity_certificate"] = {
@@ -116,13 +116,13 @@ def cmd_states(args, run):
         # a V-representation needs a point: with no state there is nothing
         # to emit but the certificate below
         if states:
-            v = exact_hull.VRep(len(logic.atoms), tuple(s.values for s in states))
+            v = exact_hull.VRep(len(logic.atoms), tuple(states))
             print(exact_hull.emit_dd(v, comments=run.comments()), end="")
     else:
         print(f"{len(states)} states")
-        print(" ".join(a.name for a in logic.atoms))
+        print(" ".join(logic.atoms))
         for s in states:
-            print(" ".join(str(b) for b in s.values))
+            print(" ".join(str(b) for b in s))
         if unseparated is not None:
             if unseparated:
                 print("unseparated pairs: " +
@@ -278,7 +278,7 @@ def cmd_verify(args, run):
         logic = realization.derive_logic(real.vectors, real.dimension, tol=tol)
         print(f"{len(logic.contexts)} contexts over {len(logic.atoms)} atoms")
         for c in logic.contexts:
-            print("context " + " ".join(logic.atoms[a].name for a in c.atoms))
+            print("context " + " ".join(logic.atoms[a] for a in c))
         return EXIT_OK
     if not args.logic:
         raise ValueError("verify needs --logic (or --derive)")

@@ -510,7 +510,9 @@ def parse_dd(text: str):
         fields = size.split()
         if len(fields) < 2:
             raise ValueError(f"expected '<rows> <cols> <type>', got {size!r}")
-        nrows, ncols = _parse_count(fields[0], "row count"), _parse_count(fields[1], "column count")
+        # an H-representation without rows is all of R^d; a V one needs a point
+        nrows = 0 if kind == "H" and fields[0] == "0" else _parse_count(fields[0], "row count")
+        ncols = _parse_count(fields[1], "column count")
     toks, tok_lines = [], []
     for body_line, ln in lines[pos + 2:]:
         if ln == "end":

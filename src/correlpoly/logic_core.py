@@ -1,66 +1,49 @@
 """Finite quantum logics (pastings of contexts) and their two-valued states.
 
 A logic is a hypergraph of atoms and contexts (maximal sets of co-measurable
-atoms).  A two-valued state assigns {0,1} to every atom with exactly one 1
-per context (strong admissibility).  This module enumerates states and
-colorings, detects parity obstructions to the existence of states, and
-extracts partition-logic representations.
+atoms): its atoms are names, its contexts tuples of atom indices.  A
+two-valued state assigns {0,1} to every atom with exactly one 1 per context
+(strong admissibility); it is a tuple of bits, one per atom.  This module
+enumerates states and colorings, detects parity obstructions to the
+existence of states, and extracts partition-logic representations.
 """
 
 from __future__ import annotations
 
 import warnings
+from itertools import combinations
 
 from ._record import Record
 from ._text import bundled, read_directives
 
 
-class Atom(Record):
-    index: int
-    name: str
-
-
-class Context(Record):
-    atoms: tuple  # atom indices, ordered
-
-
 class Logic(Record):
     name: str
-    atoms: tuple
-    contexts: tuple
+    atoms: tuple     # atom names
+    contexts: tuple  # per context, its atom indices in order
 
     def __post_init__(self):
-        names = [a.name for a in self.atoms]
-        if len(set(names)) != len(names):
+        if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("duplicate atom names")
         covered = set()
         seen = set()
-        for c in self.contexts:
-            key = frozenset(c.atoms)
+        holders = {}  # atom pair -> the contexts holding it
+        for ci, c in enumerate(self.contexts):
+            key = frozenset(c)
             if key in seen:
                 raise ValueError("duplicate context")
-            for other in seen:
-                if len(key & other) > 1:
-                    # level 3: past Record.__init__, the code that built the logic
-                    warnings.warn(
-                        f"{self.name}: contexts intertwine in more than one atom",
-                        stacklevel=3)
+            # two contexts intertwine in more than one atom iff they share a pair
+            pairs = list(combinations(sorted(c), 2))
+            for _ in set().union(*(holders.get(p, ()) for p in pairs)):
+                # level 3: past Record.__init__, the code that built the logic
+                warnings.warn(f"{self.name}: contexts intertwine in more than one atom",
+                              stacklevel=3)
+            for p in pairs:
+                holders.setdefault(p, []).append(ci)
             seen.add(key)
             covered |= key
         if covered != set(range(len(self.atoms))):
             raise ValueError("every atom must appear in at least one context")
-
-    def atom_index(self, name):
-        return {a.name: a.index for a in self.atoms}[name]
-
-
-class TwoValuedState(Record):
-    values: tuple  # one bit per atom
-
-
-class Coloring(Record):
-    colors: tuple
-    k: int
 
 
 class ParityCertificate(Record):
@@ -71,17 +54,13 @@ class ParityCertificate(Record):
     context_count: int
 
 
-class PartitionLogic(Record):
-    atom_states: tuple  # per atom, sorted tuple of 1-based state indices
-
-
 def parse_logic(text: str) -> Logic:
     """Parse the line-based logic file format: an optional `logic <name>`
     header and one `context <atom> <atom> ...` line per context; `#` starts
     a comment.  Every error on a line raises ValueError("line N: ...")."""
     name = "anonymous"
     atom_ids = {}   # name -> index, in order of first appearance
-    contexts = {}   # atom set -> Context, in file order
+    contexts = {}   # atom set -> atom indices, in file order
 
     def header(logic_name):
         nonlocal name
@@ -93,12 +72,11 @@ def parse_logic(text: str) -> Logic:
         idx = tuple(atom_ids.setdefault(nm, len(atom_ids)) for nm in members)
         if frozenset(idx) in contexts:
             raise ValueError("duplicate context")
-        contexts[frozenset(idx)] = Context(idx)
+        contexts[frozenset(idx)] = idx
 
     read_directives(text, {"logic <name>": header, "context <atom> <atom>...": context},
                     ("logic",))
-    atoms = tuple(Atom(i, nm) for i, nm in enumerate(atom_ids))
-    return Logic(name, atoms, tuple(contexts.values()))
+    return Logic(name, tuple(atom_ids), tuple(contexts.values()))
 
 
 def load_builtin(name: str) -> Logic:
@@ -107,13 +85,13 @@ def load_builtin(name: str) -> Logic:
 
 
 def enumerate_states(logic: Logic):
-    """All two-valued states, sorted lexicographically by bit vector.
+    """All two-valued states, sorted lexicographically.
 
-    Backtracking over contexts in file order with constraint propagation
-    (a 1 forces 0 on all other atoms of every context containing it)."""
-    n = len(logic.atoms)
-    contexts = [c.atoms for c in logic.contexts]
-    atom_ctxs = [[] for _ in range(n)]
+    Depth-first search over contexts in file order, on an explicit stack,
+    with constraint propagation (a 1 forces 0 on all other atoms of every
+    context containing it)."""
+    contexts = logic.contexts
+    atom_ctxs = [[] for _ in logic.atoms]
     for ci, ctx in enumerate(contexts):
         for a in ctx:
             atom_ctxs[a].append(ci)
@@ -132,23 +110,20 @@ def enumerate_states(logic: Logic):
                     values[b] = 0
         return True
 
-    def search(ci, values):
+    stack = [(0, [None] * len(logic.atoms))]
+    while stack:
+        ci, values = stack.pop()
+        while ci < len(contexts) and any(values[a] == 1 for a in contexts[ci]):
+            ci += 1
         if ci == len(contexts):
-            out.append(TwoValuedState(tuple(values)))
-            return
-        ctx = contexts[ci]
-        if any(values[a] == 1 for a in ctx):
-            search(ci + 1, values)
-            return
-        for a in ctx:
-            if values[a] == 0:
-                continue
-            trial = list(values)
-            if set_one(trial, a):
-                search(ci + 1, trial)
-
-    search(0, [None] * n)
-    out.sort(key=lambda s: s.values)
+            out.append(tuple(values))
+            continue
+        for a in contexts[ci]:
+            if values[a] != 0:
+                trial = list(values)
+                if set_one(trial, a):
+                    stack.append((ci + 1, trial))
+    out.sort()
     return out
 
 
@@ -157,7 +132,7 @@ def parity_certificate(logic: Logic):
     and the context count is odd; None (inapplicable) otherwise."""
     counts = [0] * len(logic.atoms)
     for c in logic.contexts:
-        for a in c.atoms:
+        for a in c:
             counts[a] += 1
     if len(logic.contexts) % 2 == 1 and all(k % 2 == 0 for k in counts):
         return ParityCertificate(tuple(counts), len(logic.contexts))
@@ -166,59 +141,60 @@ def parity_certificate(logic: Logic):
 
 def is_separating(logic: Logic, states):
     """All unordered atom pairs that no state separates (empty iff the state
-    set is separating)."""
+    set is separating), as pairs of names."""
     n = len(logic.atoms)
-    pairs = []
-    for x in range(n):
-        for y in range(x + 1, n):
-            if all(s.values[x] == s.values[y] for s in states):
-                pairs.append((logic.atoms[x].name, logic.atoms[y].name))
-    return pairs
+    return [(logic.atoms[x], logic.atoms[y])
+            for x in range(n) for y in range(x + 1, n)
+            if all(s[x] == s[y] for s in states)]
 
 
 def enumerate_colorings(logic: Logic, k: int, up_to_permutation=False):
-    """All colorings with pairwise distinct colors inside every context.
+    """All colorings, as tuples of colors in range(k), with pairwise
+    distinct colors inside every context; in lexicographic order.
 
     When a context has exactly k atoms all k colors occur in it automatically.
     With up_to_permutation=True only canonical representatives are returned
     (colors first appear in increasing order along the atom list)."""
-    kmax = max(len(c.atoms) for c in logic.contexts)
+    kmax = max(len(c) for c in logic.contexts)
     if k < kmax:
         raise ValueError(f"k={k} below largest context size {kmax}")
     n = len(logic.atoms)
-    neighbors = [set() for _ in range(n)]
+    earlier = [set() for _ in range(n)]   # context neighbors of lower index
     for c in logic.contexts:
-        for a in c.atoms:
-            for b in c.atoms:
-                if a != b:
-                    neighbors[a].add(b)
+        for a in c:
+            earlier[a].update(b for b in c if b < a)
     out = []
-    colors = [None] * n
+    colors = [0] * n
 
-    def search(a, used):
-        if a == n:
-            out.append(Coloring(tuple(colors), k))
-            return
-        taken = {colors[b] for b in neighbors[a] if colors[b] is not None}
+    def choices(a, used):
+        """The colors atom a may take after atoms 0..a-1, which use `used`."""
+        taken = {colors[b] for b in earlier[a]}
         limit = min(used + 1, k) if up_to_permutation else k
-        for col in range(limit):
-            if col in taken:
-                continue
-            colors[a] = col
-            search(a + 1, max(used, col + 1))
-            colors[a] = None
+        return iter([col for col in range(limit) if col not in taken])
 
-    search(0, 0)
+    # depth-first on an explicit stack: entry a holds atom a's untried
+    # colors and the number of colors its predecessors use
+    stack = [(choices(0, 0), 0)]
+    while stack:
+        untried, used = stack[-1]
+        a = len(stack) - 1
+        col = next(untried, None)
+        if col is None:
+            stack.pop()
+            continue
+        colors[a] = col
+        if a + 1 == n:
+            out.append(tuple(colors))
+        else:
+            used = max(used, col + 1)
+            stack.append((choices(a + 1, used), used))
     return out
 
 
-def partition_logic(states, logic: Logic) -> PartitionLogic:
-    """Map every atom to the 1-based indices of the states assigning it 1;
-    within each context these sets partition the full state-index set."""
+def partition_logic(states, logic: Logic):
+    """Map every atom to the sorted 1-based indices of the states assigning
+    it 1; within each context these sets partition the full state-index set."""
     if not states:
         raise ValueError("partition logic needs a non-empty state list")
-    per_atom = []
-    for a in range(len(logic.atoms)):
-        per_atom.append(tuple(i for i, s in enumerate(states, start=1)
-                              if s.values[a] == 1))
-    return PartitionLogic(tuple(per_atom))
+    return tuple(tuple(i for i, s in enumerate(states, start=1) if s[a] == 1)
+                 for a in range(len(logic.atoms)))

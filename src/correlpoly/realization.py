@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from ._record import Record
 from ._text import bundled, number, read_directives
-from .logic_core import Atom, Context, Logic
+from .logic_core import Logic
 
 DEFAULT_TOL = 1e-10
 
@@ -116,13 +116,13 @@ def verify_realization(logic: Logic, real: Realization, tol=DEFAULT_TOL) -> Veri
     atoms whose vectors span the same ray."""
     _check_tol(tol)
     by_name = {v.name: v for v in real.vectors}
-    missing = [a.name for a in logic.atoms if a.name not in by_name]
+    missing = [a for a in logic.atoms if a not in by_name]
     if missing:
         raise ValueError(f"realization lacks vectors for atoms {missing}")
     bad = []
     sizes = []
     for ci, ctx in enumerate(logic.contexts):
-        members = [by_name[logic.atoms[a].name] for a in ctx.atoms]
+        members = [by_name[logic.atoms[a]] for a in ctx]
         if len(members) != real.dimension:
             sizes.append((ci, len(members)))
         for i in range(len(members)):
@@ -131,7 +131,7 @@ def verify_realization(logic: Logic, real: Realization, tol=DEFAULT_TOL) -> Veri
                     d = _dot(members[i].coords, members[j].coords)
                     bad.append((ci, members[i].name, members[j].name, abs(d)))
     coll = []
-    vecs = [by_name[a.name] for a in logic.atoms]
+    vecs = [by_name[a] for a in logic.atoms]
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
             if _collinear(vecs[i], vecs[j], tol):
@@ -167,5 +167,4 @@ def derive_logic(vectors, d: int, tol=DEFAULT_TOL) -> Logic:
 
     extend(set(), set(range(n)), set())
     cliques.sort()
-    atoms = tuple(Atom(i, v.name) for i, v in enumerate(vectors))
-    return Logic("derived", atoms, tuple(Context(c) for c in cliques))
+    return Logic("derived", tuple(v.name for v in vectors), tuple(cliques))

@@ -11,6 +11,7 @@ the GF(2) span of the context-atom incidence columns.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from ._record import Record
 from ._text import bundled, read_directives
@@ -37,20 +38,11 @@ class TermSpec(Record):
             raise ValueError(f"term {self.label}: joint atoms must be distinct")
 
 
-class TermTable(Record):
-    logic: Logic
-    terms: tuple
-
-    def __post_init__(self):
-        labels = [t.label for t in self.terms]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate term labels")
-
-
-def parse_terms(text: str, logic: Logic) -> TermTable:
+def parse_terms(text: str, logic: Logic):
     """Parse the term table format: one `term <label> <kind> <atoms...>` line
-    per term.  Every error on a line raises ValueError("line N: ...")."""
-    index = {a.name: a.index for a in logic.atoms}
+    per term, into a tuple of TermSpec.  Every error on a line raises
+    ValueError("line N: ...")."""
+    index = {nm: i for i, nm in enumerate(logic.atoms)}
     terms = {}
 
     def term(label, kind, *names):
@@ -64,30 +56,20 @@ def parse_terms(text: str, logic: Logic) -> TermTable:
         terms[label] = TermSpec(label, kind, tuple(index[nm] for nm in names))
 
     read_directives(text, {"term <label> <kind> <atom>...": term}, ())
-    return TermTable(logic, tuple(terms.values()))
+    return tuple(terms.values())
 
 
-def _evaluate(term: TermSpec, values):
-    v = values
-    if term.kind == "prob":
-        return Fraction(v[term.atoms[0]])
-    if term.kind == "joint_prob":
-        p = 1
-        for a in term.atoms:
-            p *= v[a]
-        return Fraction(p)
-    if term.kind == "expect":
-        return Fraction(2 * v[term.atoms[0]] - 1)
-    p = 1  # joint_expect
-    for a in term.atoms:
-        p *= 2 * v[a] - 1
-    return Fraction(p)
+def _evaluate(term: TermSpec, bits):
+    # probabilities multiply the atoms' bits, expectations their signs 2b - 1
+    if term.kind.endswith("prob"):
+        return Fraction(prod(bits[a] for a in term.atoms))
+    return Fraction(prod(2 * bits[a] - 1 for a in term.atoms))
 
 
-def gen_state_vertices(logic: Logic, table: TermTable) -> VRep:
-    """One point per two-valued state, in state order; duplicates retained
-    (deduplication is the hull's job)."""
-    if not table.terms:
+def gen_state_vertices(logic: Logic, terms) -> VRep:
+    """One point per two-valued state, in state order, with one coordinate
+    per term; duplicates retained (deduplication is the hull's job)."""
+    if not terms:
         raise ValueError("empty term table would give a zero-dimensional polytope")
     states = enumerate_states(logic)
     if not states:
@@ -95,9 +77,7 @@ def gen_state_vertices(logic: Logic, table: TermTable) -> VRep:
         why = (f" (parity certificate: {cert.context_count} contexts, "
                f"every atom in an even number of them)" if cert else "")
         raise ValueError(f"logic {logic.name} admits no two-valued state{why}")
-    points = tuple(tuple(_evaluate(t, s.values) for t in table.terms)
-                   for s in states)
-    return VRep(len(table.terms), points)
+    return VRep(len(terms), tuple(tuple(_evaluate(t, s) for t in terms) for s in states))
 
 
 def gen_noncontextual_vertices(logic: Logic) -> VRep:
@@ -109,7 +89,7 @@ def gen_noncontextual_vertices(logic: Logic) -> VRep:
     columns (bit ci set: sign -1 on context ci): 2^rank points in all."""
     cols = [0] * len(logic.atoms)
     for ci, c in enumerate(logic.contexts):
-        for a in c.atoms:
+        for a in c:
             cols[a] |= 1 << ci
     basis = []
     for col in cols:
@@ -130,5 +110,5 @@ def gen_noncontextual_vertices(logic: Logic) -> VRep:
     return VRep(m, tuple(points))
 
 
-def load_preset_terms(name: str, logic: Logic) -> TermTable:
+def load_preset_terms(name: str, logic: Logic):
     return parse_terms(bundled(name, ".terms"), logic)

@@ -20,7 +20,7 @@ DATA = Path(__file__).parent / "data"
 def brute_force_states(logic):
     """All two-valued states by sweeping every {0,1} assignment."""
     n = len(logic.atoms)
-    masks = [sum(1 << a for a in c.atoms) for c in logic.contexts]
+    masks = [sum(1 << a for a in c) for c in logic.contexts]
     out = []
     for assign in range(1 << n):
         if all((assign & m).bit_count() == 1 for m in masks):
@@ -34,7 +34,7 @@ def brute_force_sign_points(logic):
     signs."""
     points = set()
     for assign in range(1 << len(logic.atoms)):
-        points.add(tuple(prod(-1 if (assign >> a) & 1 else 1 for a in c.atoms)
+        points.add(tuple(prod(-1 if (assign >> a) & 1 else 1 for a in c)
                          for c in logic.contexts))
     return tuple(sorted(points))
 

@@ -59,10 +59,10 @@ def test_criterion_1_state_counts():
     # the count alone could match a different logic: check gamma1's defining
     # property, a1 true forces b1 true, on states where a1 = 1 does occur
     gamma1 = load_builtin("gamma1")
-    a1, b1 = gamma1.atom_index("a1"), gamma1.atom_index("b1")
+    a1, b1 = gamma1.atoms.index("a1"), gamma1.atoms.index("b1")
     states = enumerate_states(gamma1)
-    assert any(s.values[a1] == 1 for s in states)
-    assert all(s.values[b1] == 1 for s in states if s.values[a1] == 1)
+    assert any(s[a1] == 1 for s in states)
+    assert all(s[b1] == 1 for s in states if s[a1] == 1)
 
 
 # --- 2: golden hulls for the small scenarios -----------------------------------
@@ -277,7 +277,7 @@ def test_criterion_7_property_suites():
                  "epr-2x3"):
         logic = load_builtin(name)
         assert len(logic.atoms) <= 20
-        assert [s.values for s in enumerate_states(logic)] \
+        assert enumerate_states(logic) \
             == brute_force_states(logic), name
 
 
@@ -293,7 +293,6 @@ def test_criterion_8_non_separability():
     tk = load_builtin("gamma3-tkadlec")
     colorings = enumerate_colorings(tk, 3)
     assert colorings
-    ia = next(i for i, a in enumerate(tk.atoms) if a.name == "a7")
-    ib = next(i for i, a in enumerate(tk.atoms) if a.name == "b7")
-    assert all(c.colors[ia] == c.colors[ib] for c in colorings)
+    ia, ib = tk.atoms.index("a7"), tk.atoms.index("b7")
+    assert all(c[ia] == c[ib] for c in colorings)
     assert time.monotonic() - t0 < 30.0

@@ -82,6 +82,17 @@ def test_states_dd_format(capsys):
     assert "V-representation" in out and out.count("\n 1  ") == 5
 
 
+def test_states_long_chain(capsys, tmp_path):
+    # a search nesting one call per context printed a RecursionError here
+    chain = tmp_path / "chain.logic"
+    chain.write_text("".join(f"context a{i} a{i + 1}\n" for i in range(3000)))
+    code, out = run(capsys, "states", str(chain))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "2 states"
+    assert lines[2:] == [" ".join(str((i + k) % 2) for i in range(3001)) for k in (0, 1)]
+
+
 def test_states_bad_file(capsys, tmp_path):
     bad = tmp_path / "bad.logic"
     bad.write_text("nonsense\n")
@@ -165,6 +176,19 @@ def test_hull_reverse_reversed_rows_against_golden(capsys, tmp_path):
     assert code == 0
 
 
+def test_hull_of_the_point_of_r0_round_trip(capsys, tmp_path):
+    # the hull of the one point of R^0 is an H-representation without rows,
+    # which reads back to that point
+    point = tmp_path / "point.ext"
+    point.write_text("V-representation\nbegin\n 1 1 real\n 1\nend\n")
+    ine = tmp_path / "point.ine"
+    assert run(capsys, "hull", "--input", str(point), "--output", str(ine))[0] == 0
+    assert "H-representation\nbegin\n 0  1  real\nend\n" in ine.read_text()
+    code, out = run(capsys, "hull", "--input", str(ine), "--reverse", "--golden", str(point))
+    assert code == 0
+    assert out.endswith("V-representation\nbegin\n 1  1  real\n 1\nend\n")
+
+
 def test_hull_reverse_requires_h_rep(capsys, tmp_path):
     f = tmp_path / "v.ext"
     f.write_text("V-representation\nbegin\n 1 2 real\n 1 0\nend\n")
@@ -184,6 +208,9 @@ def test_hull_reverse_requires_h_rep(capsys, tmp_path):
      "line 6: 'x' is not a rational number"),
     ("H-representation\nbegin\n 1 2 real\n 1 1/0\nend\n",
      "line 4: '1/0' is not a rational number"),
+    # no rows are all of R^1 as an H-representation, but no V-representation
+    ("V-representation\nbegin\n 0 2 real\nend\n",
+     "line 3: row count must be a positive integer, got '0'"),
 ])
 def test_hull_malformed_dd_exit_1(capsys, tmp_path, text, message):
     f = tmp_path / "f.ine"

@@ -42,7 +42,7 @@ def test_state_counts(name, count):
 def test_states_match_brute_force(name):
     logic = load_builtin(name)
     assert len(logic.atoms) <= 20
-    got = [s.values for s in enumerate_states(logic)]
+    got = enumerate_states(logic)
     assert got == brute_force_states(logic)
     assert got == sorted(got)  # deterministic lexicographic order
 
@@ -85,31 +85,31 @@ def test_gamma3_unseparated_pairs():
 def test_specker_bug_true_implies_false():
     # v(a1) = 1 forces v(a7) = 0 at the opposite extremal atom in every state
     logic = load_builtin("specker-bug")
-    i1, i7 = logic.atom_index("a1"), logic.atom_index("a7")
+    i1, i7 = logic.atoms.index("a1"), logic.atoms.index("a7")
     states = enumerate_states(logic)
-    assert any(s.values[i1] == 1 for s in states)
-    assert all(s.values[i7] == 0 for s in states if s.values[i1] == 1)
+    assert any(s[i1] == 1 for s in states)
+    assert all(s[i7] == 0 for s in states if s[i1] == 1)
 
 
 def test_yu_oh_h_property():
     # at most one of h0..h3 takes value 1 (vacuously: no states exist)
     logic = load_builtin("yu-oh")
-    hs = [logic.atom_index(n) for n in ("h0", "h1", "h2", "h3")]
+    hs = [logic.atoms.index(n) for n in ("h0", "h1", "h2", "h3")]
     states = enumerate_states(logic)
-    assert all(sum(s.values[i] for i in hs) <= 1 for s in states)
+    assert all(sum(s[i] for i in hs) <= 1 for s in states)
 
 
 # --- colorings ---------------------------------------------------------------
 
 def test_firefly_colorings_match_brute_force():
     logic = load_builtin("firefly")
-    got = {c.colors for c in enumerate_colorings(logic, 3)}
+    got = enumerate_colorings(logic, 3)
     want = set()
     for colors in product(range(3), repeat=len(logic.atoms)):
-        if all(len({colors[a] for a in ctx.atoms}) == len(ctx.atoms)
+        if all(len({colors[a] for a in ctx}) == len(ctx)
                for ctx in logic.contexts):
             want.add(colors)
-    assert got == want
+    assert got == sorted(want)  # in lexicographic order
     assert len(got) == 12
 
 
@@ -119,6 +119,15 @@ def test_colorings_up_to_permutation():
     # the 3! color permutations act freely: 12 colorings = 2 orbits x 6
     assert len(reps) == 2
     assert len(enumerate_colorings(logic, 3)) == len(reps) * 6
+
+
+def test_long_chain_needs_no_recursion():
+    # 3000 contexts, each sharing one atom with the next: a search nesting a
+    # call per context or per atom would pass Python's recursion limit
+    chain = parse_logic("".join(f"context a{i} a{i + 1}\n" for i in range(3000)))
+    alternating = [tuple((i + k) % 2 for i in range(3001)) for k in (0, 1)]
+    assert enumerate_states(chain) == alternating
+    assert enumerate_colorings(chain, 2) == alternating
 
 
 def test_coloring_k_below_context_size_rejected():
@@ -139,7 +148,7 @@ def test_firefly_partition_logic():
     part = partition_logic(states, logic)
     nstates = len(states)
     for ctx in logic.contexts:
-        blocks = [set(part.atom_states[a]) for a in ctx.atoms]
+        blocks = [set(part[a]) for a in ctx]
         assert set().union(*blocks) == set(range(1, nstates + 1))
         for i in range(len(blocks)):
             for k in range(i + 1, len(blocks)):
@@ -157,8 +166,16 @@ def test_partition_logic_empty_states_rejected():
 def test_parse_logic_basic():
     logic = parse_logic("logic demo\ncontext x y z\ncontext z w\n")
     assert logic.name == "demo"
-    assert [a.name for a in logic.atoms] == ["x", "y", "z", "w"]
+    assert list(logic.atoms) == ["x", "y", "z", "w"]
     assert len(logic.contexts) == 2
+
+
+def test_parse_logic_gives_names_and_index_tuples():
+    # atoms are their names in order of first appearance; a context is the
+    # tuple of its atoms' indices, in the order the line lists them
+    logic = parse_logic("context x y z\ncontext z w\ncontext w x\n")
+    assert logic.atoms == ("x", "y", "z", "w")
+    assert logic.contexts == ((0, 1, 2), (2, 3), (3, 0))
 
 
 def test_parse_logic_errors():

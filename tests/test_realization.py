@@ -90,21 +90,21 @@ def test_derive_pentagon_recovers_contexts():
     real = load_vectors("pentagon")
     logic = load_logic("pentagon")
     derived = derive_logic(real.vectors, 3, tol=0)
-    want = {frozenset(logic.atoms[a].name for a in c.atoms) for c in logic.contexts}
-    got = {frozenset(derived.atoms[a].name for a in c.atoms) for c in derived.contexts}
+    want = {frozenset(logic.atoms[a] for a in c) for c in logic.contexts}
+    got = {frozenset(derived.atoms[a] for a in c) for c in derived.contexts}
     assert got == want
 
 
 def test_derive_yu_oh_matches_clique_oracle():
     real = load_vectors("yu-oh")
     derived = derive_logic(real.vectors, 3)
-    got = sorted(c.atoms for c in derived.contexts)
+    got = sorted(derived.contexts)
     # exact integer orthogonality oracle over the 13 x 13 Gram matrix
     assert got == brute_force_cliques(real.vectors, _orth)
     assert len(got) == 16
     logic = load_logic("yu-oh")
-    want = {frozenset(logic.atoms[a].name for a in c.atoms) for c in logic.contexts}
-    names = {frozenset(derived.atoms[a].name for a in c.atoms) for c in derived.contexts}
+    want = {frozenset(logic.atoms[a] for a in c) for c in logic.contexts}
+    names = {frozenset(derived.atoms[a] for a in c) for c in derived.contexts}
     assert names == want
 
 
@@ -120,12 +120,12 @@ def test_derive_cabello18_cliques():
     logic = load_logic("cabello18")
     by_size = {}
     for c in derived.contexts:
-        by_size.setdefault(len(c.atoms), []).append(
-            frozenset(derived.atoms[a].name for a in c.atoms))
-    want = {frozenset(logic.atoms[a].name for a in c.atoms) for c in logic.contexts}
+        by_size.setdefault(len(c), []).append(
+            frozenset(derived.atoms[a] for a in c))
+    want = {frozenset(logic.atoms[a] for a in c) for c in logic.contexts}
     assert set(by_size[4]) == want
     assert len(derived.contexts) == 24
-    assert sorted(c.atoms for c in derived.contexts) \
+    assert sorted(derived.contexts) \
         == brute_force_cliques(real.vectors, _orth)
 
 
@@ -135,8 +135,8 @@ def test_derive_gamma1_adds_a13_c_clique():
     real = load_vectors("gamma1")
     derived = derive_logic(real.vectors, 3)
     logic = load_logic("gamma1")
-    want = {frozenset(logic.atoms[a].name for a in c.atoms) for c in logic.contexts}
-    got = {frozenset(derived.atoms[a].name for a in c.atoms) for c in derived.contexts}
+    want = {frozenset(logic.atoms[a] for a in c) for c in logic.contexts}
+    got = {frozenset(derived.atoms[a] for a in c) for c in derived.contexts}
     assert got == want | {frozenset({"a13", "c"})}
 
 

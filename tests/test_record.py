@@ -9,23 +9,13 @@ import pytest
 
 from correlpoly._record import Record
 from correlpoly.exact_hull import HRep, VRep
-from correlpoly.logic_core import (
-    Atom,
-    Coloring,
-    Context,
-    Logic,
-    ParityCertificate,
-    PartitionLogic,
-    TwoValuedState,
-)
+from correlpoly.logic_core import Logic, ParityCertificate
 from correlpoly.quantum import Direction, OperatorExpr, Optimum
 from correlpoly.realization import Realization, RealVector, VerifyReport
-from correlpoly.vertex_gen import TermSpec, TermTable
+from correlpoly.vertex_gen import TermSpec
 
-_LOGIC_FIELDS = ("l", (Atom(0, "a"), Atom(1, "b")), (Context((0, 1)),))
-_LOGIC = Logic(*_LOGIC_FIELDS)
+_LOGIC_FIELDS = ("l", ("a", "b"), ((0, 1),))
 _VECTOR = RealVector("a", (Fraction(1), Fraction(0)), True)
-_TERM = TermSpec("t", "prob", (0,))
 _EXPR_FIELDS = (1, ((1.0, ("z",)),), (("z", ("spin", Fraction(1, 2), "$t", 0.0)),), (("t", 0.5),))
 
 # every record class, its fields pinned (a Python that made class annotations
@@ -33,18 +23,12 @@ _EXPR_FIELDS = (1, ((1.0, ("z",)),), (("z", ("spin", Fraction(1, 2), "$t", 0.0))
 RECORDS = [
     (VRep, ("dimension", "points"), (1, ((0,),))),
     (HRep, ("dimension", "inequalities", "linearities"), (1, ((0, 1),), ())),
-    (Atom, ("index", "name"), (0, "a")),
-    (Context, ("atoms",), ((0, 1),)),
     (Logic, ("name", "atoms", "contexts"), _LOGIC_FIELDS),
-    (TwoValuedState, ("values",), ((0, 1),)),
-    (Coloring, ("colors", "k"), ((0, 1), 2)),
     (ParityCertificate, ("atom_context_counts", "context_count"), ((2, 2), 3)),
-    (PartitionLogic, ("atom_states",), (((1,), (2,)),)),
     (RealVector, ("name", "coords", "exact"), ("a", (Fraction(1), Fraction(0)), True)),
     (Realization, ("dimension", "vectors"), (2, (_VECTOR,))),
     (VerifyReport, ("nonorthogonal", "size_warnings", "collinear"), ((), ((0, 2),), ())),
     (TermSpec, ("label", "kind", "atoms"), ("t", "prob", (0,))),
-    (TermTable, ("logic", "terms"), (_LOGIC, (_TERM,))),
     (Direction, ("theta", "phi"), (0.5, -1.0)),
     (OperatorExpr, ("sites", "terms", "binds", "params"), _EXPR_FIELDS),
     # params is a dict in maximize_bound's results; a tuple here, to hash
@@ -93,7 +77,7 @@ def test_record_behaves_as_a_frozen_dataclass(cls, fields, values):
 
 def test_record_repr_text():
     assert repr(VRep(1, ((0,),))) == "VRep(dimension=1, points=((0,),))"
-    assert repr(Atom(0, "a")) == "Atom(index=0, name='a')"
+    assert repr(Logic(*_LOGIC_FIELDS)) == "Logic(name='l', atoms=('a', 'b'), contexts=((0, 1),))"
 
 
 @pytest.mark.parametrize("build", [
@@ -109,11 +93,10 @@ def test_record_rejects_wrong_field_names(build):
 @pytest.mark.parametrize("build, message", [
     (lambda: VRep(1, ()), "at least one point"),
     (lambda: VRep(2, ((0,),)), "does not match dimension"),
-    (lambda: Logic("l", (Atom(0, "a"), Atom(1, "a")), (Context((0, 1)),)), "duplicate atom names"),
+    (lambda: Logic("l", ("a", "a"), ((0, 1),)), "duplicate atom names"),
     (lambda: TermSpec("t", "odds", (0,)), "unknown term kind"),
     (lambda: TermSpec("t", "expect", (0, 1)), "expect takes one atom"),
     (lambda: RealVector("z", (Fraction(0), Fraction(0)), True), "vector z is zero"),
-    (lambda: TermTable(_LOGIC, (_TERM, TermSpec("t", "expect", (1,)))), "duplicate term labels"),
     (lambda: Direction(0.0, float("nan")), "angles must be finite"),
     (lambda: OperatorExpr(2, *_EXPR_FIELDS[1:]), "one factor per site"),
     (lambda: OperatorExpr(1, ((1.0, ("y",)),), *_EXPR_FIELDS[2:]), "unbound labels"),

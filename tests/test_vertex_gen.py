@@ -187,8 +187,8 @@ def test_joint_terms_multiply(bits):
     s = states[bits % len(states)]
     table = load_preset_terms("bwf-prob", logic)
     row = gen_state_vertices(logic, table).points[bits % len(states)]
-    idx = {t.label: i for i, t in enumerate(table.terms)}
+    idx = {t.label: i for i, t in enumerate(table)}
     for (i, k) in ((1, 3), (1, 4), (2, 3), (2, 4)):
-        a = logic.atom_index(f"a{i}")
-        b = logic.atom_index(f"a{k}")
-        assert row[idx[f"p{i}{k}"]] == s.values[a] * s.values[b]
+        a = logic.atoms.index(f"a{i}")
+        b = logic.atoms.index(f"a{k}")
+        assert row[idx[f"p{i}{k}"]] == s[a] * s[b]
