@@ -8,7 +8,6 @@ state; 3 golden-file mismatch; 4 realization verification failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib.util
 import sys
 import time
@@ -52,24 +51,36 @@ EXIT_VERIFY_FAIL = 4
 
 
 def _digest(text):
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    """The first 16 hex digits of the SHA-256 of text's UTF-8 bytes.  The
+    hash comes from CPython's built-in module, as in `random`: hashlib loads
+    OpenSSL's libcrypto, 3.4 MiB of peak RSS, which no other part of a run
+    needs."""
+    try:
+        from _sha2 import sha256            # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256      # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256      # a build without either
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 class _Run:
     """Deterministic run report: command echo and input digests go into the
-    output; wall time goes to stderr only."""
+    output; wall time goes to stderr only.  An input is hashed only when its
+    digest is printed."""
 
     def __init__(self, argv):
         self.echo = "correlpoly " + " ".join(argv)
-        self.inputs = []
+        self.inputs = []    # (name, text)
         self.t0 = time.perf_counter()
 
     def add_input(self, name, text):
-        self.inputs.append((name, _digest(text)))
+        self.inputs.append((name, text))
 
     def comments(self):
         out = [self.echo]
-        out += [f"input {name} sha256:{d}" for name, d in self.inputs]
+        out += [f"input {name} sha256:{_digest(text)}" for name, text in self.inputs]
         return out
 
     def finish(self):
@@ -297,6 +308,20 @@ def cmd_verify(args, run):
 
 # --- entry point ------------------------------------------------------------
 
+# an option, and the options of the same command that it makes unused
+_OVERRIDES = {"input": ("logic", "terms", "noncontextual"), "noncontextual": ("terms",),
+              "preset": ("expr",), "derive": ("logic",)}
+
+
+def _check_unused(args):
+    """Raise ValueError if an option is given that another one given makes
+    the command ignore."""
+    for option, others in _OVERRIDES.items():
+        unused = [f"--{o}" for o in others if getattr(args, o, None)]
+        if getattr(args, option, None) and unused:
+            raise ValueError(f"--{option} does not take {', '.join(unused)}")
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="correlpoly",
@@ -353,6 +378,7 @@ def main(argv=None):
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     run = _Run(argv)
     try:
+        _check_unused(args)
         code = args.func(args, run)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,6 +39,9 @@ HERMITIAN_TOL = 1e-12
 TINY = float(np.finfo(float).tiny)    # smallest normal float
 SECTION_POINTS = 15   # interior points per interval and multisection round
 SECTION_ROUNDS = 14   # (SECTION_POINTS + 1)^-14 = 2^-56
+# the largest operator dimension an expression may have; a 1024 x 1024
+# complex matrix takes 16 MiB
+MAX_DIM = 1024
 
 
 class Direction(Record):
@@ -392,10 +395,13 @@ def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
     and `bind <label> spin <j> <theta> <phi>` or
     `bind <label> proj <vector-file> <atom>` lines.  An angle `$name` must
     name a declared param.  Every error on a line raises
-    ValueError("line N: ...")."""
+    ValueError("line N: ..."), and so does a dimension above MAX_DIM, of
+    one bind or of a term (the product of its factors' dimensions), before
+    any matrix of that size is built."""
     sites = None
     terms = []
     binds = {}    # label -> spec
+    dims = {}     # label -> dimension
     params = {}   # name -> default
     vectors = {}  # source -> {name: coordinates}: each source is read once
 
@@ -432,16 +438,25 @@ def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
             unbound = sorted(set(factors) - binds.keys())
             if unbound:
                 raise ValueError(f"unbound labels {unbound}")
+            dim_checked(math.prod(dims[label] for label in factors), "the term")
         return bound
 
-    def bind(label, spec):
-        if label in binds:
+    def dim_checked(dim, what):
+        if dim > MAX_DIM:
+            raise ValueError(f"the dimension of {what} exceeds {MAX_DIM}")
+        return dim
+
+    def bind(label, dim):
+        # checked before the caller builds binds[label]
+        if label in dims:
             raise ValueError(f"duplicate bind label {label!r}")
-        binds[label] = spec
+        dims[label] = dim_checked(dim, f"bind {label!r}")
 
     def bind_spin(label, j, *angles):
-        bind(label, ("spin", _check_j(number(j, float)),
-                     *(t if t.startswith("$") else float(number(t, float)) for t in angles)))
+        j = _check_j(number(j, float))
+        bind(label, int(2 * j + 1))
+        binds[label] = ("spin", j, *(t if t.startswith("$") else float(number(t, float))
+                                     for t in angles))
 
         def declared():
             for t in angles:
@@ -454,7 +469,9 @@ def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
             vectors[source] = _load_vectors(source, base_dir)
         if atom not in vectors[source]:
             raise ValueError(f"no vector named {atom!r} in {source}")
-        bind(label, ("proj", _dichotomic(vectors[source][atom])))
+        coords = vectors[source][atom]
+        bind(label, len(coords))
+        binds[label] = ("proj", _dichotomic(coords))
 
     read_directives(text, {
         "sites <n>": set_sites,

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, golden comparison,
 and determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -11,10 +12,11 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import correlpoly
 from correlpoly import exact_hull, quantum
-from correlpoly.cli import main
+from correlpoly.cli import _digest, main
 
 from oracles import rotated_mermin
 
@@ -325,6 +327,53 @@ def test_hull_prob_term_with_two_atoms_exit_1(capsys, tmp_path):
     assert out == "" and "line 1: term p1: prob takes one atom, got 2" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hull", "--input", "x.ine", "--logic", "builtin:pentagon"], "--input does not take --logic"),
+    (["hull", "--input", "x.ine", "--terms", "preset:chsh-expect"],
+     "--input does not take --terms"),
+    (["hull", "--input", "x.ine", "--noncontextual"], "--input does not take --noncontextual"),
+    (["hull", "--logic", "builtin:pentagon", "--noncontextual", "--terms", "preset:bub-stairs"],
+     "--noncontextual does not take --terms"),
+    (["quantum", "--preset", "chsh", "--expr", "x.op"], "--preset does not take --expr"),
+    (["verify", "--derive", "--vectors", "builtin:yu-oh", "--logic", "builtin:yu-oh"],
+     "--derive does not take --logic"),
+], ids=["input-logic", "input-terms", "input-noncontextual", "noncontextual-terms",
+        "preset-expr", "derive-logic"])
+def test_option_that_would_be_ignored_exit_1(capsys, argv, message):
+    # no file is read: x.ine and x.op do not exist
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [f"error: {message}"]
+
+
+# --- input digests ------------------------------------------------------------
+
+def test_hull_input_digest_is_sha256_of_the_file(capsys):
+    path = resources.files("correlpoly.data") / "golden" / "chsh-2x2.ine"
+    code, out = run(capsys, "hull", "--input", str(path), "--reverse")
+    assert code == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    assert f"* input {path} sha256:{digest}" in out.splitlines()
+
+
+@given(st.text())
+@example("")
+@example("Kochen–Specker ∑ ψ 𝔸\r\n")
+def test_digest_is_hashlib_sha256(text):
+    assert _digest(text) == hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_digest_without_the_builtin_modules_falls_back_to_hashlib():
+    text = "Kochen–Specker ∑ ψ"
+    lines = _fresh_python(
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from correlpoly.cli import _digest\n"
+        f"print(_digest({text!r}))\n"
+        "print('_hashlib' in sys.modules)\n", "-S")
+    assert lines == [hashlib.sha256(text.encode()).hexdigest()[:16], "True"]
+
+
 # --- quantum ----------------------------------------------------------------
 
 def test_quantum_chsh(capsys):
@@ -474,6 +523,30 @@ def test_quantum_expr_error_names_its_line(capsys, tmp_path, expr, vec, message)
     assert capsys.readouterr().err.splitlines() == [message]
 
 
+@pytest.mark.parametrize("expr, vec, message", [
+    # a 200001 x 200001 complex matrix would take 596 GiB
+    ("sites 1\nterm 1 A@1\nbind A spin 100000 0 0\n", None,
+     "error: line 3: the dimension of bind 'A' exceeds 1024"),
+    # an unused bind is built too
+    ("sites 1\nterm 1 A@1\nbind A spin 1/2 0 0\nbind B spin 100000 0 0\n", None,
+     "error: line 4: the dimension of bind 'B' exceeds 1024"),
+    # each factor has dimension 512, the term 512^2
+    ("sites 2\nterm 1 A@1 A@2\nbind A spin 511/2 0 0\n", None,
+     "error: line 2: the dimension of the term exceeds 1024"),
+    ("sites 1\nterm 1 A@1\nbind A proj f.vec a\n", "dim 1025\nvector a " + "1 " * 1025 + "\n",
+     "error: line 3: the dimension of bind 'A' exceeds 1024"),
+])
+def test_quantum_oversized_operator_exit_1(capsys, tmp_path, expr, vec, message):
+    # rejected by the parser before any matrix is built
+    f = tmp_path / "op.expr"
+    f.write_text(expr)
+    if vec is not None:
+        (tmp_path / "f.vec").write_text(vec)
+    assert main(["quantum", "--expr", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [message]
+
+
 # --- verify -----------------------------------------------------------------
 
 def test_verify_pass(capsys):
@@ -546,7 +619,8 @@ LAYERS = ("exact_hull", "logic_core", "quantum", "realization", "vertex_gen")
 _START_PROBE = """
 import sys, types
 before = set(sys.modules)
-watch = ("dataclasses", "importlib.resources", "inspect", "json", "numpy", "typing")
+watch = ("_hashlib", "_sha2", "_sha256", "dataclasses", "hashlib", "importlib.resources",
+         "inspect", "json", "numpy", "typing")
 
 def seen():
     executed = [n for n in LAYERS if type(sys.modules[f"correlpoly.{n}"]) is types.ModuleType]
@@ -605,9 +679,11 @@ def test_states_and_verify_do_not_import_numpy():
     assert report["verify --logic builtin:cabello18 --vectors builtin:cabello18"] \
         == [["logic_core", "realization"], []]
     # the dd format writes through exact_hull, whose numpy work is in hull
-    # and vertices, not in emit_dd
-    assert report["states builtin:firefly --format dd"] \
-        == [["exact_hull", "logic_core", "realization"], []]
+    # and vertices, not in emit_dd; its input digest comes from CPython's
+    # built-in SHA-256 module, not from hashlib, which loads OpenSSL
+    executed, imported = report["states builtin:firefly --format dd"]
+    assert executed == ["exact_hull", "logic_core", "realization"]
+    assert imported in (["_sha2"], ["_sha256"])
 
 
 def test_small_hulls_do_not_import_numpy(tmp_path):
@@ -628,12 +704,14 @@ def test_small_hulls_do_not_import_numpy(tmp_path):
     for argv in small:
         executed, imported = report[" ".join(argv)]
         assert "exact_hull" in executed and "numpy" not in imported
+        assert not {"_hashlib", "hashlib"} & set(imported)
     # epr-2x3-full's H->V hands its cone to the numpy loop; with site: numpy
     # is installed in site-packages
     large = ["hull", "--input", str(golden / "epr-2x3-full.ine"), "--reverse"]
     report = _start_probe([large])
     assert report["codes"] == [0]
     assert "numpy" in report[" ".join(large)][1]
+    assert not {"_hashlib", "hashlib"} & set(report[" ".join(large)][1])
 
 
 def test_quantum_does_not_execute_the_exact_layers():
@@ -644,3 +722,6 @@ def test_quantum_does_not_execute_the_exact_layers():
     assert "exact_hull" not in executed and "vertex_gen" not in executed
     assert "quantum" in executed and "numpy" in imported
     assert "dataclasses" not in imported
+    # nothing is hashed: quantum prints no input digest.  On Python 3.12
+    # `random`, which numpy imports, loads _sha2 for its own seeding
+    assert not {"_hashlib", "_sha256", "hashlib"} & set(imported)
