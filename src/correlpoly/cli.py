@@ -151,21 +151,27 @@ def cmd_states(args, run):
 
 # --- hull -------------------------------------------------------------------
 
-def _row_sets(h):
-    return frozenset(h.linearities), frozenset(h.inequalities)
-
-
-def _compare_h(ours, golden):
-    # ours comes from hull(), which returns the canonical form already
-    (lin_a, ineq_a), (lin_b, ineq_b) = _row_sets(ours), _row_sets(exact_hull.canonicalize(golden))
-    if lin_a == lin_b and ineq_a == ineq_b:
-        return []
+def _golden_mismatch(out, golden):
+    """One line per row that only the computed or only the golden
+    representation has; none when they match.  out is canonical already,
+    as hull() returns it, and a golden H-representation is made so."""
+    if isinstance(out, exact_hull.HRep):
+        if not isinstance(golden, exact_hull.HRep):
+            raise ValueError("golden file is not an H-representation")
+        golden = exact_hull.canonicalize(golden)
+        parts = ((" linearity", out.linearities, golden.linearities),
+                 (" inequality", out.inequalities, golden.inequalities))
+    else:
+        if not isinstance(golden, exact_hull.VRep):
+            raise ValueError("golden file is not a V-representation")
+        parts = (("", out.points, golden.points),)
     msgs = []
-    for label, a, b in (("linearity", lin_a, lin_b), ("inequality", ineq_a, ineq_b)):
-        for row in sorted(a - b):
-            msgs.append(f"only in computed {label}: {' '.join(map(_text.exact_str, row))}")
-        for row in sorted(b - a):
-            msgs.append(f"only in golden {label}: {' '.join(map(_text.exact_str, row))}")
+    for label, ours, theirs in parts:
+        a, b = set(ours), set(theirs)
+        msgs += [f"only in computed{label}: {' '.join(map(_text.exact_str, row))}"
+                 for row in sorted(a - b)]
+        msgs += [f"only in golden{label}: {' '.join(map(_text.exact_str, row))}"
+                 for row in sorted(b - a)]
     return msgs
 
 
@@ -214,18 +220,7 @@ def cmd_hull(args, run):
         golden = _load(args.golden, "builtin:",
                        lambda name: exact_hull.parse_dd(_text.bundled(name, suffix)),
                        exact_hull.parse_dd, run)
-        if isinstance(out, exact_hull.HRep):
-            if not isinstance(golden, exact_hull.HRep):
-                raise ValueError("golden file is not an H-representation")
-            msgs = _compare_h(out, golden)
-        else:
-            if not isinstance(golden, exact_hull.VRep):
-                raise ValueError("golden file is not a V-representation")
-            a, b = set(out.points), set(golden.points)
-            msgs = ([f"only in computed: {' '.join(map(_text.exact_str, p))}"
-                     for p in sorted(a - b)]
-                    + [f"only in golden: {' '.join(map(_text.exact_str, p))}"
-                       for p in sorted(b - a)])
+        msgs = _golden_mismatch(out, golden)
         if msgs:
             print("golden mismatch:")
             for m in msgs:

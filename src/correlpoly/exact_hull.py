@@ -47,6 +47,11 @@ class HRep(Record):
     inequalities: tuple  # tuples (b, a1, .., am): b + a.x >= 0
     linearities: tuple   # tuples (b, a1, .., am): b + a.x = 0
 
+    def __post_init__(self):
+        for row in chain(self.inequalities, self.linearities):
+            if len(row) != self.dimension + 1:
+                raise ValueError("row length does not match dimension + 1")
+
 
 def _coprime(ints):
     """A row of ints divided by the gcd of its entries, as a tuple."""
@@ -491,10 +496,15 @@ def parse_dd(text: str):
                 count, *idx = head.split()[1:] or [""]
                 if not count.isdecimal():
                     raise ValueError(f"linearity count must be an integer, got {count!r}")
-                idx = {_parse_count(t, "linearity row") for t in idx}
+                idx = [_parse_count(t, "linearity row") for t in idx]
                 if len(idx) != int(count):
                     raise ValueError("linearity count mismatch")
-                linearity = (lineno, idx)
+                rows = set()
+                for i in idx:
+                    if i in rows:
+                        raise ValueError(f"linearity row {i} is given twice")
+                    rows.add(i)
+                linearity = (lineno, rows)
             elif head == "begin":
                 break
             else:

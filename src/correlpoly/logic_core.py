@@ -96,20 +96,6 @@ def enumerate_states(logic: Logic):
         for a in ctx:
             atom_ctxs[a].append(ci)
     out = []
-
-    def set_one(values, a):
-        """Assign v(a)=1 and propagate zeros; return False on contradiction."""
-        if values[a] == 0:
-            return False
-        values[a] = 1
-        for ci in atom_ctxs[a]:
-            for b in contexts[ci]:
-                if b != a:
-                    if values[b] == 1:
-                        return False
-                    values[b] = 0
-        return True
-
     stack = [(0, [None] * len(logic.atoms))]
     while stack:
         ci, values = stack.pop()
@@ -119,10 +105,15 @@ def enumerate_states(logic: Logic):
             out.append(tuple(values))
             continue
         for a in contexts[ci]:
+            # no atom of a context holding a is 1 yet: that 1 would have set
+            # a to 0 already
             if values[a] != 0:
                 trial = list(values)
-                if set_one(trial, a):
-                    stack.append((ci + 1, trial))
+                for cj in atom_ctxs[a]:
+                    for b in contexts[cj]:
+                        trial[b] = 0
+                trial[a] = 1
+                stack.append((ci + 1, trial))
     out.sort()
     return out
 

@@ -280,17 +280,14 @@ def joint_probability(j, dir1: Direction, dir2: Direction, m1, m2):
         raise ValueError("m out of range for this j")
     f1 = projectors(j, dir1)[int(m1 + j)]
     f2 = projectors(j, dir2)[int(m2 + j)]
-    psi = singlet(j)
-    return float(np.real(psi.conj() @ np.kron(f1, f2) @ psi))
+    return project_and_bound(np.kron(f1, f2), singlet(j))
 
 
 def correlation(j, dir1: Direction, dir2: Direction):
     """Unnormalized singlet correlation Tr{rho (S x S)}
     = -(j(j+1)/3) [cos t1 cos t2 + cos(p1-p2) sin t1 sin t2]."""
-    s1 = spin_operator(j, dir1)
-    s2 = spin_operator(j, dir2)
-    psi = singlet(j)
-    return float(np.real(psi.conj() @ np.kron(s1, s2) @ psi))
+    return project_and_bound(np.kron(spin_operator(j, dir1), spin_operator(j, dir2)),
+                             singlet(j))
 
 
 def classical_correlation(theta):
@@ -349,7 +346,10 @@ def project_and_bound(op, state):
 
 class OperatorExpr(Record):
     """A signed combination of tensor-product terms over labeled one-site
-    observables, with optional named angle parameters."""
+    observables, with optional named angle parameters.  Construction checks
+    its shape once: at least one term, one factor per site, every label
+    bound, every `proj` matrix square, and one dimension per site across
+    all terms."""
     sites: int
     terms: tuple      # (coefficient, factors) with factors = label per site
     binds: tuple      # (label, spec); spec = ("spin", j, theta, phi) with
@@ -357,13 +357,27 @@ class OperatorExpr(Record):
     params: tuple     # (name, default) in declaration order
 
     def __post_init__(self):
+        if not self.terms:
+            raise ValueError("expression has no terms")
         for coeff, factors in self.terms:
             if len(factors) != self.sites:
                 raise ValueError("every term needs one factor per site")
-        bound = {lbl for lbl, _ in self.binds}
+        dims = {}     # label -> dimension
+        for label, spec in self.binds:
+            if spec[0] == "spin":
+                dims[label] = int(2 * _check_j(spec[1]) + 1)
+                continue
+            shape = np.shape(spec[1])
+            if len(shape) != 2 or shape[0] != shape[1]:
+                raise ValueError(f"bind {label!r} is not a square matrix")
+            dims[label] = shape[0]
         used = {lbl for _, factors in self.terms for lbl in factors}
-        if not used <= bound:
-            raise ValueError(f"unbound labels {sorted(used - bound)}")
+        if not used <= dims.keys():
+            raise ValueError(f"unbound labels {sorted(used - dims.keys())}")
+        for k in range(self.sites):
+            site = sorted({dims[factors[k]] for _, factors in self.terms})
+            if len(site) > 1:
+                raise ValueError(f"site {k + 1} has inconsistent dimensions {site}")
 
     @property
     def param_names(self):
@@ -489,10 +503,12 @@ def load_preset_expr(name: str) -> OperatorExpr:
     return parse_operator_expr(bundled(name, ".op"))
 
 
-def resolve_bindings(expr: OperatorExpr, params=None):
-    """Materialize every bind into a matrix, substituting angle parameters.
-    A parameter given as an array of k values makes every spin bind that
-    uses it a stack (k, d, d)."""
+def realize_operator(expr: OperatorExpr, params=None):
+    """sum_t coeff_t * kron(factors) at the declared parameter defaults,
+    updated by params; Hermitian when every factor is.  A parameter given
+    as an array of k values makes every spin bind that uses it a stack
+    (k, d, d), and the operator a stack too.  Entries that overflow become
+    infinite, which eigenvalues rejects."""
     values = expr.defaults
     values.update(params or {})
     unknown = set(values) - set(expr.param_names)
@@ -504,46 +520,22 @@ def resolve_bindings(expr: OperatorExpr, params=None):
     def angle(x):
         return values[x[1:]] if isinstance(x, str) else x
 
-    out = {}
-    for label, spec in expr.binds:
-        if spec[0] == "spin":
-            _, j, t, p = spec
-            out[label] = _spin_operators(j, angle(t), angle(p))
-        else:
-            out[label] = spec[1]
-    return out
-
-
-def build_operator(expr: OperatorExpr, bindings):
-    """sum_t coeff_t * kron(factors); Hermitian when every factor is.  A
-    binding may be a stack (k, d, d); the operator is then a stack too.
-    Entries that overflow become infinite, which eigenvalues rejects."""
+    matrix = {label: _spin_operators(spec[1], angle(spec[2]), angle(spec[3]))
+              if spec[0] == "spin" else np.asarray(spec[1], dtype=complex)
+              for label, spec in expr.binds}
     total = None
     with np.errstate(over="ignore", invalid="ignore"):
         for coeff, factors in expr.terms:
             term = np.array([[coeff]], dtype=complex)
             for label in factors:
-                m = np.asarray(bindings[label], dtype=complex)
-                if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-                    raise ValueError(f"binding {label!r} is not a square matrix or a stack of them")
+                m = matrix[label]
                 # kron(term, m) as one outer product: entry (i*d + k, j*d + l)
                 # is term[i, j] * m[k, l]
                 term = term[..., :, None, :, None] * m[..., None, :, None, :]
                 *stack, a, b, _, _ = term.shape
                 term = term.reshape(*stack, a * b, a * b)
-            if total is None:
-                total = term
-            elif total.shape[-2:] != term.shape[-2:]:
-                raise ValueError("terms have inconsistent Kronecker dimensions")
-            else:
-                total = total + term
-    if total is None:
-        raise ValueError("expression has no terms")
+            total = term if total is None else total + term
     return total
-
-
-def realize_operator(expr: OperatorExpr, params=None):
-    return build_operator(expr, resolve_bindings(expr, params))
 
 
 def norm_bound(expr: OperatorExpr):

@@ -153,18 +153,22 @@ def derive_logic(vectors, d: int, tol=DEFAULT_TOL) -> Logic:
                 adj[i].add(j)
                 adj[j].add(i)
 
+    # Bron-Kerbosch with Tomita's pivot, depth-first on an explicit stack:
+    # each entry is a clique, the vertices that may extend it, and those
+    # that extend it in a branch taken already
     cliques = []
-
-    def extend(clique, candidates, excluded):
+    stack = [((), set(range(n)), set())]
+    while stack:
+        clique, candidates, excluded = stack.pop()
         if not candidates and not excluded:
             if len(clique) >= 2:
                 cliques.append(tuple(sorted(clique)))
-            return
-        for v in sorted(candidates):
-            extend(clique | {v}, candidates & adj[v], excluded & adj[v])
+            continue
+        # a maximal clique holds the pivot or a vertex not adjacent to it
+        pivot = max(candidates | excluded, key=lambda u: len(candidates & adj[u]))
+        for v in sorted(candidates - adj[pivot]):
+            stack.append((clique + (v,), candidates & adj[v], excluded & adj[v]))
             candidates = candidates - {v}
             excluded = excluded | {v}
-
-    extend(set(), set(range(n)), set())
     cliques.sort()
     return Logic("derived", tuple(v.name for v in vectors), tuple(cliques))

@@ -78,6 +78,14 @@ def test_states_check_separating(capsys):
     assert "separating" in out
 
 
+def test_states_json_unseparated_pairs(capsys):
+    code, out = run(capsys, "states", "builtin:gamma3", "--format", "json",
+                    "--check-separating")
+    assert code == 0
+    pairs = json.loads(out)["unseparated_pairs"]
+    assert ["a1", "b1"] in pairs and ["a7", "b7"] in pairs
+
+
 def test_states_dd_format(capsys):
     code, out = run(capsys, "states", "builtin:firefly", "--format", "dd")
     assert code == 0
@@ -154,6 +162,50 @@ def test_hull_golden_mismatch_exit_3(capsys, tmp_path):
     assert "only in computed" in out and "only in golden" in out
 
 
+_SEGMENT = {   # the segment from (0, 0) to (1, 1), and a wrong golden of each kind
+    "seg.ext": "V-representation\nbegin\n 2 3 real\n 1 0 0\n 1 1 1\nend\n",
+    "seg.ine": "H-representation\nlinearity 1  1\nbegin\n 3 3 real\n 0 1 -1\n 0 1 0\n 1 -1 0\nend\n",
+    "wrong.ine": "H-representation\nlinearity 1  1\nbegin\n 3 3 real\n 0 1 -2\n 0 1 0\n 3 -1 0\nend\n",
+    "wrong.ext": "V-representation\nbegin\n 2 3 real\n 1 0 0\n 1 2 2\nend\n",
+}
+
+
+@pytest.mark.parametrize("given, golden, reverse, lines", [
+    ("seg.ext", "wrong.ine", [], ["only in computed linearity: 0 1 -1",
+                                  "only in golden linearity: 0 1 -2",
+                                  "only in computed inequality: 1 0 -1",
+                                  "only in golden inequality: 3 0 -2"]),
+    ("seg.ine", "wrong.ext", ["--reverse"], ["only in computed: 1 1", "only in golden: 2 2"]),
+], ids=["H", "V"])
+def test_hull_golden_mismatch_lines(capsys, tmp_path, given, golden, reverse, lines):
+    for name, text in _SEGMENT.items():
+        (tmp_path / name).write_text(text)
+    code, out = run(capsys, "hull", "--input", str(tmp_path / given), *reverse,
+                    "--golden", str(tmp_path / golden))
+    assert code == 3
+    assert out.partition("golden mismatch:\n")[2].splitlines() == ["  " + ln for ln in lines]
+
+
+@pytest.mark.parametrize("given, golden, reverse, kind", [
+    ("seg.ext", "seg.ext", [], "an H-representation"),
+    ("seg.ine", "seg.ine", ["--reverse"], "a V-representation"),
+], ids=["H", "V"])
+def test_hull_golden_of_the_other_kind_exit_1(capsys, tmp_path, given, golden, reverse, kind):
+    for name, text in _SEGMENT.items():
+        (tmp_path / name).write_text(text)
+    assert main(["hull", "--input", str(tmp_path / given), *reverse,
+                 "--golden", str(tmp_path / golden)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: golden file is not {kind}"
+
+
+def test_hull_forward_requires_v_rep(capsys):
+    ine = resources.files("correlpoly.data") / "golden" / "chsh-2x2.ine"
+    assert main(["hull", "--input", str(ine)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: forward hull expects a V-representation input"]
+
+
 def test_hull_reverse(capsys, tmp_path):
     out_file = tmp_path / "kcbs.ine"
     code, _ = run(capsys, "hull", "--logic", "builtin:pentagon",
@@ -210,6 +262,8 @@ def test_hull_reverse_requires_h_rep(capsys, tmp_path):
      "line 6: 'x' is not a rational number"),
     ("H-representation\nbegin\n 1 2 real\n 1 1/0\nend\n",
      "line 4: '1/0' is not a rational number"),
+    ("H-representation\nlinearity 2  2 2\nbegin\n 2 2 real\n 1 0\n 0 1\nend\n",
+     "line 2: linearity row 2 is given twice"),
     # no rows are all of R^1 as an H-representation, but no V-representation
     ("V-representation\nbegin\n 0 2 real\nend\n",
      "line 3: row count must be a positive integer, got '0'"),
@@ -470,6 +524,33 @@ def test_quantum_non_finite_exit_1(capsys, tmp_path, terms, message):
     assert captured.out == "" and captured.err.splitlines() == [message]
 
 
+def test_quantum_unknown_param_exit_1(capsys):
+    assert main(["quantum", "--preset", "chsh", "--param", "bogus=1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: unknown parameters ['bogus']"]
+
+
+def test_quantum_optimize_without_free_parameter_exit_1(capsys):
+    assert main(["quantum", "--preset", "cabelloT", "--optimize"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: no free parameters to optimize"]
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("sites 1\nbind A spin 1/2 0 0\n", "error: expression has no terms"),
+    ("sites 1\nterm 1 A@1\nterm 1 B@1\nbind A spin 1/2 0 0\nbind B spin 1 0 0\n",
+     "error: site 1 has inconsistent dimensions [2, 3]"),
+], ids=["no-term", "two-dimensions"])
+def test_quantum_expr_shape_checked_by_its_record(capsys, tmp_path, expr, message):
+    f = tmp_path / "op.expr"
+    f.write_text(expr)
+    assert main(["quantum", "--expr", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [message]
+
+
 def test_quantum_errors(capsys):
     assert run(capsys, "quantum")[0] == 1
     assert run(capsys, "quantum", "--preset", "nope")[0] == 1
@@ -573,6 +654,33 @@ def test_verify_derive(capsys):
     assert "context z1 z2 z3" in out
 
 
+def test_verify_prints_size_warnings_and_shared_rays(capsys, tmp_path):
+    (tmp_path / "t.logic").write_text("logic t\ncontext a b\ncontext b c\n")
+    (tmp_path / "t.vec").write_text("dim 3\nvector a 1 0 0\nvector b 0 1 0\nvector c 2 0 0\n")
+    code, out = run(capsys, "verify", "--logic", str(tmp_path / "t.logic"),
+                    "--vectors", str(tmp_path / "t.vec"))
+    assert code == 4
+    assert out.splitlines() == ["warning: context 0 has 2 atoms in a 3-dimensional space",
+                                "warning: context 1 has 2 atoms in a 3-dimensional space",
+                                "atoms a and c share a ray",
+                                "FAIL"]
+
+
+def test_verify_needs_logic_or_derive(capsys):
+    assert main(["verify", "--vectors", "builtin:pentagon"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: verify needs --logic (or --derive)"]
+
+
+def test_missing_input_file_exit_1(capsys, tmp_path):
+    missing = tmp_path / "none.vec"
+    assert main(["verify", "--derive", "--vectors", str(missing)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        f"error: [Errno 2] No such file or directory: {str(missing)!r}"]
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("derive", [False, True], ids=["check", "derive"])
 def test_verify_rejects_nonsense_tol(capsys, tol, derive):
@@ -661,6 +769,18 @@ def test_package_names_load_their_module_on_first_use():
         "print(all(hasattr(correlpoly, n) for n in correlpoly.__all__))\n"
         "print(hasattr(correlpoly, 'no_such_name'))\n", "-S")
     assert lines == ["[]", "correlpoly.logic_core correlpoly.exact_hull", "True", "False"]
+
+
+def test_package_exports_are_the_layer_objects():
+    # here rather than in a fresh interpreter, so that the test run sees
+    # __getattr__ bind each name
+    from correlpoly import hull
+    assert hull is exact_hull.hull
+    for name in correlpoly.__all__:
+        vars(correlpoly).pop(name, None)     # read it through __getattr__ again
+        module = getattr(correlpoly, correlpoly._MODULE_OF[name])
+        assert getattr(correlpoly, name) is getattr(module, name)
+        assert name in vars(correlpoly)
 
 
 def test_states_and_verify_do_not_import_numpy():

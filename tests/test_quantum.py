@@ -470,14 +470,14 @@ def test_build_operator_matches_kron():
     expr = q.parse_operator_expr(
         "sites 3\nterm 1/2 A@1 B@2 C@3\nterm -3 B@1 A@2 C@3\n"
         "bind A spin 1/2 0.4 1.3\nbind B spin 1/2 2.1 -0.6\nbind C spin 1 1.1 0.2\n")
-    bindings = q.resolve_bindings(expr)
+    spin = {label: q.spin_operator(spec[1], q.Direction(*spec[2:])) for label, spec in expr.binds}
     want = 0
     for coeff, factors in expr.terms:   # the Kronecker products in the same order
         term = np.array([[coeff]], dtype=complex)
         for label in factors:
-            term = np.kron(term, bindings[label])
+            term = np.kron(term, spin[label])
         want = want + term
-    assert np.array_equal(q.build_operator(expr, bindings), want)
+    assert np.array_equal(q.realize_operator(expr), want)
 
 
 @pytest.mark.parametrize("preset", ["chsh", "kcbs"])
@@ -503,11 +503,9 @@ def test_build_operator_errors():
         q.parse_operator_expr("sites 2\nterm 1 A@1 B@2\nbind A spin 1/2 0 0\n")
     with pytest.raises(ValueError):
         q.parse_operator_expr("term 1 A@1\nbind A spin 1/2 0 0\n")
-    mixed = q.OperatorExpr(
-        1, ((1.0, ("A",)), (1.0, ("B",))),
-        (("A", ("proj", np.eye(2))), ("B", ("proj", np.eye(3)))), ())
     with pytest.raises(ValueError, match="inconsistent"):
-        q.build_operator(mixed, q.resolve_bindings(mixed))
+        q.OperatorExpr(1, ((1.0, ("A",)), (1.0, ("B",))),
+                       (("A", ("proj", np.eye(2))), ("B", ("proj", np.eye(3)))), ())
 
 
 def test_identity_term():

@@ -1,7 +1,11 @@
 """Vector realizations: orthogonality verification of the bundled
 (logic, vectors) pairs, and logic derivation from orthogonality cliques."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +150,23 @@ def test_derive_needs_enough_vectors():
         derive_logic(real.vectors[:2], 3)
 
 
+def test_derive_needs_no_recursion():
+    # one context of 300 atoms: a search that recursed once per clique member
+    # would pass the lowered limit
+    script = (
+        "import sys\n"
+        "from correlpoly.realization import RealVector, derive_logic\n"
+        "n = 300\n"
+        "vectors = [RealVector(f'e{i}', tuple(float(i == k) for k in range(n)), False)\n"
+        "           for i in range(n)]\n"
+        "sys.setrecursionlimit(200)\n"
+        "print(derive_logic(vectors, n).contexts == (tuple(range(n)),))\n")
+    src = str(Path(realization.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert out.stdout == "True\n", out.stderr[-500:]
+
+
 # --- parsing ---------------------------------------------------------------------
 
 def test_parse_vectors_mixed_entries():
@@ -165,3 +186,5 @@ def test_parse_vectors_errors():
         parse_vectors("dim 2\nvector a 0 0\n")  # zero vector
     with pytest.raises(ValueError, match="line 3: duplicate dim header"):
         parse_vectors("dim 3\nvector a 1 0 0\ndim 2\nvector b 1 0\n")
+    with pytest.raises(ValueError, match="missing dim header"):
+        parse_vectors("# no dim, no vector\n")

@@ -93,6 +93,8 @@ def test_record_rejects_wrong_field_names(build):
 @pytest.mark.parametrize("build, message", [
     (lambda: VRep(1, ()), "at least one point"),
     (lambda: VRep(2, ((0,),)), "does not match dimension"),
+    (lambda: HRep(2, ((0, 1, 0), (1, -1)), ()), "row length does not match"),
+    (lambda: HRep(2, (), ((0, 1, 0, 1),)), "row length does not match"),
     (lambda: Logic("l", ("a", "a"), ((0, 1),)), "duplicate atom names"),
     (lambda: TermSpec("t", "odds", (0,)), "unknown term kind"),
     (lambda: TermSpec("t", "expect", (0, 1)), "expect takes one atom"),
@@ -100,6 +102,12 @@ def test_record_rejects_wrong_field_names(build):
     (lambda: Direction(0.0, float("nan")), "angles must be finite"),
     (lambda: OperatorExpr(2, *_EXPR_FIELDS[1:]), "one factor per site"),
     (lambda: OperatorExpr(1, ((1.0, ("y",)),), *_EXPR_FIELDS[2:]), "unbound labels"),
+    (lambda: OperatorExpr(1, (), *_EXPR_FIELDS[2:]), "no terms"),
+    (lambda: OperatorExpr(1, ((1.0, ("z",)), (1.0, ("p",))),
+                          (*_EXPR_FIELDS[2], ("p", ("proj", ((1.0, 0.0, 0.0),) * 3))),
+                          _EXPR_FIELDS[3]), r"site 1 has inconsistent dimensions \[2, 3\]"),
+    (lambda: OperatorExpr(1, ((1.0, ("p",)),), (("p", ("proj", ((1.0, 0.0),))),), ()),
+     "bind 'p' is not a square matrix"),
 ])
 def test_post_init_checks_still_raise(build, message):
     with pytest.raises(ValueError, match=message):
