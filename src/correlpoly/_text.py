@@ -48,12 +48,11 @@ def read_directives(text, grammar, headers):
         forms.setdefault(words[0], []).append((usage, handler, literal, slots, len(words)))
     seen = set()
     checks = []
-    lineno = 0
-    try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            tokens = raw.partition("#")[0].split()
-            if not tokens:
-                continue
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
+            continue
+        with at_line(lineno):
             kw = tokens[0]
             if kw not in forms:
                 raise ValueError(f"unknown directive {kw!r}")
@@ -69,12 +68,11 @@ def read_directives(text, grammar, headers):
                     raise ValueError(f"duplicate {kw} header")
                 seen.add(kw)
             check = handler(*[tokens[i] for i in slots], *tokens[width:])
-            if check is not None:
-                checks.append((lineno, check))
-        for lineno, check in checks:
+        if check is not None:
+            checks.append((lineno, check))
+    for lineno, check in checks:
+        with at_line(lineno):
             check()
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"line {lineno}: {exc}") from None
 
 
 # the largest exponent of a decimal, in absolute value.  The exact value of

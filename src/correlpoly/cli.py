@@ -237,11 +237,9 @@ def cmd_quantum(args, run):
 
     if args.preset:
         expr = quantum.load_preset_expr(args.preset)
-        run.add_input(f"preset:{args.preset}", args.preset)
     elif args.expr:
-        text = Path(args.expr).read_text()
-        run.add_input(args.expr, text)
-        expr = quantum.parse_operator_expr(text, base_dir=Path(args.expr).parent)
+        expr = quantum.parse_operator_expr(Path(args.expr).read_text(),
+                                           base_dir=Path(args.expr).parent)
     else:
         raise ValueError("quantum needs --expr or --preset")
 
@@ -253,6 +251,9 @@ def cmd_quantum(args, run):
         overrides[name] = float(val)
     params = expr.defaults
     params.update(overrides)
+    if args.optimize and not expr.param_names:
+        # the check of maximize_bound, made before the operator is built
+        raise ValueError("no free parameters to optimize")
 
     op = quantum.realize_operator(expr, overrides)
     evs = quantum.eigenvalues(op)

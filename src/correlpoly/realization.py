@@ -5,7 +5,7 @@ vector set as the maximal cliques of the orthogonality graph."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import combinations
 
 from ._record import Record
 from ._text import bundled, number, read_directives
@@ -16,8 +16,8 @@ DEFAULT_TOL = 1e-10
 
 class RealVector(Record):
     name: str
-    coords: tuple   # Fraction entries (exact) or float entries
-    exact: bool
+    coords: tuple   # int, Fraction or float entries
+    exact: bool     # no entry is a float
 
     def __post_init__(self):
         if all(x == 0 for x in self.coords):
@@ -42,7 +42,8 @@ class VerifyReport(Record):
 def parse_vectors(text: str):
     """Parse the vector file format: `dim <d>` then `vector <atom> <c1> ...`
     lines; entries are integers, rationals p/q (both exact), or decimal
-    floats.  Every error on a line raises ValueError("line N: ...")."""
+    floats, kept as int, Fraction and float.  Every error on a line raises
+    ValueError("line N: ...")."""
     dim = None
     vectors = {}
 
@@ -59,10 +60,8 @@ def parse_vectors(text: str):
             raise ValueError(f"duplicate vector {name}")
         if len(entries) != dim:
             raise ValueError(f"expected {dim} coordinates")
-        coords = [number(t, float) for t in entries]
-        exact = not any(isinstance(x, float) for x in coords)
-        vectors[name] = RealVector(
-            name, tuple(x if isinstance(x, float) else Fraction(x) for x in coords), exact)
+        coords = tuple(number(t, float) for t in entries)
+        vectors[name] = RealVector(name, coords, not any(isinstance(x, float) for x in coords))
 
     read_directives(text, {"dim <d>": set_dim, "vector <atom> <c>...": vector}, ("dim",))
     if dim is None:
@@ -85,29 +84,30 @@ def _dot(x, y):
     return sum(a * b for a, b in zip(x, y))
 
 
-def _orthogonal(x: RealVector, y: RealVector, tol):
-    d = _dot(x.coords, y.coords)
-    if tol == 0:
-        if not (x.exact and y.exact):
-            raise ValueError("tol=0 requires exact rational coordinates "
-                             f"({x.name}, {y.name})")
-        return d == 0
-    return abs(d) <= tol * abs(_norm2(x)) ** 0.5 * abs(_norm2(y)) ** 0.5
+def _pair_test(vectors, tol):
+    """test(i, j, ray=False) for x = vectors[i] and y = vectors[j]: whether
+    they are orthogonal, or with ray=True whether they span one ray.  tol = 0
+    compares exactly and needs exact coordinates; otherwise x and y are
+    orthogonal when |<x|y>| <= tol |x| |y|, and span one ray when
+    |<x|y>^2 - |x|^2 |y|^2| <= tol |x|^2 |y|^2, which needs no normalization.
+    Each |x|^2, and the |x| of the float test, is computed once, and each
+    test makes one dot product."""
+    norm2 = [_dot(v.coords, v.coords) for v in vectors]
+    norm = [n ** 0.5 for n in norm2] if tol else None
 
-
-def _norm2(x: RealVector):
-    return _dot(x.coords, x.coords)
-
-
-def _collinear(x: RealVector, y: RealVector, tol):
-    # |<x|y>|^2 = <x|x><y|y>, avoiding normalization
-    d = _dot(x.coords, y.coords)
-    lhs, rhs = d * d, _norm2(x) * _norm2(y)
-    if tol == 0:
-        if not (x.exact and y.exact):
-            raise ValueError("tol=0 requires exact rational coordinates")
-        return lhs == rhs
-    return abs(lhs - rhs) <= tol * rhs
+    def test(i, j, ray=False):
+        x, y = vectors[i], vectors[j]
+        d = _dot(x.coords, y.coords)
+        rhs = norm2[i] * norm2[j] if ray else None
+        if tol == 0:
+            if not (x.exact and y.exact):
+                raise ValueError("tol=0 requires exact rational coordinates "
+                                 f"({x.name}, {y.name})")
+            return d * d == rhs if ray else d == 0
+        if ray:
+            return abs(d * d - rhs) <= tol * rhs
+        return abs(d) <= tol * norm[i] * norm[j]
+    return test
 
 
 def verify_realization(logic: Logic, real: Realization, tol=DEFAULT_TOL) -> VerifyReport:
@@ -119,23 +119,19 @@ def verify_realization(logic: Logic, real: Realization, tol=DEFAULT_TOL) -> Veri
     missing = [a for a in logic.atoms if a not in by_name]
     if missing:
         raise ValueError(f"realization lacks vectors for atoms {missing}")
+    vecs = [by_name[a] for a in logic.atoms]
+    test = _pair_test(vecs, tol)
     bad = []
     sizes = []
     for ci, ctx in enumerate(logic.contexts):
-        members = [by_name[logic.atoms[a]] for a in ctx]
-        if len(members) != real.dimension:
-            sizes.append((ci, len(members)))
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if not _orthogonal(members[i], members[j], tol):
-                    d = _dot(members[i].coords, members[j].coords)
-                    bad.append((ci, members[i].name, members[j].name, abs(d)))
-    coll = []
-    vecs = [by_name[a] for a in logic.atoms]
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if _collinear(vecs[i], vecs[j], tol):
-                coll.append((vecs[i].name, vecs[j].name))
+        if len(ctx) != real.dimension:
+            sizes.append((ci, len(ctx)))
+        for i, j in combinations(ctx, 2):
+            if not test(i, j):
+                d = _dot(vecs[i].coords, vecs[j].coords)
+                bad.append((ci, vecs[i].name, vecs[j].name, abs(d)))
+    coll = [(vecs[i].name, vecs[j].name)
+            for i, j in combinations(range(len(vecs)), 2) if test(i, j, ray=True)]
     return VerifyReport(tuple(bad), tuple(sizes), tuple(coll))
 
 
@@ -146,12 +142,12 @@ def derive_logic(vectors, d: int, tol=DEFAULT_TOL) -> Logic:
     if len(vectors) < d:
         raise ValueError(f"need at least {d} vectors")
     n = len(vectors)
+    test = _pair_test(vectors, tol)
     adj = [set() for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if _orthogonal(vectors[i], vectors[j], tol):
-                adj[i].add(j)
-                adj[j].add(i)
+    for i, j in combinations(range(n), 2):
+        if test(i, j):
+            adj[i].add(j)
+            adj[j].add(i)
 
     # Bron-Kerbosch with Tomita's pivot, depth-first on an explicit stack:
     # each entry is a clique, the vertices that may extend it, and those

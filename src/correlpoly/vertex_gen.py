@@ -10,7 +10,6 @@ the GF(2) span of the context-atom incidence columns.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 
 from ._record import Record
@@ -19,8 +18,6 @@ from .exact_hull import VRep
 from .logic_core import Logic, enumerate_states, parity_certificate
 
 KINDS = ("prob", "joint_prob", "expect", "joint_expect")
-
-_PLUS, _MINUS = Fraction(1), Fraction(-1)
 
 
 class TermSpec(Record):
@@ -62,8 +59,8 @@ def parse_terms(text: str, logic: Logic):
 def _evaluate(term: TermSpec, bits):
     # probabilities multiply the atoms' bits, expectations their signs 2b - 1
     if term.kind.endswith("prob"):
-        return Fraction(prod(bits[a] for a in term.atoms))
-    return Fraction(prod(2 * bits[a] - 1 for a in term.atoms))
+        return prod(bits[a] for a in term.atoms)
+    return prod(2 * bits[a] - 1 for a in term.atoms)
 
 
 def gen_state_vertices(logic: Logic, terms) -> VRep:
@@ -105,7 +102,7 @@ def gen_noncontextual_vertices(logic: Logic) -> VRep:
     # and a set bit (-1) sorts before a clear one
     mask = (1 << m) - 1
     span.sort(key=lambda x: format(x ^ mask, f"0{m}b")[::-1])
-    points = [tuple(_MINUS if x >> ci & 1 else _PLUS for ci in range(m))
+    points = [tuple(-1 if x >> ci & 1 else 1 for ci in range(m))
               for x in span]
     return VRep(m, tuple(points))
 

@@ -267,6 +267,9 @@ def test_hull_reverse_requires_h_rep(capsys, tmp_path):
     # no rows are all of R^1 as an H-representation, but no V-representation
     ("V-representation\nbegin\n 0 2 real\nend\n",
      "line 3: row count must be a positive integer, got '0'"),
+    ("H-representation\n", "missing begin"),
+    ("V-representation\nlinearity 1 1\nbegin\n 1 2 real\n 1 0\nend\n",
+     "line 2: linearity rows not supported in V-representation"),
 ])
 def test_hull_malformed_dd_exit_1(capsys, tmp_path, text, message):
     f = tmp_path / "f.ine"
@@ -531,11 +534,24 @@ def test_quantum_unknown_param_exit_1(capsys):
         "error: unknown parameters ['bogus']"]
 
 
-def test_quantum_optimize_without_free_parameter_exit_1(capsys):
+def test_quantum_optimize_without_free_parameter_exit_1(capsys, monkeypatch):
+    # refused before cabelloT's 256 x 256 operator is built or solved
+    def unused(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(quantum, "realize_operator", unused)
+    monkeypatch.setattr(quantum, "eigenvalues", unused)
     assert main(["quantum", "--preset", "cabelloT", "--optimize"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [
         "error: no free parameters to optimize"]
+
+
+def test_quantum_non_finite_param_exit_1(capsys):
+    assert main(["quantum", "--preset", "chsh", "--param", "t1=inf"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: direction angles must be finite"]
 
 
 @pytest.mark.parametrize("expr, message", [
@@ -549,6 +565,14 @@ def test_quantum_expr_shape_checked_by_its_record(capsys, tmp_path, expr, messag
     assert main(["quantum", "--expr", str(f)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [message]
+
+
+def test_quantum_expr_without_sites_exit_1(capsys, tmp_path):
+    f = tmp_path / "op.expr"
+    f.write_text("param t 0\n")
+    assert main(["quantum", "--expr", str(f)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == ["error: missing sites header"]
 
 
 def test_quantum_errors(capsys):
@@ -594,6 +618,13 @@ def test_quantum_malformed_expr_exit_1(capsys, tmp_path, text, lineno):
      "error: line 3: f.vec line 2: expected 3 coordinates"),
     ("sites 2\nbind A spin 1/2 0 0\nterm 1 A@1 A@2\nterm 1 A@1 B@2\nterm 1 B@1 B@2\n", None,
      "error: line 4: unbound labels ['B']"),
+    ("sites 2\nterm 1 A@1\nbind A spin 1/2 0 0\n", None,
+     "error: line 2: term must cover all 2 sites"),
+    ("sites 1\nterm 1 A@1\nbind A proj builtin:pentagon zz\n", None,
+     "error: line 3: no vector named 'zz' in builtin:pentagon"),
+    ("sites 1\nterm 1 A@1\nbind A rot 1\n", None,
+     "error: line 3: expected 'bind <label> spin <j> <theta> <phi>' "
+     "or 'bind <label> proj <vector-file> <atom>'"),
 ])
 def test_quantum_expr_error_names_its_line(capsys, tmp_path, expr, vec, message):
     f = tmp_path / "op.expr"
@@ -664,6 +695,14 @@ def test_verify_prints_size_warnings_and_shared_rays(capsys, tmp_path):
                                 "warning: context 1 has 2 atoms in a 3-dimensional space",
                                 "atoms a and c share a ray",
                                 "FAIL"]
+
+
+def test_verify_names_the_atoms_without_a_vector(capsys):
+    assert main(["verify", "--logic", "builtin:yu-oh", "--vectors", "builtin:cabello18"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "error: realization lacks vectors for atoms ['z1', 'z2', 'z3', 'y1-', 'y1+', "
+        "'y2-', 'y2+', 'y3-', 'y3+', 'h0', 'h1', 'h2', 'h3']"]
 
 
 def test_verify_needs_logic_or_derive(capsys):

@@ -309,6 +309,27 @@ def _checked_dd(run):
         return run(), empty
 
 
+def test_numpy_step_without_a_negative_ray():
+    # the sum of epr-2x3-full's last two inequalities is redundant: inserted
+    # after them, it cuts no ray, and the numpy loop's step has 1196 rays on
+    # its positive side and none on the negative one
+    _, h = builtin_scenario("epr-2x3-full")
+    a, b = h.inequalities[-2:]
+    redundant = HRep(h.dimension, (*h.inequalities, tuple(x + y for x, y in zip(a, b))),
+                     h.linearities)
+    sides = []
+    real_combinations = exact_hull._combinations
+
+    def combinations(R, Z, dots, pos, neg, effdim):
+        sides.append((len(pos), len(neg)))
+        return real_combinations(R, Z, dots, pos, neg, effdim)
+
+    with mock.patch.object(exact_hull, "_combinations", combinations):
+        got = vertices(redundant)
+    assert (1196, 0) in sides
+    assert got == vertices(h)
+
+
 def _on_both_paths(test):
     """The test, run once with the numpy loop taking the cone at its first
     step after the lineality is empty and once with the Python-int phase

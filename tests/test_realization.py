@@ -4,14 +4,17 @@
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from correlpoly import realization
-from correlpoly.logic_core import load_builtin as load_logic
+from correlpoly.logic_core import Logic, load_builtin as load_logic, parse_logic
 from correlpoly.realization import (
+    Realization,
+    RealVector,
     derive_logic,
     load_builtin as load_vectors,
     parse_vectors,
@@ -51,6 +54,44 @@ def test_exact_mode_rejects_float_coordinates():
                            tol=0)
 
 
+def test_exact_mode_names_the_pair_with_float_coordinates():
+    real = parse_vectors("dim 2\nvector a 1 0\nvector b 0 1\nvector c 0.5 0.5\n")
+    logic = Logic("l", ("a", "b", "c"), ((0, 1), (2,)))
+    # c shares no context with another atom: the shared-ray scan meets it first
+    with pytest.raises(ValueError) as caught:
+        verify_realization(logic, real, tol=0)
+    assert str(caught.value) == "tol=0 requires exact rational coordinates (a, c)"
+    with pytest.raises(ValueError) as caught:
+        derive_logic(real.vectors, 2, tol=0)
+    assert str(caught.value) == "tol=0 requires exact rational coordinates (a, c)"
+
+
+def _as_fractions(real):
+    return Realization(real.dimension, tuple(
+        RealVector(v.name, tuple(x if isinstance(x, float) else Fraction(x) for x in v.coords),
+                   v.exact) for v in real.vectors))
+
+
+@pytest.mark.parametrize("name", PAIRS)
+@pytest.mark.parametrize("tol", [realization.DEFAULT_TOL, 0])
+def test_int_coordinates_test_as_fractions_do(name, tol):
+    # the bundled vectors hold ints (and floats); as Fractions, which every
+    # exact coordinate once was, each test gives the same answer or error
+    logic = load_logic(name)
+
+    def outcome(real):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return (derive_logic(real.vectors, real.dimension, tol=tol),
+                        verify_realization(logic, real, tol=tol))
+        except ValueError as exc:
+            return str(exc)
+
+    real = load_vectors(name)
+    assert outcome(real) == outcome(_as_fractions(real))
+
+
 @pytest.mark.parametrize("tol", [-1e-10, float("nan"), float("inf"), float("-inf")])
 def test_tol_must_be_finite_and_nonnegative(tol):
     real = load_vectors("pentagon")
@@ -77,7 +118,6 @@ def test_perturbed_realization_fails():
 def test_collinear_atoms_flagged():
     bad = parse_vectors(
         "dim 3\nvector x 1 0 0\nvector y 0 1 0\nvector z 0 0 1\nvector w 0 0 5\n")
-    from correlpoly.logic_core import parse_logic
     logic = parse_logic("context x y z\ncontext x y w\n")
     report = verify_realization(logic, bad)
     assert ("z", "w") in report.collinear
@@ -167,12 +207,34 @@ def test_derive_needs_no_recursion():
     assert out.stdout == "True\n", out.stderr[-500:]
 
 
+def test_derive_makes_one_dot_product_per_pair(monkeypatch):
+    # 300 norms and one product for each of the 44850 pairs; a test that
+    # took both norms again for every pair made 134550
+    calls = 0
+    dot = realization._dot
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return dot(x, y)
+
+    monkeypatch.setattr(realization, "_dot", counted)
+    n = 300
+    vectors = [RealVector(f"e{i}", tuple(float(i == k) for k in range(n)), False)
+               for i in range(n)]
+    assert derive_logic(vectors, n).contexts == (tuple(range(n)),)
+    assert calls == n + n * (n - 1) // 2 == 45150
+
+
 # --- parsing ---------------------------------------------------------------------
 
 def test_parse_vectors_mixed_entries():
     real = parse_vectors("dim 2\nvector a 1/2 -3\nvector b 0.5 1\n")
     assert real.vectors[0].exact and real.vectors[0].coords == (Fraction(1, 2), -3)
     assert not real.vectors[1].exact
+    # each token keeps the type that reads it: int, Fraction or float
+    assert [[type(x) for x in v.coords] for v in real.vectors] \
+        == [[Fraction, int], [float, int]]
 
 
 def test_parse_vectors_errors():

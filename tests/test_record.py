@@ -96,6 +96,9 @@ def test_record_rejects_wrong_field_names(build):
     (lambda: HRep(2, ((0, 1, 0), (1, -1)), ()), "row length does not match"),
     (lambda: HRep(2, (), ((0, 1, 0, 1),)), "row length does not match"),
     (lambda: Logic("l", ("a", "a"), ((0, 1),)), "duplicate atom names"),
+    (lambda: Logic("l", ("a", "b"), ((0, 1), (1, 0))), "duplicate context"),
+    (lambda: Logic("l", ("a", "b", "c"), ((0, 1),)),
+     "every atom must appear in at least one context"),
     (lambda: TermSpec("t", "odds", (0,)), "unknown term kind"),
     (lambda: TermSpec("t", "expect", (0, 1)), "expect takes one atom"),
     (lambda: RealVector("z", (Fraction(0), Fraction(0)), True), "vector z is zero"),

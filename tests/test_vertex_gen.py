@@ -67,6 +67,16 @@ def test_duplicates_kept_until_hull():
     assert len(set(v.points)) == 11
 
 
+@pytest.mark.parametrize("preset", ["chsh-expect", "bwf-prob", None])
+def test_vertices_are_ints(preset):
+    # products of bits and signs are ints, as hull reads them; None stands
+    # for the noncontextual sign vertices
+    logic = load_builtin("epr-2x2")
+    v = (gen_noncontextual_vertices(logic) if preset is None
+         else gen_state_vertices(logic, load_preset_terms(preset, logic)))
+    assert {type(x) for p in v.points for x in p} == {int}
+
+
 def test_affine_consistency_prob_vs_expect():
     # E = 2p - 1 componentwise for single-atom terms, state by state
     logic = load_builtin("two-obs")
