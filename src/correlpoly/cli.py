@@ -282,7 +282,7 @@ def cmd_verify(args, run):
     real = _load(args.vectors, "builtin:", realization.load_builtin,
                  realization.parse_vectors, run)
     if args.derive:
-        logic = realization.derive_logic(real.vectors, real.dimension, tol=tol)
+        logic = realization.derive_logic(real, tol=tol)
         print(f"{len(logic.contexts)} contexts over {len(logic.atoms)} atoms")
         for c in logic.contexts:
             print("context " + " ".join(logic.atoms[a] for a in c))

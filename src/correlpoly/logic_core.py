@@ -30,6 +30,8 @@ class Logic(Record):
         holders = {}  # atom pair -> the contexts holding it
         for ci, c in enumerate(self.contexts):
             key = frozenset(c)
+            if len(key) != len(c):
+                raise ValueError("repeated atom in context")
             if key in seen:
                 raise ValueError("duplicate context")
             # two contexts intertwine in more than one atom iff they share a pair

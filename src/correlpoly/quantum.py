@@ -346,14 +346,15 @@ def project_and_bound(op, state):
 
 class OperatorExpr(Record):
     """A signed combination of tensor-product terms over labeled one-site
-    observables, with optional named angle parameters.  Construction checks
-    its shape once: at least one term, one factor per site, every label
-    bound, every `proj` matrix square, and one dimension per site across
-    all terms."""
+    observables, with optional named angle parameters.  A `proj` bind holds
+    the coordinates of its vector a, as read, and stands for the dichotomic
+    2|a><a|/<a|a> - I, which realize_operator builds.  Construction checks
+    the shape once: at least one term, one factor per site, every label
+    bound, and one dimension per site across all terms."""
     sites: int
     terms: tuple      # (coefficient, factors) with factors = label per site
     binds: tuple      # (label, spec); spec = ("spin", j, theta, phi) with
-                      # angles float or "$param", or ("proj", matrix)
+                      # angles float or "$param", or ("proj", coords)
     params: tuple     # (name, default) in declaration order
 
     def __post_init__(self):
@@ -364,13 +365,8 @@ class OperatorExpr(Record):
                 raise ValueError("every term needs one factor per site")
         dims = {}     # label -> dimension
         for label, spec in self.binds:
-            if spec[0] == "spin":
-                dims[label] = int(2 * _check_j(spec[1]) + 1)
-                continue
-            shape = np.shape(spec[1])
-            if len(shape) != 2 or shape[0] != shape[1]:
-                raise ValueError(f"bind {label!r} is not a square matrix")
-            dims[label] = shape[0]
+            dims[label] = (int(2 * _check_j(spec[1]) + 1) if spec[0] == "spin"
+                           else len(spec[1]))
         used = {lbl for _, factors in self.terms for lbl in factors}
         if not used <= dims.keys():
             raise ValueError(f"unbound labels {sorted(used - dims.keys())}")
@@ -485,7 +481,7 @@ def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
             raise ValueError(f"no vector named {atom!r} in {source}")
         coords = vectors[source][atom]
         bind(label, len(coords))
-        binds[label] = ("proj", _dichotomic(coords))
+        binds[label] = ("proj", coords)
 
     read_directives(text, {
         "sites <n>": set_sites,
@@ -521,7 +517,7 @@ def realize_operator(expr: OperatorExpr, params=None):
         return values[x[1:]] if isinstance(x, str) else x
 
     matrix = {label: _spin_operators(spec[1], angle(spec[2]), angle(spec[3]))
-              if spec[0] == "spin" else np.asarray(spec[1], dtype=complex)
+              if spec[0] == "spin" else _dichotomic(spec[1])
               for label, spec in expr.binds}
     total = None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -542,15 +538,10 @@ def norm_bound(expr: OperatorExpr):
     """Upper bound on the largest eigenvalue at any angles:
     sum_t |c_t| prod_f ||F_f||, since the norm of a Kronecker product is the
     product of the norms.  A spin-j component has norm j whatever its
-    direction; a `proj` binding has the largest modulus of its eigenvalues,
-    which is 1 for the dichotomic 2P - I the parser builds."""
-    norms = {}
-    for label, spec in expr.binds:
-        if spec[0] == "spin":
-            norms[label] = float(spec[1])
-        else:
-            vals = eigenvalues(spec[1])
-            norms[label] = max(-vals[0], vals[-1])
+    direction; a `proj` bind stands for the dichotomic 2P - I, whose
+    eigenvalues are +-1, so its norm is 1 and no matrix is built."""
+    norms = {label: float(spec[1]) if spec[0] == "spin" else 1.0
+             for label, spec in expr.binds}
     return sum(abs(coeff) * math.prod(norms[label] for label in factors)
                for coeff, factors in expr.terms)
 

@@ -17,16 +17,26 @@ DEFAULT_TOL = 1e-10
 class RealVector(Record):
     name: str
     coords: tuple   # int, Fraction or float entries
-    exact: bool     # no entry is a float
 
     def __post_init__(self):
         if all(x == 0 for x in self.coords):
             raise ValueError(f"vector {self.name} is zero")
 
+    @property
+    def exact(self):
+        """No entry is a float."""
+        return not any(isinstance(x, float) for x in self.coords)
+
 
 class Realization(Record):
     dimension: int
     vectors: tuple  # one RealVector per atom, in atom order
+
+    def __post_init__(self):
+        for v in self.vectors:
+            if len(v.coords) != self.dimension:
+                raise ValueError(f"vector {v.name} has {len(v.coords)} coordinates "
+                                 f"in dimension {self.dimension}")
 
 
 class VerifyReport(Record):
@@ -60,8 +70,7 @@ def parse_vectors(text: str):
             raise ValueError(f"duplicate vector {name}")
         if len(entries) != dim:
             raise ValueError(f"expected {dim} coordinates")
-        coords = tuple(number(t, float) for t in entries)
-        vectors[name] = RealVector(name, coords, not any(isinstance(x, float) for x in coords))
+        vectors[name] = RealVector(name, tuple(number(t, float) for t in entries))
 
     read_directives(text, {"dim <d>": set_dim, "vector <atom> <c>...": vector}, ("dim",))
     if dim is None:
@@ -86,26 +95,30 @@ def _dot(x, y):
 
 def _pair_test(vectors, tol):
     """test(i, j, ray=False) for x = vectors[i] and y = vectors[j]: whether
-    they are orthogonal, or with ray=True whether they span one ray.  tol = 0
-    compares exactly and needs exact coordinates; otherwise x and y are
-    orthogonal when |<x|y>| <= tol |x| |y|, and span one ray when
-    |<x|y>^2 - |x|^2 |y|^2| <= tol |x|^2 |y|^2, which needs no normalization.
-    Each |x|^2, and the |x| of the float test, is computed once, and each
-    test makes one dot product."""
+    they are orthogonal, |<x|y>| <= tol |x| |y|, or with ray=True whether
+    they span one ray, |<x|y>^2 - |x|^2 |y|^2| <= tol |x|^2 |y|^2, which
+    needs no normalization.  A pair of exact vectors is compared exactly at
+    every tol, squared and with tol = p/q as integers: q^2 <x|y>^2 <=
+    p^2 |x|^2 |y|^2 and q |<x|y>^2 - |x|^2 |y|^2| <= p |x|^2 |y|^2, so no
+    float rounds a tie and no coordinate has to fit the float range.  A
+    pair with a float entry is tested in floats, and tol = 0 refuses it.
+    Each |x|^2, the |x| of the float test and whether x is exact are found
+    once per vector, and each test makes one dot product."""
+    exact = [v.exact for v in vectors]
     norm2 = [_dot(v.coords, v.coords) for v in vectors]
-    norm = [n ** 0.5 for n in norm2] if tol else None
+    norm = [n ** 0.5 for n in norm2] if tol and not all(exact) else None
+    p, q = tol.as_integer_ratio()
 
     def test(i, j, ray=False):
-        x, y = vectors[i], vectors[j]
-        d = _dot(x.coords, y.coords)
-        rhs = norm2[i] * norm2[j] if ray else None
+        d = _dot(vectors[i].coords, vectors[j].coords)
+        n2 = norm2[i] * norm2[j]
+        if exact[i] and exact[j]:
+            return q * abs(d * d - n2) <= p * n2 if ray else q * q * d * d <= p * p * n2
         if tol == 0:
-            if not (x.exact and y.exact):
-                raise ValueError("tol=0 requires exact rational coordinates "
-                                 f"({x.name}, {y.name})")
-            return d * d == rhs if ray else d == 0
+            raise ValueError("tol=0 requires exact rational coordinates "
+                             f"({vectors[i].name}, {vectors[j].name})")
         if ray:
-            return abs(d * d - rhs) <= tol * rhs
+            return abs(d * d - n2) <= tol * n2
         return abs(d) <= tol * norm[i] * norm[j]
     return test
 
@@ -135,12 +148,14 @@ def verify_realization(logic: Logic, real: Realization, tol=DEFAULT_TOL) -> Veri
     return VerifyReport(tuple(bad), tuple(sizes), tuple(coll))
 
 
-def derive_logic(vectors, d: int, tol=DEFAULT_TOL) -> Logic:
-    """Logic whose contexts are the maximal cliques (size >= 2) of the
-    orthogonality graph on the given vectors."""
+def derive_logic(real: Realization, tol=DEFAULT_TOL) -> Logic:
+    """Logic whose contexts are the maximal cliques of the orthogonality
+    graph on the realization's vectors.  A vector orthogonal to no other is
+    a clique of its own, so every vector is an atom of some context."""
     _check_tol(tol)
-    if len(vectors) < d:
-        raise ValueError(f"need at least {d} vectors")
+    vectors = real.vectors
+    if len(vectors) < real.dimension:
+        raise ValueError(f"need at least {real.dimension} vectors")
     n = len(vectors)
     test = _pair_test(vectors, tol)
     adj = [set() for _ in range(n)]
@@ -157,8 +172,7 @@ def derive_logic(vectors, d: int, tol=DEFAULT_TOL) -> Logic:
     while stack:
         clique, candidates, excluded = stack.pop()
         if not candidates and not excluded:
-            if len(clique) >= 2:
-                cliques.append(tuple(sorted(clique)))
+            cliques.append(tuple(sorted(clique)))
             continue
         # a maximal clique holds the pivot or a vertex not adjacent to it
         pivot = max(candidates | excluded, key=lambda u: len(candidates & adj[u]))

@@ -264,6 +264,8 @@ def test_hull_reverse_requires_h_rep(capsys, tmp_path):
      "line 4: '1/0' is not a rational number"),
     ("H-representation\nlinearity 2  2 2\nbegin\n 2 2 real\n 1 0\n 0 1\nend\n",
      "line 2: linearity row 2 is given twice"),
+    ("H-representation\nlinearity 2 1\nbegin\n 1 2 real\n 1 0\nend\n",
+     "line 2: linearity count mismatch"),
     # no rows are all of R^1 as an H-representation, but no V-representation
     ("V-representation\nbegin\n 0 2 real\nend\n",
      "line 3: row count must be a positive integer, got '0'"),
@@ -547,6 +549,20 @@ def test_quantum_optimize_without_free_parameter_exit_1(capsys, monkeypatch):
         "error: no free parameters to optimize"]
 
 
+def test_quantum_optimize_with_projector_bind(capsys, tmp_path):
+    # spin 1 at theta = t and the dichotomic observable of (1, 0, 0) share
+    # their top eigenvector at t = 0, where the norm bound 1 + 1 is reached;
+    # a `proj` bind's norm is the float 1.0, so the report is plain JSON
+    f = tmp_path / "f.op"
+    f.write_text("sites 1\nparam t 0\nterm 1 A@1\nterm 1 P@1\n"
+                 "bind A spin 1 $t 0\nbind P proj builtin:pentagon a1\n")
+    code, out = run(capsys, "quantum", "--expr", str(f), "--optimize")
+    assert code == 0
+    opt = json.loads(out)["optimized"]
+    assert opt["upper_bound"] == 2.0 and opt["certified"] is True
+    assert abs(opt["lambda_max"] - 2) <= 1e-9
+
+
 def test_quantum_non_finite_param_exit_1(capsys):
     assert main(["quantum", "--preset", "chsh", "--param", "t1=inf"]) == 1
     captured = capsys.readouterr()
@@ -685,6 +701,24 @@ def test_verify_derive(capsys):
     assert "context z1 z2 z3" in out
 
 
+@pytest.mark.parametrize("tol", [[], ["--tol", "0"], ["--tol", "1e-3"]])
+def test_verify_derive_exact_vectors_past_the_float_range(capsys, tmp_path, tol):
+    # a 201-digit coordinate: its square is past the float range
+    f = tmp_path / "big.vec"
+    f.write_text(f"dim 2\nvector a 1{'0' * 200} 0\nvector b 0 1\n")
+    code, out = run(capsys, "verify", "--derive", "--vectors", str(f), *tol)
+    assert code == 0
+    assert out.splitlines() == ["1 contexts over 2 atoms", "context a b"]
+
+
+def test_verify_derive_vector_orthogonal_to_no_other(capsys, tmp_path):
+    f = tmp_path / "iso.vec"
+    f.write_text("dim 3\nvector x 1 0 0\nvector y 0 1 0\nvector z 0 0 1\nvector d 1 1 1\n")
+    code, out = run(capsys, "verify", "--derive", "--vectors", str(f))
+    assert code == 0
+    assert out.splitlines() == ["2 contexts over 4 atoms", "context x y z", "context d"]
+
+
 def test_verify_prints_size_warnings_and_shared_rays(capsys, tmp_path):
     (tmp_path / "t.logic").write_text("logic t\ncontext a b\ncontext b c\n")
     (tmp_path / "t.vec").write_text("dim 3\nvector a 1 0 0\nvector b 0 1 0\nvector c 2 0 0\n")
@@ -808,6 +842,17 @@ def test_package_names_load_their_module_on_first_use():
         "print(all(hasattr(correlpoly, n) for n in correlpoly.__all__))\n"
         "print(hasattr(correlpoly, 'no_such_name'))\n", "-S")
     assert lines == ["[]", "correlpoly.logic_core correlpoly.exact_hull", "True", "False"]
+
+
+def test_package_reads_a_layer_module_without_the_command_line():
+    # in an interpreter that has not imported cli, the package's __getattr__
+    # imports the layer, as an eager import would
+    lines = _fresh_python(
+        "import sys, types, correlpoly\n"
+        "m = correlpoly.exact_hull\n"
+        "print(m is sys.modules['correlpoly.exact_hull'], type(m) is types.ModuleType)\n"
+        "print('correlpoly.cli' in sys.modules, m.hull is correlpoly.hull)\n", "-S")
+    assert lines == ["True True", "False True"]
 
 
 def test_package_exports_are_the_layer_objects():

@@ -426,6 +426,20 @@ def test_classical_correlation_and_gap():
         q.classical_correlation(-0.1)
     with pytest.raises(ValueError):
         q.delta_E(4.0)
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
+        q.stronger_than_quantum(math.pi + 0.1)
+
+
+@pytest.mark.parametrize("j, m1, m2", [(HALF, 1, HALF), (HALF, HALF, 0), (1, HALF, 1), (1, 1, -2)])
+def test_joint_probability_rejects_m_outside_the_spectrum(j, m1, m2):
+    d = q.Direction(0.3, 0.4)
+    with pytest.raises(ValueError, match="m out of range for this j"):
+        q.joint_probability(j, d, d, m1, m2)
+
+
+def test_unknown_bell_state():
+    with pytest.raises(ValueError, match="unknown Bell state 'psi-zero'"):
+        q.bell_state("psi-zero")
 
 
 # --- operator expressions --------------------------------------------------------
@@ -505,12 +519,7 @@ def test_build_operator_errors():
         q.parse_operator_expr("term 1 A@1\nbind A spin 1/2 0 0\n")
     with pytest.raises(ValueError, match="inconsistent"):
         q.OperatorExpr(1, ((1.0, ("A",)), (1.0, ("B",))),
-                       (("A", ("proj", np.eye(2))), ("B", ("proj", np.eye(3)))), ())
-
-
-def test_identity_term():
-    expr = q.OperatorExpr(1, ((1.0, ("I",)),), (("I", ("proj", np.eye(4))),), ())
-    assert np.allclose(q.realize_operator(expr), np.eye(4))
+                       (("A", ("proj", (1, 0))), ("B", ("proj", (1, 0, 0)))), ())
 
 
 def test_projector_binding_normalizes():
@@ -519,6 +528,24 @@ def test_projector_binding_normalizes():
     a = q.realize_operator(expr)
     assert np.allclose(a @ a, np.eye(4))       # dichotomic: A^2 = I
     assert np.allclose(np.trace(a), -2)        # one +1, three -1 eigenvalues
+
+
+def test_projector_bind_holds_its_vector():
+    # the coordinates as the vector file reads them; realize_operator
+    # builds the matrix 2|a><a|/<a|a> - I
+    expr = q.parse_operator_expr(
+        "sites 1\nterm 1 A@1\nbind A proj builtin:pentagon a6\n")
+    assert expr.binds == (("A", ("proj", (1, -1, 2))),)
+    a = np.array([1, -1, 2])
+    assert np.allclose(q.realize_operator(expr), 2 * np.outer(a, a) / 6 - np.eye(3))
+
+
+def test_expression_with_projector_binds_compares_and_hashes():
+    expr = q.load_preset_expr("cabelloT")
+    again = q.load_preset_expr("cabelloT")
+    assert expr == again and not expr != again
+    assert hash(expr) == hash(again)
+    assert len({expr, again}) == 1
 
 
 def test_vector_source_read_once_per_parse(monkeypatch):
@@ -564,6 +591,13 @@ def test_maximize_single_term():
     assert abs(best - 1) <= 1e-6
 
 
+def test_maximize_without_parameters_raises():
+    # the command line refuses first; the function checks on its own too
+    with pytest.raises(ValueError, match="no free parameters to optimize"):
+        q.maximize_bound(q.OperatorExpr(1, ((1.0, ("A",)),),
+                                        (("A", ("spin", HALF, 0.0, 0.0)),), ()))
+
+
 def test_maximize_deterministic():
     expr = q.load_preset_expr("chsh")
     a = q.maximize_bound(expr, seed=0)
@@ -604,6 +638,14 @@ BOUNDED = {"chsh": q.load_preset_expr("chsh"), "kcbs": q.load_preset_expr("kcbs"
 @pytest.mark.parametrize("name, bound", [("chsh", 4), ("kcbs", 5), ("cabelloT", 9), ("mermin", 4)])
 def test_norm_bound(name, bound):
     assert abs(q.norm_bound(BOUNDED[name]) - bound) <= 1e-12
+
+
+def test_norm_bound_solves_no_matrix(monkeypatch):
+    # a `proj` bind is the dichotomic 2P - I, of norm 1: no eigensolve
+    calls = []
+    monkeypatch.setattr(q, "eigenvalues", lambda *args: calls.append(args))
+    assert q.norm_bound(BOUNDED["cabelloT"]) == 9.0
+    assert calls == []
 
 
 @settings(max_examples=60, deadline=None)

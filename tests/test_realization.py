@@ -1,6 +1,7 @@
 """Vector realizations: orthogonality verification of the bundled
 (logic, vectors) pairs, and logic derivation from orthogonality cliques."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -62,14 +63,14 @@ def test_exact_mode_names_the_pair_with_float_coordinates():
         verify_realization(logic, real, tol=0)
     assert str(caught.value) == "tol=0 requires exact rational coordinates (a, c)"
     with pytest.raises(ValueError) as caught:
-        derive_logic(real.vectors, 2, tol=0)
+        derive_logic(real, tol=0)
     assert str(caught.value) == "tol=0 requires exact rational coordinates (a, c)"
 
 
 def _as_fractions(real):
     return Realization(real.dimension, tuple(
-        RealVector(v.name, tuple(x if isinstance(x, float) else Fraction(x) for x in v.coords),
-                   v.exact) for v in real.vectors))
+        RealVector(v.name, tuple(x if isinstance(x, float) else Fraction(x) for x in v.coords))
+        for v in real.vectors))
 
 
 @pytest.mark.parametrize("name", PAIRS)
@@ -83,7 +84,7 @@ def test_int_coordinates_test_as_fractions_do(name, tol):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                return (derive_logic(real.vectors, real.dimension, tol=tol),
+                return (derive_logic(real, tol=tol),
                         verify_realization(logic, real, tol=tol))
         except ValueError as exc:
             return str(exc)
@@ -92,13 +93,54 @@ def test_int_coordinates_test_as_fractions_do(name, tol):
     assert outcome(real) == outcome(_as_fractions(real))
 
 
+def test_exact_is_read_off_the_coordinates():
+    assert RealVector._fields == ("name", "coords")
+    assert RealVector("a", (1, Fraction(1, 3))).exact
+    assert not RealVector("a", (0.1 + 0.2, 1)).exact
+    # a caller can no longer mark float coordinates exact
+    with pytest.raises(TypeError):
+        RealVector("a", (0.1 + 0.2, 1), True)
+    real = Realization(2, (RealVector("a", (0.1 + 0.2, 1)), RealVector("b", (-1, 0.3))))
+    with pytest.raises(ValueError, match="tol=0 requires exact rational coordinates"):
+        verify_realization(Logic("l", ("a", "b"), ((0, 1),)), real, tol=0)
+
+
+def test_derive_takes_the_realization():
+    assert tuple(inspect.signature(derive_logic).parameters) == ("real", "tol")
+
+
+@pytest.mark.parametrize("tol", [realization.DEFAULT_TOL, 0, 1e-3, 1e-14])
+def test_exact_vectors_past_the_float_range(tol):
+    # 10^200 squared is past the float range; exact pairs never meet a
+    # float.  c is orthogonal to no other vector: a context of its own
+    big = 10 ** 200
+    real = Realization(2, (RealVector("a", (big, 0)), RealVector("b", (0, 1)),
+                           RealVector("c", (big, big)), RealVector("d", (Fraction(1, big), 0))))
+    assert derive_logic(real, tol=tol).contexts == ((0, 1), (1, 3), (2,))
+    report = verify_realization(Logic("l", ("a", "b", "c", "d"), ((0, 1), (1, 3), (2,))),
+                                real, tol=tol)
+    assert report.collinear == (("a", "d"),) and not report.nonorthogonal
+
+
+def test_exact_tie_at_the_tolerance_counts():
+    # a6 . a8 = 3 and |a6|^2 = |a8|^2 = 6: |cos| is exactly 1/2, which
+    # tol = 0.5 admits; the float test of |<x|y>| <= tol |x| |y| rounded
+    # 0.5 sqrt(6) sqrt(6) below 3
+    real = load_vectors("pentagon")
+    derived = derive_logic(real, tol=0.5)
+    names = {tuple(derived.atoms[a] for a in c) for c in derived.contexts}
+    assert {("a2", "a6", "a8"), ("a6", "a7", "a8")} <= names
+    a6, a8 = (real.vectors[derived.atoms.index(n)].coords for n in ("a6", "a8"))
+    assert 0.5 * sum(x * x for x in a6) ** 0.5 * sum(x * x for x in a8) ** 0.5 < 3
+
+
 @pytest.mark.parametrize("tol", [-1e-10, float("nan"), float("inf"), float("-inf")])
 def test_tol_must_be_finite_and_nonnegative(tol):
     real = load_vectors("pentagon")
     with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
         verify_realization(load_logic("pentagon"), real, tol=tol)
     with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
-        derive_logic(real.vectors, real.dimension, tol=tol)
+        derive_logic(real, tol=tol)
 
 
 def test_perturbed_realization_fails():
@@ -133,7 +175,7 @@ def _orth(u, v):
 def test_derive_pentagon_recovers_contexts():
     real = load_vectors("pentagon")
     logic = load_logic("pentagon")
-    derived = derive_logic(real.vectors, 3, tol=0)
+    derived = derive_logic(real, tol=0)
     want = {frozenset(logic.atoms[a] for a in c) for c in logic.contexts}
     got = {frozenset(derived.atoms[a] for a in c) for c in derived.contexts}
     assert got == want
@@ -141,7 +183,7 @@ def test_derive_pentagon_recovers_contexts():
 
 def test_derive_yu_oh_matches_clique_oracle():
     real = load_vectors("yu-oh")
-    derived = derive_logic(real.vectors, 3)
+    derived = derive_logic(real)
     got = sorted(derived.contexts)
     # exact integer orthogonality oracle over the 13 x 13 Gram matrix
     assert got == brute_force_cliques(real.vectors, _orth)
@@ -158,7 +200,7 @@ def test_derive_cabello18_cliques():
     # exactly the 9 drawn contexts
     real = load_vectors("cabello18")
     with pytest.warns(UserWarning, match="intertwine") as caught:
-        derived = derive_logic(real.vectors, 4, tol=0)
+        derived = derive_logic(real, tol=0)
     # the warning names derive_logic, which built the logic
     assert {w.filename for w in caught} == {realization.__file__}
     logic = load_logic("cabello18")
@@ -177,7 +219,7 @@ def test_derive_gamma1_adds_a13_c_clique():
     # a13 = (1,0,0) and c = (0,0,1) are orthogonal but share no drawn
     # context, so the derived logic has one 2-atom clique beyond the logic
     real = load_vectors("gamma1")
-    derived = derive_logic(real.vectors, 3)
+    derived = derive_logic(real)
     logic = load_logic("gamma1")
     want = {frozenset(logic.atoms[a] for a in c) for c in logic.contexts}
     got = {frozenset(derived.atoms[a] for a in c) for c in derived.contexts}
@@ -187,7 +229,7 @@ def test_derive_gamma1_adds_a13_c_clique():
 def test_derive_needs_enough_vectors():
     real = load_vectors("pentagon")
     with pytest.raises(ValueError):
-        derive_logic(real.vectors[:2], 3)
+        derive_logic(Realization(3, real.vectors[:2]))
 
 
 def test_derive_needs_no_recursion():
@@ -195,12 +237,12 @@ def test_derive_needs_no_recursion():
     # would pass the lowered limit
     script = (
         "import sys\n"
-        "from correlpoly.realization import RealVector, derive_logic\n"
+        "from correlpoly.realization import Realization, RealVector, derive_logic\n"
         "n = 300\n"
-        "vectors = [RealVector(f'e{i}', tuple(float(i == k) for k in range(n)), False)\n"
-        "           for i in range(n)]\n"
+        "real = Realization(n, tuple(RealVector(f'e{i}', tuple(float(i == k) for k in range(n)))\n"
+        "                            for i in range(n)))\n"
         "sys.setrecursionlimit(200)\n"
-        "print(derive_logic(vectors, n).contexts == (tuple(range(n)),))\n")
+        "print(derive_logic(real).contexts == (tuple(range(n)),))\n")
     src = str(Path(realization.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
@@ -220,9 +262,9 @@ def test_derive_makes_one_dot_product_per_pair(monkeypatch):
 
     monkeypatch.setattr(realization, "_dot", counted)
     n = 300
-    vectors = [RealVector(f"e{i}", tuple(float(i == k) for k in range(n)), False)
-               for i in range(n)]
-    assert derive_logic(vectors, n).contexts == (tuple(range(n)),)
+    real = Realization(n, tuple(RealVector(f"e{i}", tuple(float(i == k) for k in range(n)))
+                                for i in range(n)))
+    assert derive_logic(real).contexts == (tuple(range(n)),)
     assert calls == n + n * (n - 1) // 2 == 45150
 
 

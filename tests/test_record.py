@@ -15,7 +15,7 @@ from correlpoly.realization import Realization, RealVector, VerifyReport
 from correlpoly.vertex_gen import TermSpec
 
 _LOGIC_FIELDS = ("l", ("a", "b"), ((0, 1),))
-_VECTOR = RealVector("a", (Fraction(1), Fraction(0)), True)
+_VECTOR = RealVector("a", (Fraction(1), Fraction(0)))
 _EXPR_FIELDS = (1, ((1.0, ("z",)),), (("z", ("spin", Fraction(1, 2), "$t", 0.0)),), (("t", 0.5),))
 
 # every record class, its fields pinned (a Python that made class annotations
@@ -25,7 +25,7 @@ RECORDS = [
     (HRep, ("dimension", "inequalities", "linearities"), (1, ((0, 1),), ())),
     (Logic, ("name", "atoms", "contexts"), _LOGIC_FIELDS),
     (ParityCertificate, ("atom_context_counts", "context_count"), ((2, 2), 3)),
-    (RealVector, ("name", "coords", "exact"), ("a", (Fraction(1), Fraction(0)), True)),
+    (RealVector, ("name", "coords"), ("a", (Fraction(1), Fraction(0)))),
     (Realization, ("dimension", "vectors"), (2, (_VECTOR,))),
     (VerifyReport, ("nonorthogonal", "size_warnings", "collinear"), ((), ((0, 2),), ())),
     (TermSpec, ("label", "kind", "atoms"), ("t", "prob", (0,))),
@@ -101,16 +101,17 @@ def test_record_rejects_wrong_field_names(build):
      "every atom must appear in at least one context"),
     (lambda: TermSpec("t", "odds", (0,)), "unknown term kind"),
     (lambda: TermSpec("t", "expect", (0, 1)), "expect takes one atom"),
-    (lambda: RealVector("z", (Fraction(0), Fraction(0)), True), "vector z is zero"),
+    (lambda: RealVector("z", (Fraction(0), Fraction(0))), "vector z is zero"),
+    (lambda: Realization(3, (RealVector("b", (0, 1)),)),
+     "vector b has 2 coordinates in dimension 3"),
+    (lambda: Logic("x", ("a", "b", "c"), ((0, 0, 1), (1, 2))), "repeated atom in context"),
     (lambda: Direction(0.0, float("nan")), "angles must be finite"),
     (lambda: OperatorExpr(2, *_EXPR_FIELDS[1:]), "one factor per site"),
     (lambda: OperatorExpr(1, ((1.0, ("y",)),), *_EXPR_FIELDS[2:]), "unbound labels"),
     (lambda: OperatorExpr(1, (), *_EXPR_FIELDS[2:]), "no terms"),
     (lambda: OperatorExpr(1, ((1.0, ("z",)), (1.0, ("p",))),
-                          (*_EXPR_FIELDS[2], ("p", ("proj", ((1.0, 0.0, 0.0),) * 3))),
+                          (*_EXPR_FIELDS[2], ("p", ("proj", (1, 0, 0)))),
                           _EXPR_FIELDS[3]), r"site 1 has inconsistent dimensions \[2, 3\]"),
-    (lambda: OperatorExpr(1, ((1.0, ("p",)),), (("p", ("proj", ((1.0, 0.0),))),), ()),
-     "bind 'p' is not a square matrix"),
 ])
 def test_post_init_checks_still_raise(build, message):
     with pytest.raises(ValueError, match=message):
