@@ -282,8 +282,10 @@ def cmd_verify(args, run):
     real = _load(args.vectors, "builtin:", realization.load_builtin,
                  realization.parse_vectors, run)
     if args.derive:
+        # a logic file, which `verify --logic` reads back
         logic = realization.derive_logic(real, tol=tol)
-        print(f"{len(logic.contexts)} contexts over {len(logic.atoms)} atoms")
+        print(f"logic {logic.name}")
+        print(f"# {len(logic.contexts)} contexts over {len(logic.atoms)} atoms")
         for c in logic.contexts:
             print("context " + " ".join(logic.atoms[a] for a in c))
         return EXIT_OK

@@ -9,7 +9,9 @@ rows, each equation as two opposite inequalities.  Rational input is scaled
 to integer rows once; from there the work is on integers: Python ints and
 bitsets until the cone is pointed and a step has more than 4096 (positive,
 negative) ray pairs, which most bundled cones never reach, and numpy arrays
-from there on.  No floating point is used anywhere in this module.
+from there on.  A numpy step works in whole-array passes over blocks of ray
+pairs, each sized so that its temporaries hold about _STEP_WORDS 64-bit
+words.  No floating point is used anywhere in this module.
 
 H-representation rows (b, a) encode the half-space b + a.x >= 0; linearity
 rows encode b + a.x = 0.  This matches the "b  -A" layout of the interchange
@@ -110,8 +112,11 @@ def _echelon(rows):
 # ---------------------------------------------------------------------------
 
 # a step of a pointed cone with more (positive, negative) ray pairs than this
-# goes to the numpy loop, whose pair count runs in blocks of this size
+# goes to the numpy loop
 _NUMPY_PAIRS = 4096
+# the temporaries of one count block, or of one chunk of candidates, of a
+# numpy step hold about this many 64-bit words
+_STEP_WORDS = 1 << 15
 
 
 def _dd_cone(dim, constraints):
@@ -290,40 +295,72 @@ def _combinations(R, Z, dots, pos, neg, effdim):
     """New rays, and their zero sets, from adjacent (positive, negative) pairs,
     in the order of `for ip in pos: for im in neg`.
 
-    A pair is adjacent iff the rays tight at every constraint of its common
-    zero set are just the pair.  Row k of T is the bitset of the rays tight
-    at constraint k, in uint64 words, filled the first time a candidate
-    needs it (a step reads few of its constraints).  A chunk of candidates
-    is tested at once: one reduceat ANDs the rows of each candidate's common
-    zero set, and the pair is adjacent iff two bits are left.  Every zero
-    set holds constraint 0, at which every ray is tight, so no candidate has
-    an empty list of rows, and each list starts at row 0."""
+    Adjacency needs common tight constraints of rank effdim - 2, hence at
+    least that many besides constraint 0, at which every ray is tight: a
+    pair whose common zero set holds fewer than effdim - 1 constraints is
+    not a candidate.  The counts run one block of the smaller side at a
+    time, laid out (ray of the block, word, ray of the other side), so that
+    one AND, one popcount and one sum over the word axis count every pair
+    of the block.  A candidate is adjacent iff the rays tight at every
+    constraint of its common zero set are just the pair.  Row k of T is the
+    bitset of the rays tight at constraint k, in uint64 words, filled the
+    first time a candidate needs it (a step reads few of its constraints).
+    A chunk of candidates is tested at once: one reduceat ANDs the rows of
+    each candidate's common zero set, whose offsets come from the counts
+    (at least 1 each, so no list of rows is empty), and the pair is
+    adjacent iff two bits are left."""
     import numpy as np
 
     if not len(pos) or not len(neg):
         return R[:0], Z[:0]
-    T = np.zeros((Z.shape[1] * 64, -(-len(R) // 64)), dtype=np.uint64)
+    small, large = (pos, neg) if len(pos) <= len(neg) else (neg, pos)
+    words = Z.shape[1]
+    Zl = Z[large].T.copy()  # row w: word w of each zero set of the other side
+    block = max(1, _STEP_WORDS // Zl.size)
+    count_type = np.min_scalar_type(64 * words)
+    cand_s, cand_l, pops = [], [], []
+    for b0 in range(0, len(small), block):
+        counts = np.bitwise_count(Z[small[b0:b0 + block], :, None] & Zl).sum(axis=1, dtype=count_type)
+        flat = np.flatnonzero(counts >= max(1, effdim - 1))
+        i, j = np.divmod(flat, len(large))
+        cand_s.append(small[b0 + i])
+        cand_l.append(large[j])
+        pops.append(counts.ravel()[flat])
+    cand_s, cand_l = np.concatenate(cand_s), np.concatenate(cand_l)
+    pops = np.concatenate(pops, dtype=np.int64)
+    p, n = (cand_s, cand_l) if small is pos else (cand_l, cand_s)
+
+    T = np.zeros((64 * words, -(-len(R) // 64)), dtype=np.uint64)
+    filled = np.zeros(64 * words, dtype=bool)
     Zb = Z.astype("<u8", copy=False).view(np.uint8)
-    filled = set()
-    ips, ims = [pos[:0]], [neg[:0]]
-    # adjacency needs common tight constraints of rank effdim-2, hence at
-    # least that many of them besides constraint 0
-    for p, n, words in _candidates(Z, pos, neg, max(1, effdim - 1)):
-        # the rows this chunk reads first: bit k % 8 of byte k // 8 of each
-        # ray's zero set, packed over the rays
-        need = [k for k in _bit_indices(np.bitwise_or.reduce(words, axis=0))[0].tolist()
-                if k not in filled]
-        if need:
-            filled.update(need)
-            bits = Zb[:, [k >> 3 for k in need]] & np.array([1 << (k & 7) for k in need], dtype=np.uint8)
+    # a candidate gathers one T row per constraint of its common zero set and
+    # unpacks that set to a byte per bit: the chunks start where the running
+    # total of those words passes a multiple of _STEP_WORDS
+    cost = np.cumsum(pops * T.shape[1] + 8 * words)
+    firsts = np.flatnonzero(np.diff(cost // _STEP_WORDS, prepend=-1)).tolist()
+    adjacent = np.zeros(len(p), dtype=bool)
+    for c0, c1 in zip(firsts, firsts[1:] + [len(p)]):
+        common = (Z[p[c0:c1]] & Z[n[c0:c1]]).astype("<u8", copy=False)
+        # the constraints the chunk's candidates share
+        used = np.flatnonzero(np.unpackbits(np.bitwise_or.reduce(common, axis=0).view(np.uint8),
+                                            bitorder="little"))
+        need = used[~filled[used]]
+        if len(need):
+            filled[need] = True
+            # bit k % 8 of byte k // 8 of each ray's zero set, packed over the rays
+            bits = Zb[:, need >> 3] & (1 << (need & 7)).astype(np.uint8)
             rows = np.packbits(bits, axis=0, bitorder="little").T
             T.view(np.uint8)[need, :rows.shape[1]] = rows
-        zeros = _bit_indices(words)[1]  # row-major: pair after pair
-        acc = np.bitwise_and.reduceat(T[zeros], np.flatnonzero(zeros == 0), axis=0)
-        adjacent = np.bitwise_count(acc).sum(axis=1, dtype=np.int64) == 2
-        ips.append(p[adjacent])
-        ims.append(n[adjacent])
-    ips, ims = np.concatenate(ips), np.concatenate(ims)
+        # pair after pair, each common zero set in increasing order
+        bits = np.unpackbits(common.view(np.uint8), axis=1, bitorder="little")[:, used]
+        zeros = used[np.flatnonzero(bits) % len(used)]
+        starts = np.cumsum(pops[c0:c1]) - pops[c0:c1]
+        acc = np.bitwise_and.reduceat(T[zeros], starts, axis=0)
+        adjacent[c0:c1] = np.bitwise_count(acc).sum(axis=1, dtype=np.int64) == 2
+    ips, ims = p[adjacent], n[adjacent]
+    if small is neg:
+        order = np.lexsort((ims, ips))
+        ips, ims = ips[order], ims[order]
     new = R[ims]
     new *= dots[ips][:, None]
     new -= dots[ims][:, None] * R[ips]
@@ -331,36 +368,6 @@ def _combinations(R, Z, dots, pos, neg, effdim):
     # is pointed
     new //= np.gcd.reduce(new, axis=1)[:, None]
     return new, Z[ips] & Z[ims]
-
-
-def _candidates(Z, pos, neg, minpop):
-    """Chunks (p, n, words) of up to 64 pairs (p[i], n[i]) of pos x neg, in
-    row-major order, whose common zero set words[i] = Z[p[i]] & Z[n[i]] has
-    at least minpop constraints.  The pairs are counted one block of about
-    4096 at a time, word by word of the zero sets, so the temporaries of the
-    count stay near 4096 words."""
-    import numpy as np
-
-    Zp, Zn = Z[pos].T.copy(), Z[neg].T.copy()  # row w: word w of each zero set
-    block = max(1, 4096 // len(neg))
-    for b0 in range(0, len(pos), block):
-        zps = Zp[:, b0:b0 + block, None]
-        counts = np.zeros((zps.shape[1], len(neg)), dtype=np.int64)
-        for zp, zn in zip(zps, Zn):
-            counts += np.bitwise_count(zp & zn)
-        bp, bn = np.nonzero(counts >= minpop)
-        for c0 in range(0, len(bp), 64):
-            p, n = pos[b0 + bp[c0:c0 + 64]], neg[bn[c0:c0 + 64]]
-            yield p, n, Z[p] & Z[n]
-
-
-def _bit_indices(words):
-    """np.nonzero of the bits of a uint64 array: bit j of word w of a row is
-    at column 64 * w + j."""
-    import numpy as np
-
-    words = words.astype("<u8", copy=False)
-    return np.nonzero(np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little"))
 
 
 def _dot(a, b):

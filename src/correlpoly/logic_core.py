@@ -58,8 +58,8 @@ class ParityCertificate(Record):
 
 def parse_logic(text: str) -> Logic:
     """Parse the line-based logic file format: an optional `logic <name>`
-    header and one `context <atom> <atom> ...` line per context; `#` starts
-    a comment.  Every error on a line raises ValueError("line N: ...")."""
+    header and one `context <atom> ...` line per context; `#` starts a
+    comment.  Every error on a line raises ValueError("line N: ...")."""
     name = "anonymous"
     atom_ids = {}   # name -> index, in order of first appearance
     contexts = {}   # atom set -> atom indices, in file order
@@ -76,7 +76,7 @@ def parse_logic(text: str) -> Logic:
             raise ValueError("duplicate context")
         contexts[frozenset(idx)] = idx
 
-    read_directives(text, {"logic <name>": header, "context <atom> <atom>...": context},
+    read_directives(text, {"logic <name>": header, "context <atom>...": context},
                     ("logic",))
     return Logic(name, tuple(atom_ids), tuple(contexts.values()))
 

@@ -697,7 +697,7 @@ def test_verify_fail_exit_4(capsys, tmp_path):
 def test_verify_derive(capsys):
     code, out = run(capsys, "verify", "--derive", "--vectors", "builtin:yu-oh")
     assert code == 0
-    assert "16 contexts over 13 atoms" in out
+    assert out.splitlines()[:2] == ["logic derived", "# 16 contexts over 13 atoms"]
     assert "context z1 z2 z3" in out
 
 
@@ -708,7 +708,7 @@ def test_verify_derive_exact_vectors_past_the_float_range(capsys, tmp_path, tol)
     f.write_text(f"dim 2\nvector a 1{'0' * 200} 0\nvector b 0 1\n")
     code, out = run(capsys, "verify", "--derive", "--vectors", str(f), *tol)
     assert code == 0
-    assert out.splitlines() == ["1 contexts over 2 atoms", "context a b"]
+    assert out.splitlines() == ["logic derived", "# 1 contexts over 2 atoms", "context a b"]
 
 
 def test_verify_derive_vector_orthogonal_to_no_other(capsys, tmp_path):
@@ -716,7 +716,24 @@ def test_verify_derive_vector_orthogonal_to_no_other(capsys, tmp_path):
     f.write_text("dim 3\nvector x 1 0 0\nvector y 0 1 0\nvector z 0 0 1\nvector d 1 1 1\n")
     code, out = run(capsys, "verify", "--derive", "--vectors", str(f))
     assert code == 0
-    assert out.splitlines() == ["2 contexts over 4 atoms", "context x y z", "context d"]
+    assert out.splitlines() == ["logic derived", "# 2 contexts over 4 atoms", "context x y z",
+                                "context d"]
+
+
+@pytest.mark.parametrize("vectors", [*(f"builtin:{v}" for v in (
+    "cabello18", "gamma1", "gamma3", "gamma3-tkadlec", "pentagon", "specker-bug", "yu-oh")), "iso"])
+def test_verify_derive_output_reads_back(capsys, tmp_path, vectors):
+    # the derived logic is a logic file: verified against the same vectors,
+    # a one-atom context included, it passes
+    if vectors == "iso":
+        vectors = tmp_path / "iso.vec"
+        vectors.write_text("dim 3\nvector x 1 0 0\nvector y 0 1 0\nvector z 0 0 1\nvector d 1 1 1\n")
+    code, out = run(capsys, "verify", "--derive", "--vectors", str(vectors))
+    assert code == 0
+    derived = tmp_path / "derived.logic"
+    derived.write_text(out)
+    code, out = run(capsys, "verify", "--logic", str(derived), "--vectors", str(vectors))
+    assert code == 0 and out.splitlines()[-1] == "PASS"
 
 
 def test_verify_prints_size_warnings_and_shared_rays(capsys, tmp_path):

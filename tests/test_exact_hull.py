@@ -330,6 +330,96 @@ def test_numpy_step_without_a_negative_ray():
     assert got == vertices(h)
 
 
+def _numpy_step_args(rays, zs, T, live, pos, neg):
+    """The arguments of _combinations for the step that _int_combinations
+    got these arguments for: the current rays as the rows of R, in slot
+    order, their zero sets as uint64 words holding constraint 0 and not the
+    constraint being inserted, as in _dd_numpy, and pos and neg as row
+    indices.  R and the dot products are int64 while no product of the step
+    can overflow it, and Python ints otherwise."""
+    import numpy as np
+
+    alive = [s for s in range(live.bit_length()) if live >> s & 1]
+    row = {s: i for i, s in enumerate(alive)}
+    k = len(T) - 1
+    words = k // 64 + 1
+    masks = [sum(1 << j for j in zs[s] - {k}) | 1 for s in alive]
+    Z = np.array([[m >> 64 * w & (1 << 64) - 1 for w in range(words)] for m in masks],
+                 dtype=np.uint64)
+    dot = dict(pos + neg)
+    R = [rays[s] for s in alive]
+    dots = [dot.get(s, 0) for s in alive]
+    big = max(map(abs, dots)) * max(abs(x) for r in R for x in r)
+    dtype = np.int64 if big < 1 << 62 else object
+    return (np.array(R, dtype=dtype), Z, np.array(dots, dtype=dtype),
+            np.array([row[s] for s, _ in pos], dtype=np.intp),
+            np.array([row[s] for s, _ in neg], dtype=np.intp))
+
+
+@pytest.mark.parametrize("budget", [4, 64])
+def test_numpy_step_matches_int_step(budget):
+    # at every step of the Python-int phase on a pointed cone, _combinations
+    # returns what _int_combinations does, in the same order.  A budget of 4
+    # words counts one ray of the smaller side per block (two when the other
+    # side has 2 to 4 rays and one word) and tests each candidate in a chunk
+    # of its own, as one costs at least 9 words; 64 words makes both kinds
+    # of block hold several
+    real = exact_hull._int_combinations
+    seen = {"pos <= neg": 0, "pos > neg": 0, "several count blocks": 0, "several new rays": 0}
+
+    def int_combinations(rays, zs, T, live, pos, neg, effdim):
+        new = real(rays, zs, T, live, pos, neg, effdim)
+        if not pos or not neg or effdim < len(rays[pos[0][0]]):
+            return new  # no pair, or a lineality left
+        R, Z, dots, p, n = _numpy_step_args(rays, zs, T, live, pos, neg)
+        newR, newZ = exact_hull._combinations(R, Z, dots, p, n, effdim)
+        got = [(tuple(r), {j for j in range(1, 64 * Z.shape[1]) if z[j // 64] >> j % 64 & 1}
+                | {len(T) - 1}) for r, z in zip(newR.tolist(), newZ.tolist())]
+        assert got == new
+        small, large = sorted((len(p), len(n)))
+        seen["pos <= neg" if len(p) <= len(n) else "pos > neg"] += 1
+        seen["several count blocks"] += small > max(1, budget // (Z.shape[1] * large))
+        seen["several new rays"] += len(new) > 1
+        return new
+
+    with mock.patch.object(exact_hull, "_NUMPY_PAIRS", math.inf), \
+            mock.patch.object(exact_hull, "_STEP_WORDS", budget), \
+            mock.patch.object(exact_hull, "_int_combinations", int_combinations):
+        for seed in range(30):
+            rnd = random.Random(seed)
+            d = rnd.randint(3, 5)
+            points = {tuple(rnd.randint(-3, 3) for _ in range(d)) for _ in range(rnd.randint(2 * d, 14))}
+            h = hull(VRep(d, tuple(points)))
+            vertices(h)
+    assert all(seen.values()), seen
+
+
+def test_numpy_loop_traced_peak():
+    # the numpy loop of vertices(epr-2x3-full) peaked at 0.78 MiB of traced
+    # allocations (numpy 2.4, Python 3.11).  Its largest step has 680 x 184
+    # ray pairs: a count matrix of all of them, in int64, would add 1 MiB
+    import tracemalloc
+
+    _, h = builtin_scenario("epr-2x3-full")
+    real = exact_hull._dd_numpy
+    peaks = []
+
+    def dd_numpy(*args):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rays = real(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return rays
+
+    tracemalloc.start()
+    try:
+        with mock.patch.object(exact_hull, "_dd_numpy", dd_numpy):
+            vertices(h)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 1 and peaks[0] < 1 << 20, peaks
+
+
 def _on_both_paths(test):
     """The test, run once with the numpy loop taking the cone at its first
     step after the lineality is empty and once with the Python-int phase

@@ -178,9 +178,15 @@ def test_parse_logic_gives_names_and_index_tuples():
     assert logic.contexts == ((0, 1, 2), (2, 3), (3, 0))
 
 
+def test_parse_logic_one_atom_context():
+    # as the Logic record: a vector orthogonal to no other is such a context
+    logic = parse_logic("context x y z\ncontext d\n")
+    assert logic.contexts == ((0, 1, 2), (3,))
+
+
 def test_parse_logic_errors():
-    with pytest.raises(ValueError):
-        parse_logic("context x\n")  # too small
+    with pytest.raises(ValueError, match="line 1: expected 'context <atom>...'"):
+        parse_logic("context\n")  # no atom
     with pytest.raises(ValueError):
         parse_logic("context x x y\n")  # repeated atom
     with pytest.raises(ValueError):
