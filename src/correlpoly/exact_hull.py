@@ -255,8 +255,10 @@ def _dd_numpy(dim, rays, zsets, nproc, constraints):
     Z = np.array([[z >> 64 * w & 0xFFFF_FFFF_FFFF_FFFF for w in range(words)] for z in zsets],
                  dtype=np.uint64).reshape(-1, words)
 
+    big = None          # an upper bound of max(1, max|R|), or None before the first step
     for cvec in constraints:
-        R = R.astype(_ray_dtype(R, cvec), copy=False)
+        dtype, big = _ray_dtype(R, cvec, big)
+        R = R.astype(dtype, copy=False)
         c = np.array(cvec, dtype=R.dtype)
         word, bit = nproc // 64, np.uint64(1 << (nproc % 64))
         if word == Z.shape[1]:
@@ -267,6 +269,8 @@ def _dd_numpy(dim, rays, zsets, nproc, constraints):
         zer = np.flatnonzero(dots == 0)
 
         newR, newZ = _combinations(R, Z, dots, pos, neg, dim)
+        if len(newR):       # dropped rays never lower the bound, new ones may raise it
+            big = max(big, int(newR.max()), -int(newR.min()))
         Z[zer, word] |= bit
         newZ[:, word] |= bit
         keep = np.concatenate((pos, zer))
@@ -280,15 +284,19 @@ def _dd_numpy(dim, rays, zsets, nproc, constraints):
     return [tuple(r) for r in R.tolist()]
 
 
-def _ray_dtype(R, cvec):
-    """The dtype for the ray matrix R: int64 while no product of this step
-    can overflow it, else object (Python ints).  With B = max(1, max|R|),
-    a dot product of c with a row is at most max|c| * dim * B, and each of
-    the two terms of a combined row at most that times B: the bound below
-    keeps both under 2**62."""
-    big = max(1, int(R.max()), -int(R.min())) if len(R) else 1
-    ok = max(abs(x) for x in cvec) * R.shape[1] * big * big < 1 << 62
-    return "int64" if ok else object
+def _ray_dtype(R, cvec, big):
+    """The dtype for the ray matrix R at the step of constraint cvec, int64
+    while no product of the step can overflow it, else object (Python
+    ints), and an upper bound of B = max(1, max|R|).  A dot product of c
+    with a row is at most max|c| * dim * B, and each of the two terms of a
+    combined row at most that times B: the test keeps both under 2**62.
+    `big` is an upper bound of B from the steps before, or None; R is
+    scanned only when there is none or it fails the test, so the dtype is
+    always the one that B itself gives."""
+    reach = max(abs(x) for x in cvec) * R.shape[1]
+    if big is None or reach * big * big >= 1 << 62:
+        big = max(1, int(R.max()), -int(R.min())) if len(R) else 1
+    return ("int64" if reach * big * big < 1 << 62 else object), big
 
 
 def _combinations(R, Z, dots, pos, neg, effdim):

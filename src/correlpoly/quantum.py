@@ -40,7 +40,9 @@ TINY = float(np.finfo(float).tiny)    # smallest normal float
 SECTION_POINTS = 15   # interior points per interval and multisection round
 SECTION_ROUNDS = 14   # (SECTION_POINTS + 1)^-14 = 2^-56
 # the largest operator dimension an expression may have; a 1024 x 1024
-# complex matrix takes 16 MiB
+# operator takes 8 MiB when it is real (proj binds only) and 16 MiB when
+# it is complex, and eigenvalues holds it, its working copy and a rank-two
+# product of the same size at once
 MAX_DIM = 1024
 
 
@@ -96,12 +98,19 @@ def _spin_operators(j, theta, phi):
 
 
 def _assert_hermitian(h):
-    h = np.asarray(h, dtype=complex)
+    """h once checked: a square matrix or a stack of them, with finite
+    entries, and max|h - h^H| at most HERMITIAN_TOL; float64 if its dtype
+    is a real number type, else complex128."""
+    h = np.asarray(h)
+    h = h.astype(float if h.dtype.kind in "biuf" else complex, copy=False)
     if h.ndim not in (2, 3) or h.shape[-1] != h.shape[-2]:
         raise ValueError("matrix must be square, or a stack of square matrices")
     if not np.isfinite(h).all():
         raise ValueError("matrix has a NaN or infinite entry")
-    if np.max(np.abs(h - np.swapaxes(h, -1, -2).conj()), initial=0.0) > HERMITIAN_TOL:
+    # h - h^H and its modulus in one temporary
+    d = np.conj(np.swapaxes(h, -1, -2))
+    np.subtract(h, d, out=d)
+    if np.abs(d, out=d).real.max(initial=0.0) > HERMITIAN_TOL:
         raise ValueError("matrix is not Hermitian within 1e-12")
     return h
 
@@ -167,7 +176,10 @@ def _multisection(d, e):
     factorization of T - xI (Parlett & Dhillon, Linear Algebra Appl. 309,
     2000), an LDL^T in another elimination order, which makes no fill; by
     Sylvester's law of inertia its negative pivots count the eigenvalues
-    below x as the top-down ones do, in half the sequential steps.
+    below x as the top-down ones do, in half the sequential steps.  Each
+    half keeps a running tally of its negative pivots, one small integer
+    array, to which every step adds; for an even n, row m's pivot replaces
+    D-[m], the bottom half's last, in its tally.
     The squares of e are raised to at least the smallest normal float, so
     that an exact zero pivot gives an infinite one next, never 0/0; d's
     -0.0 becomes +0.0, so that a zero pivot is never -0.0, which would
@@ -189,28 +201,34 @@ def _multisection(d, e):
     index = np.arange(n)[:, None]
     parts = np.arange(1, SECTION_POINTS + 1) / (SECTION_POINTS + 1)
     q, t = np.empty((2, 2, k, n, SECTION_POINTS))
-    neg = np.zeros((m + 1, 2, k, n, SECTION_POINTS), bool)  # q < 0, step by step
+    neg = np.zeros((2, k, n, SECTION_POINTS), bool)         # q < 0 at this step
+    # the negative pivots of each half so far; a narrow count: bool -> intp
+    # is several times slower
+    tally = np.empty((2, k, n, SECTION_POINTS), np.min_scalar_type(n))
     with np.errstate(divide="ignore"):
         for _ in range(SECTION_ROUNDS):
             width = hi - lo
             x = lo[..., None] + width[..., None] * parts    # (k, n, points)
             q.fill(1.0)
+            tally.fill(0)
             for i in range(m):
                 np.divide(ends2[i], q, out=t)
                 np.subtract(ends[i], x, out=q)
                 q -= t
-                np.less(q, 0, out=neg[i])
+                np.less(q, 0, out=neg)
+                tally += neg
             if n % 2:               # the bottom half takes row m as well
                 np.divide(off2[m + 1], q[1], out=t[1])
                 np.subtract(diag[m], x, out=q[1])
                 q[1] -= t[1]
-            # row m's pivot, D-[m] - e[m-1]^2/D+[m-1], in the last bottom
-            # slot: for an even n that of D-[m], which it replaces
+            else:                   # row m's pivot replaces D-[m], the last bottom one
+                tally[1] -= neg[1]
+            # row m's pivot, D-[m] - e[m-1]^2/D+[m-1]
             np.divide(off2[m], q[0], out=t[0])
             q[1] -= t[0]
-            np.less(q[1], 0, out=neg[n - m - 1, 1])
-            # a narrow sum: bool -> intp is several times slower
-            count = np.sum(neg, axis=(0, 1), dtype=np.min_scalar_type(n))
+            np.less(q[1], 0, out=neg[1])
+            tally[1] += neg[1]
+            count = tally[0] + tally[1]
             # the new ends are points of x, or lo and hi, by the same formula
             at = np.sum(count <= index, axis=-1) / (SECTION_POINTS + 1)
             lo, hi = lo + width * at, lo + width * (at + parts[0])
@@ -226,10 +244,11 @@ def eigenvalues(h):
     reduced to real tridiagonal form by Householder reflections and its
     eigenvalues found by Sturm-count multisection, all in one pass over the
     stack; each result is bit-identical to that of solving its matrix
-    alone.  Real input is reduced in real arithmetic."""
+    alone.  Real input, or complex input with no imaginary part, is reduced
+    in real arithmetic, and real input is never copied to complex."""
     h = _assert_hermitian(h)
     a = h[None] if h.ndim == 2 else h       # a single matrix is a stack of one
-    a = a.copy() if a.imag.any() else a.real.copy()
+    a = a.copy() if np.iscomplexobj(a) and a.imag.any() else a.real.copy()
     _, scale = np.frexp(np.max(np.abs(a), axis=(1, 2), initial=0.0))
     flat = a.view(np.float64)               # real and imaginary parts alike
     np.ldexp(flat, -scale[:, None, None], out=flat)
@@ -394,9 +413,13 @@ def _load_vectors(source, base_dir=None):
 
 
 def _dichotomic(coords):
-    """Dichotomic observable 2|a><a|/<a|a> - I for the vector a."""
+    """Dichotomic observable 2|a><a|/<a|a> - I for the vector a, as a real
+    matrix: the real part of the complex one, whose imaginary part is
+    exactly zero.  Real arithmetic would round differently in the last bit
+    (numpy divides a complex matrix by a real number through its
+    reciprocal), so this keeps the digits of the complex matrix."""
     a = np.array([float(x) for x in coords], dtype=complex)
-    return 2 * np.outer(a, a.conj()) / float(np.real(a.conj() @ a)) - np.eye(a.size)
+    return (2 * np.outer(a, a.conj()) / float(np.real(a.conj() @ a)) - np.eye(a.size)).real
 
 
 def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
@@ -504,7 +527,13 @@ def realize_operator(expr: OperatorExpr, params=None):
     updated by params; Hermitian when every factor is.  A parameter given
     as an array of k values makes every spin bind that uses it a stack
     (k, d, d), and the operator a stack too.  Entries that overflow become
-    infinite, which eigenvalues rejects."""
+    infinite, which eigenvalues rejects.
+
+    The operator keeps the dtype of its factors: float64 when every bind is
+    a `proj` (real) one, complex128 once a spin bind enters.  Each term
+    starts from its float coefficient, and the terms are summed into the
+    first one in place; a term that would widen the sum, complex or stacked
+    after a plain real one, is added into a new array instead."""
     values = expr.defaults
     values.update(params or {})
     unknown = set(values) - set(expr.param_names)
@@ -522,7 +551,7 @@ def realize_operator(expr: OperatorExpr, params=None):
     total = None
     with np.errstate(over="ignore", invalid="ignore"):
         for coeff, factors in expr.terms:
-            term = np.array([[coeff]], dtype=complex)
+            term = np.array([[coeff]])
             for label in factors:
                 m = matrix[label]
                 # kron(term, m) as one outer product: entry (i*d + k, j*d + l)
@@ -530,7 +559,13 @@ def realize_operator(expr: OperatorExpr, params=None):
                 term = term[..., :, None, :, None] * m[..., None, :, None, :]
                 *stack, a, b, _, _ = term.shape
                 term = term.reshape(*stack, a * b, a * b)
-            total = term if total is None else total + term
+            if total is None:
+                total = term
+            elif (np.can_cast(term.dtype, total.dtype)
+                  and np.broadcast_shapes(total.shape, term.shape) == total.shape):
+                total += term
+            else:           # a complex or stacked term after a plain real one
+                total = total + term
     return total
 
 

@@ -610,6 +610,58 @@ def test_translation_near_2_61_is_exact(name, v, golden):
     assert _python_rows(vertices(golden).points)
 
 
+def _full_scan_dtype(R, cvec):
+    # the rule on the whole ray matrix: int64 iff max|c| * dim * B^2 < 2**62
+    # with B = max(1, max|R|)
+    big = max(1, int(R.max()), -int(R.min())) if len(R) else 1
+    return "int64" if max(abs(x) for x in cvec) * R.shape[1] * big * big < 1 << 62 else object
+
+
+def test_ray_dtype_matches_a_full_scan_at_every_step():
+    # the running bound of max|R| picks, at every numpy step, the dtype that a
+    # scan of the whole ray matrix picks, and needs no scan on most steps
+    real = exact_hull._ray_dtype
+    seen = {"int64": 0, "object": 0, "unscanned": 0}
+
+    def ray_dtype(R, cvec, big):
+        dtype, bound = real(R, cvec, big)
+        assert dtype == _full_scan_dtype(R, cvec)
+        assert bound >= (max(1, int(R.max()), -int(R.min())) if len(R) else 1)
+        seen["int64" if dtype == "int64" else "object"] += 1
+        if big is not None and bound == big and dtype == "int64":
+            seen["unscanned"] += 1
+        return dtype, bound
+
+    v, h = builtin_scenario("epr-2x3-full")
+    with mock.patch.object(exact_hull, "_ray_dtype", ray_dtype):
+        for limit in (exact_hull._NUMPY_PAIRS, -1):
+            with mock.patch.object(exact_hull, "_NUMPY_PAIRS", limit):
+                assert hull(v) == canonicalize(h)
+                assert vertices(h).points == tuple(sorted(set(v.points)))
+        epr = dict(seen)
+        # the translated golden rows: entries near 2**61 turn the rays into
+        # Python ints
+        with mock.patch.object(exact_hull, "_NUMPY_PAIRS", -1):
+            for name, v, golden in GOLDEN_PAIRS:
+                t = tuple(2**61 + 3 * k + 1 for k in range(v.dimension))
+                moved = HRep(v.dimension, _moved(golden.inequalities, t),
+                             _moved(golden.linearities, t))
+                points = tuple(tuple(Fraction(x) + s for x, s in zip(p, t)) for p in v.points)
+                assert hull(VRep(v.dimension, points)) == canonicalize(moved)
+                assert vertices(moved).points == tuple(sorted(set(points)))
+    assert epr["int64"] > 100 and epr["object"] == 0
+    assert epr["unscanned"] > epr["int64"] // 2, epr
+    assert seen["object"] > 0, seen
+    # a bound too large for int64, left by rays that are gone, is checked
+    # against the rays themselves
+    import numpy as np
+
+    R = np.array([[3, -5], [1, 2]], dtype=object)
+    assert real(R, (1, -1), 2**40) == ("int64", 5)
+    assert real(R, (1, -1), 7) == ("int64", 7)
+    assert real(R, (2**60, 1), 7) == (object, 5)
+
+
 def _random_points(seed, n, d, bits):
     rnd = random.Random(seed)
     return [tuple(rnd.randrange(1 << bits) for _ in range(d)) for _ in range(n)]
