@@ -4,7 +4,6 @@ bundled data files and of `builtin:`-style names."""
 
 from __future__ import annotations
 
-import math
 import re
 from contextlib import contextmanager
 from decimal import Decimal
@@ -85,15 +84,14 @@ _DIGITS_BOUND = 10 ** MAX_DIGITS
 STR_DIGITS = 4300   # the most digits int(), Fraction() and str() convert; Decimal has no limit
 
 
-def number(tok, kind):
-    """The value of tok: an int for an integer token, a Fraction for a ratio
-    p/q of integers, and kind(tok) for a decimal (a token with a point or an
-    exponent).  kind is Fraction, which keeps every value exact, or float;
-    with float every value must also be finite as a float.  A decimal's
-    exponent is at most MAX_EXPONENT in absolute value.  No part of tok
-    between '/', 'e' and 'E', nor the numerator or denominator of an exact
-    decimal, has more than MAX_DIGITS digits: exact_str writes every exact
-    value read here as a token that reads back the same."""
+def number(tok):
+    """The exact value of tok: an int for an integer token, and a Fraction
+    for a ratio p/q of integers or for a decimal (a token with a point or an
+    exponent), which is the rational it names.  A decimal's exponent is at
+    most MAX_EXPONENT in absolute value.  No part of tok between '/', 'e'
+    and 'E', nor the numerator or denominator of a decimal, has more than
+    MAX_DIGITS digits: exact_str writes every value read here as a token
+    that reads back the same."""
     problem = "is not a rational number"
     try:
         read = int
@@ -111,16 +109,12 @@ def number(tok, kind):
             if exponent and abs(int(exponent)) > MAX_EXPONENT:
                 problem = f"has an exponent outside -{MAX_EXPONENT}..{MAX_EXPONENT}"
                 raise ValueError
-            x = kind(Decimal(tok) if len(tok) > STR_DIGITS else tok)
-            if kind is Fraction and max(abs(x.numerator), x.denominator) >= _DIGITS_BOUND:
+            x = Fraction(Decimal(tok) if len(tok) > STR_DIGITS else tok)
+            if max(abs(x.numerator), x.denominator) >= _DIGITS_BOUND:
                 problem = f"has more than {MAX_DIGITS} digits"
                 raise ValueError
         else:
             x = read(tok)
-        if kind is float and not math.isfinite(x):   # isfinite raises past 2**1024
-            raise OverflowError
-    except OverflowError:
-        raise ValueError(f"{tok!r} is too large for a float") from None
     except (ValueError, ArithmeticError):    # decimal.InvalidOperation is an ArithmeticError
         raise ValueError(f"{tok!r} {problem}") from None
     return x

@@ -294,7 +294,7 @@ def cmd_verify(args, run):
     logic = _load_logic(args.logic, run)
     report = realization.verify_realization(logic, real, tol=tol)
     for ci, x, y, d in report.nonorthogonal:
-        print(f"context {ci}: <{x}|{y}> = {d} is not orthogonal")
+        print(f"context {ci}: <{x}|{y}> = {_text.exact_str(d)} is not orthogonal")
     for ci, size in report.size_warnings:
         print(f"warning: context {ci} has {size} atoms in a "
               f"{real.dimension}-dimensional space")

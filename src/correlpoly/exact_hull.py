@@ -552,7 +552,7 @@ def parse_dd(text: str):
     nums = []
     try:
         for t in toks:
-            nums.append(number(t, Fraction))
+            nums.append(number(t))
     except ValueError as exc:
         raise ValueError(f"line {tok_lines[len(nums)]}: {exc}") from None
     rows = [tuple(nums[i * ncols:(i + 1) * ncols]) for i in range(nrows)]

@@ -369,7 +369,8 @@ class OperatorExpr(Record):
     the coordinates of its vector a, as read, and stands for the dichotomic
     2|a><a|/<a|a> - I, which realize_operator builds.  Construction checks
     the shape once: at least one term, one factor per site, every label
-    bound, and one dimension per site across all terms."""
+    bound, one dimension per site across all terms, each param named once
+    and every angle `$name` naming a param."""
     sites: int
     terms: tuple      # (coefficient, factors) with factors = label per site
     binds: tuple      # (label, spec); spec = ("spin", j, theta, phi) with
@@ -382,10 +383,16 @@ class OperatorExpr(Record):
         for coeff, factors in self.terms:
             if len(factors) != self.sites:
                 raise ValueError("every term needs one factor per site")
+        names = self.param_names
+        if len(set(names)) < len(names):
+            raise ValueError(f"a param is given twice in {names}")
         dims = {}     # label -> dimension
         for label, spec in self.binds:
             dims[label] = (int(2 * _check_j(spec[1]) + 1) if spec[0] == "spin"
                            else len(spec[1]))
+            for t in spec[2:]:      # a spin bind's angles
+                if isinstance(t, str) and t[1:] not in names:
+                    raise ValueError(f"angle {t} names no param")
         used = {lbl for _, factors in self.terms for lbl in factors}
         if not used <= dims.keys():
             raise ValueError(f"unbound labels {sorted(used - dims.keys())}")
@@ -413,12 +420,18 @@ def _load_vectors(source, base_dir=None):
 
 
 def _dichotomic(coords):
-    """Dichotomic observable 2|a><a|/<a|a> - I for the vector a, as a real
-    matrix: the real part of the complex one, whose imaginary part is
-    exactly zero.  Real arithmetic would round differently in the last bit
-    (numpy divides a complex matrix by a real number through its
-    reciprocal), so this keeps the digits of the complex matrix."""
-    a = np.array([float(x) for x in coords], dtype=complex)
+    """Dichotomic observable 2|a><a|/<a|a> - I for the vector a of exact
+    coordinates, as a real matrix.  a is scaled exactly, by the power of two
+    that puts its largest |entry| in [1/2, 1), before it is rounded, so the
+    digits do not depend on its length.  The matrix is the real part of the
+    complex one (its imaginary part is exactly zero), whose last bits real
+    arithmetic would not reproduce: numpy divides a complex matrix by a
+    real number through its reciprocal."""
+    top = max(abs(Fraction(x)) for x in coords)
+    scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
+    if top * scale >= 1:    # top * scale lies in (1/2, 2)
+        scale /= 2
+    a = np.array([float(x * scale) for x in coords], dtype=complex)
     return (2 * np.outer(a, a.conj()) / float(np.real(a.conj() @ a)) - np.eye(a.size)).real
 
 
@@ -438,21 +451,27 @@ def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
     params = {}   # name -> default
     vectors = {}  # source -> {name: coordinates}: each source is read once
 
+    def real(tok):
+        try:
+            return float(number(tok))
+        except OverflowError:
+            raise ValueError(f"{tok!r} is too large for a float") from None
+
     def set_sites(n):
         nonlocal sites
-        sites = number(n, float)
+        sites = number(n)
         if not isinstance(sites, int) or sites < 1:
             raise ValueError(f"sites must be a positive integer, got {n!r}")
 
     def param(name, default):
         if name in params:
             raise ValueError(f"duplicate param {name!r}")
-        params[name] = float(number(default, float))
+        params[name] = real(default)
 
     def term(coeff, *factors):
         if sites is None:
             raise ValueError("sites must come first")
-        coeff = float(number(coeff, float))
+        coeff = real(coeff)
         labels = {}   # site -> label
         for tok in factors:
             label, _, site = tok.rpartition("@")
@@ -486,10 +505,9 @@ def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
         dims[label] = dim_checked(dim, f"bind {label!r}")
 
     def bind_spin(label, j, *angles):
-        j = _check_j(number(j, float))
+        j = _check_j(number(j))
         bind(label, int(2 * j + 1))
-        binds[label] = ("spin", j, *(t if t.startswith("$") else float(number(t, float))
-                                     for t in angles))
+        binds[label] = ("spin", j, *(t if t.startswith("$") else real(t) for t in angles))
 
         def declared():
             for t in angles:

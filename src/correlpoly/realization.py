@@ -16,16 +16,13 @@ DEFAULT_TOL = 1e-10
 
 class RealVector(Record):
     name: str
-    coords: tuple   # int, Fraction or float entries
+    coords: tuple   # int or Fraction entries
 
     def __post_init__(self):
+        if any(isinstance(x, float) for x in self.coords):
+            raise TypeError(f"vector {self.name} has a float entry")
         if all(x == 0 for x in self.coords):
             raise ValueError(f"vector {self.name} is zero")
-
-    @property
-    def exact(self):
-        """No entry is a float."""
-        return not any(isinstance(x, float) for x in self.coords)
 
 
 class Realization(Record):
@@ -51,9 +48,9 @@ class VerifyReport(Record):
 
 def parse_vectors(text: str):
     """Parse the vector file format: `dim <d>` then `vector <atom> <c1> ...`
-    lines; entries are integers, rationals p/q (both exact), or decimal
-    floats, kept as int, Fraction and float.  Every error on a line raises
-    ValueError("line N: ...")."""
+    lines; every entry is the exact value it names, an int for an integer
+    and a Fraction for a ratio p/q or a decimal.  Every error on a line
+    raises ValueError("line N: ...")."""
     dim = None
     vectors = {}
 
@@ -70,7 +67,7 @@ def parse_vectors(text: str):
             raise ValueError(f"duplicate vector {name}")
         if len(entries) != dim:
             raise ValueError(f"expected {dim} coordinates")
-        vectors[name] = RealVector(name, tuple(number(t, float) for t in entries))
+        vectors[name] = RealVector(name, tuple(map(number, entries)))
 
     read_directives(text, {"dim <d>": set_dim, "vector <atom> <c>...": vector}, ("dim",))
     if dim is None:
@@ -83,8 +80,8 @@ def load_builtin(name: str) -> Realization:
 
 
 def _check_tol(tol):
-    # tol=0 is the exact mode; a negative tol would fail every pair, nan
-    # every comparison, and inf would call every pair collinear
+    # tol=0 asks for exact orthogonality; a negative tol would fail every
+    # pair, nan every comparison, and inf would call every pair collinear
     if not 0 <= tol < float("inf"):
         raise ValueError(f"tol must be a finite number >= 0, got {tol}")
 
@@ -96,30 +93,18 @@ def _dot(x, y):
 def _pair_test(vectors, tol):
     """test(i, j, ray=False) for x = vectors[i] and y = vectors[j]: whether
     they are orthogonal, |<x|y>| <= tol |x| |y|, or with ray=True whether
-    they span one ray, |<x|y>^2 - |x|^2 |y|^2| <= tol |x|^2 |y|^2, which
-    needs no normalization.  A pair of exact vectors is compared exactly at
-    every tol, squared and with tol = p/q as integers: q^2 <x|y>^2 <=
-    p^2 |x|^2 |y|^2 and q |<x|y>^2 - |x|^2 |y|^2| <= p |x|^2 |y|^2, so no
-    float rounds a tie and no coordinate has to fit the float range.  A
-    pair with a float entry is tested in floats, and tol = 0 refuses it.
-    Each |x|^2, the |x| of the float test and whether x is exact are found
-    once per vector, and each test makes one dot product."""
-    exact = [v.exact for v in vectors]
+    they span one ray, |<x|y>^2 - |x|^2 |y|^2| <= tol |x|^2 |y|^2.  Both
+    are decided exactly, squared and with tol = p/q as integers: q^2 <x|y>^2
+    <= p^2 |x|^2 |y|^2 and q |<x|y>^2 - |x|^2 |y|^2| <= p |x|^2 |y|^2, so no
+    float rounds a tie and no coordinate has to fit the float range.  Each
+    |x|^2 is found once per vector, and each test makes one dot product."""
     norm2 = [_dot(v.coords, v.coords) for v in vectors]
-    norm = [n ** 0.5 for n in norm2] if tol and not all(exact) else None
     p, q = tol.as_integer_ratio()
 
     def test(i, j, ray=False):
         d = _dot(vectors[i].coords, vectors[j].coords)
         n2 = norm2[i] * norm2[j]
-        if exact[i] and exact[j]:
-            return q * abs(d * d - n2) <= p * n2 if ray else q * q * d * d <= p * p * n2
-        if tol == 0:
-            raise ValueError("tol=0 requires exact rational coordinates "
-                             f"({vectors[i].name}, {vectors[j].name})")
-        if ray:
-            return abs(d * d - n2) <= tol * n2
-        return abs(d) <= tol * norm[i] * norm[j]
+        return q * abs(d * d - n2) <= p * n2 if ray else q * q * d * d <= p * p * n2
     return test
 
 

@@ -505,6 +505,30 @@ def test_quantum_expr_file(capsys, tmp_path):
     assert doc["eigenvalues"] == [-1.0, 1.0]
 
 
+@pytest.mark.parametrize("coords", ["1" + "0" * 200 + " 0", "1e-200 0", "0 -3e-400"])
+def test_quantum_proj_bind_of_a_long_or_short_vector(capsys, tmp_path, coords):
+    # 2|a><a|/<a|a> - I does not depend on the length of a; the squares of
+    # these coordinates are past the float range
+    (tmp_path / "f.vec").write_text(f"dim 2\nvector a {coords}\n")
+    f = tmp_path / "op.expr"
+    f.write_text("sites 1\nterm 1 A@1\nbind A proj f.vec a\n")
+    code, out = run(capsys, "quantum", "--expr", str(f))
+    assert code == 0 and json.loads(out)["eigenvalues"] == pytest.approx([-1, 1], abs=1e-15)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("line, token", [
+    ("param t 1e400", "1e400"), ("term -1" + "0" * 400 + " A@1", "-1" + "0" * 400),
+    ("bind B spin 1/2 3" + "0" * 400 + "/7 0", "3" + "0" * 400 + "/7"),
+    ("bind B spin 1/2 0 2e308", "2e308")])
+def test_quantum_value_past_the_float_range_names_its_token(capsys, tmp_path, line, token):
+    f = tmp_path / "op.expr"
+    f.write_text(f"sites 1\nterm 1 A@1\nbind A spin 1/2 0 0\n{line}\n")
+    assert main(["quantum", "--expr", str(f)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: line 4: {token!r} is too large for a float"]
+
+
 def test_quantum_zero_eigenvalue_prints_positive_zero(capsys, tmp_path):
     f = tmp_path / "op.expr"
     f.write_text("sites 1\nterm 0 A@1\nbind A spin 1/2 0 0\n")
@@ -709,6 +733,44 @@ def test_verify_derive_exact_vectors_past_the_float_range(capsys, tmp_path, tol)
     code, out = run(capsys, "verify", "--derive", "--vectors", str(f), *tol)
     assert code == 0
     assert out.splitlines() == ["logic derived", "# 1 contexts over 2 atoms", "context a b"]
+
+
+def test_verify_derive_big_integer_beside_a_decimal(capsys, tmp_path):
+    # every pair is tested exactly, so no vector has to fit the float range
+    f = tmp_path / "big.vec"
+    f.write_text(f"dim 2\nvector a 1{'0' * 200} 0\nvector b 0.5 1\nvector c 0 1\n")
+    code, out = run(capsys, "verify", "--derive", "--vectors", str(f))
+    assert code == 0
+    assert out.splitlines() == ["logic derived", "# 2 contexts over 3 atoms", "context a c",
+                                "context b"]
+
+
+def test_verify_exact_mode_of_decimal_vectors(capsys, tmp_path):
+    # 0.1 0.2 and 0.2 -0.1 are exactly orthogonal
+    vec = tmp_path / "dec.vec"
+    vec.write_text("dim 2\nvector a 0.1 0.2\nvector b 0.2 -0.1\n")
+    logic = tmp_path / "dec.logic"
+    logic.write_text("context a b\n")
+    code, out = run(capsys, "verify", "--logic", str(logic), "--vectors", str(vec), "--tol", "0")
+    assert code == 0 and out.splitlines() == ["PASS"]
+    # specker-bug's 17-digit decimal for sqrt(2) is not sqrt(2)
+    code, out = run(capsys, "verify", "--logic", "builtin:specker-bug",
+                    "--vectors", "builtin:specker-bug", "--tol", "0")
+    assert code == 4 and out.splitlines()[-1] == "FAIL"
+    assert out.splitlines()[0] \
+        == f"context 0: <a2|a3> = 14481069235364401/1{'0' * 32} is not orthogonal"
+
+
+def test_verify_prints_residuals_of_any_length(capsys, tmp_path):
+    # <a|b> = 10^6000 has more digits than str() writes
+    f = tmp_path / "huge.vec"
+    f.write_text(f"dim 2\nvector a 1{'0' * 3000} 1\nvector b 1{'0' * 3000} 0\n")
+    logic = tmp_path / "ab.logic"
+    logic.write_text("context a b\n")
+    code, out = run(capsys, "verify", "--logic", str(logic), "--vectors", str(f))
+    assert code == 4
+    assert out.splitlines() == [f"context 0: <a|b> = 1{'0' * 6000} is not orthogonal",
+                                "atoms a and b share a ray", "FAIL"]
 
 
 def test_verify_derive_vector_orthogonal_to_no_other(capsys, tmp_path):

@@ -83,13 +83,13 @@ def test_mutated_file_parses_or_names_its_line(name, folder, data):
 
 
 def test_decimal_exponent_bound():
-    assert number("1e-4300", Fraction) == Fraction(1, 10**4300)
-    assert number("2.5E+4300", Fraction) == 25 * 10**4299
-    assert number("1e-4300", float) == 0.0
-    for kind in (Fraction, float):
-        for tok in ("1e4301", "-1.5e-4301", "1E1000000000", "0e99999"):
-            with pytest.raises(ValueError, match=f"'{tok}' has an exponent outside -4300..4300"):
-                number(tok, kind)
+    assert number("1e-4300") == Fraction(1, 10**4300)
+    assert number("2.5E+4300") == 25 * 10**4299
+    # exact past the float range: a float is made of it only where needed
+    assert float(number("1e-4300")) == 0.0
+    for tok in ("1e4301", "-1.5e-4301", "1E1000000000", "0e99999"):
+        with pytest.raises(ValueError, match=f"'{tok}' has an exponent outside -4300..4300"):
+            number(tok)
 
 
 def test_digit_bound_and_long_values_read_back():
@@ -100,19 +100,16 @@ def test_digit_bound_and_long_values_read_back():
     for tok, want in ((nines, n), ("-" + nines, -n), ("1/" + nines, Fraction(1, n)),
                       (nines + "/2", Fraction(n, 2)), ("1" * 4300 + ".5", ones + Fraction(1, 2)),
                       ("99.99e4299", 9999 * 10**4297)):
-        x = number(tok, Fraction)
+        x = number(tok)
         assert x == want
-        assert number(exact_str(x), Fraction) == x
+        assert number(exact_str(x)) == x
     assert exact_str(10**4300) == "1" + "0" * 4300
     assert exact_str(-Fraction(1, 10**4300)) == "-1/1" + "0" * 4300
     assert exact_str(Fraction(-3, 4)) == "-3/4" and exact_str(7) == "7"
     for tok in ("1" * 4302, "-" + "9" * 4302, "1/" + "1" * 4302, "1" * 4302 + "/7",
                 "1" * 4301 + ".5", "12.5e4300", "0.01e-4300"):
-        for kind in (Fraction, float):
-            if kind is float and "e" in tok:
-                continue
-            with pytest.raises(ValueError, match=f"^'{tok}' has more than 4301 digits$"):
-                number(tok, kind)
+        with pytest.raises(ValueError, match=f"^'{tok}' has more than 4301 digits$"):
+            number(tok)
 
 
 def test_long_ratio_sides_are_plain_integers():
@@ -125,9 +122,8 @@ def test_long_ratio_sides_are_plain_integers():
                          ("1.5" + "0" * 4297 + "/1", "is not a rational number"),
                          ("1/" + "1" * 4302, "has more than 4301 digits"),
                          ("1/_" + "1" * 4301, "is not a rational number")):
-        for kind in (Fraction, float):
-            with pytest.raises(ValueError, match=f"^'{tok}' {problem}$"):
-                number(tok, kind)
-    assert number("+" + "1" * 4301 + "/-" + "1" * 4301, Fraction) == -1
+        with pytest.raises(ValueError, match=f"^'{tok}' {problem}$"):
+            number(tok)
+    assert number("+" + "1" * 4301 + "/-" + "1" * 4301) == -1
     # a short side keeps what int() reads, an underscore among its digits too
-    assert number("1" * 4000 + "/1_1", Fraction) == Fraction(int("1" * 4000), 11)
+    assert number("1" * 4000 + "/1_1") == Fraction(int("1" * 4000), 11)

@@ -584,6 +584,19 @@ def test_proj_bind_is_the_real_part_of_the_complex_build():
     assert len(VECTOR_FILES) == 7 and atoms == 124
 
 
+def test_proj_bind_of_any_length():
+    # the exact coordinates are scaled by a power of two before they are
+    # rounded: neither a square past the float range nor one below it
+    # reaches the matrix, and a vector's length does not change its digits
+    for coords in ((10**200, 0), (Fraction(1, 10**200), 0), (0, -Fraction(1, 10**400))):
+        want = np.diag([1.0, -1.0] if coords[0] else [-1.0, 1.0])
+        assert q._dichotomic(coords).tobytes() == want.tobytes()
+    a = (3, Fraction(-4, 7), 12)
+    for k in (-1100, -30, 7, 1100):
+        scaled = tuple(x * Fraction(2) ** k for x in a)
+        assert q._dichotomic(scaled).tobytes() == q._dichotomic(a).tobytes()
+
+
 def _real_symmetric_inputs():
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 8, 17, 40):

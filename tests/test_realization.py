@@ -6,10 +6,13 @@ import os
 import subprocess
 import sys
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from correlpoly import realization
 from correlpoly.logic_core import Logic, load_builtin as load_logic, parse_logic
@@ -49,35 +52,39 @@ def test_exact_verification_of_integer_realizations():
         assert report.ok
 
 
-def test_exact_mode_rejects_float_coordinates():
-    with pytest.raises(ValueError):
-        verify_realization(load_logic("specker-bug"), load_vectors("specker-bug"),
-                           tol=0)
+def test_exact_mode_reads_decimals_as_rationals():
+    # specker-bug writes sqrt(2) as the 17-digit decimal 1.4142135623730951,
+    # whose square is 2 + 14481069235364401/10^32: at tol=0 the pairs that
+    # meet it are near orthogonal, and each residual is that exact rational
+    report = verify_realization(load_logic("specker-bug"), load_vectors("specker-bug"),
+                                tol=0)
+    assert not report.ok and not report.collinear
+    assert report.nonorthogonal[0] == (0, "a2", "a3", Fraction(14481069235364401, 10**32))
+    assert all(type(d) is Fraction and 0 < d < 1e-15 for _, _, _, d in report.nonorthogonal)
 
 
-def test_exact_mode_names_the_pair_with_float_coordinates():
+def test_exact_mode_tests_decimal_pairs():
     real = parse_vectors("dim 2\nvector a 1 0\nvector b 0 1\nvector c 0.5 0.5\n")
     logic = Logic("l", ("a", "b", "c"), ((0, 1), (2,)))
-    # c shares no context with another atom: the shared-ray scan meets it first
-    with pytest.raises(ValueError) as caught:
-        verify_realization(logic, real, tol=0)
-    assert str(caught.value) == "tol=0 requires exact rational coordinates (a, c)"
-    with pytest.raises(ValueError) as caught:
-        derive_logic(real, tol=0)
-    assert str(caught.value) == "tol=0 requires exact rational coordinates (a, c)"
+    # c is (1/2, 1/2) exactly: orthogonal to neither a nor b, nor on their rays
+    assert verify_realization(logic, real, tol=0).ok
+    assert derive_logic(real, tol=0).contexts == ((0, 1), (2,))
+    # 0.1 0.2 and 0.2 -0.1 are orthogonal as the rationals they name
+    real = parse_vectors("dim 2\nvector a 0.1 0.2\nvector b 0.2 -0.1\n")
+    assert verify_realization(Logic("l", ("a", "b"), ((0, 1),)), real, tol=0).ok
 
 
 def _as_fractions(real):
     return Realization(real.dimension, tuple(
-        RealVector(v.name, tuple(x if isinstance(x, float) else Fraction(x) for x in v.coords))
-        for v in real.vectors))
+        RealVector(v.name, tuple(map(Fraction, v.coords))) for v in real.vectors))
 
 
 @pytest.mark.parametrize("name", PAIRS)
 @pytest.mark.parametrize("tol", [realization.DEFAULT_TOL, 0])
 def test_int_coordinates_test_as_fractions_do(name, tol):
-    # the bundled vectors hold ints (and floats); as Fractions, which every
-    # exact coordinate once was, each test gives the same answer or error
+    # the bundled vectors hold ints (and Fractions, their decimals); as
+    # Fractions, which every coordinate once was, each test gives the same
+    # answer or error
     logic = load_logic(name)
 
     def outcome(real):
@@ -93,16 +100,16 @@ def test_int_coordinates_test_as_fractions_do(name, tol):
     assert outcome(real) == outcome(_as_fractions(real))
 
 
-def test_exact_is_read_off_the_coordinates():
+def test_real_vector_rejects_float_entries():
     assert RealVector._fields == ("name", "coords")
-    assert RealVector("a", (1, Fraction(1, 3))).exact
-    assert not RealVector("a", (0.1 + 0.2, 1)).exact
-    # a caller can no longer mark float coordinates exact
+    assert not hasattr(RealVector("a", (1, Fraction(1, 3))), "exact")
+    # no float reaches the pair test, not even a numpy scalar
+    for x in (0.1 + 0.2, np.float64(0.5), -0.0):
+        with pytest.raises(TypeError, match="vector a has a float entry"):
+            RealVector("a", (x, 1))
+    # a caller can no longer mark coordinates exact
     with pytest.raises(TypeError):
-        RealVector("a", (0.1 + 0.2, 1), True)
-    real = Realization(2, (RealVector("a", (0.1 + 0.2, 1)), RealVector("b", (-1, 0.3))))
-    with pytest.raises(ValueError, match="tol=0 requires exact rational coordinates"):
-        verify_realization(Logic("l", ("a", "b"), ((0, 1),)), real, tol=0)
+        RealVector("a", (Fraction(3, 10), 1), True)
 
 
 def test_derive_takes_the_realization():
@@ -120,6 +127,39 @@ def test_exact_vectors_past_the_float_range(tol):
     report = verify_realization(Logic("l", ("a", "b", "c", "d"), ((0, 1), (1, 3), (2,))),
                                 real, tol=tol)
     assert report.collinear == (("a", "d"),) and not report.nonorthogonal
+
+
+def _decimal(x, exponent):
+    """x, whose denominator has no prime factor but 2 and 5, as a decimal
+    token: with an exponent (n e-m), or else with a point."""
+    m = 0
+    while (x * 10**m).denominator != 1:
+        m += 1
+    n = int(x * 10**m)
+    return f"{n}e-{m}" if exponent else str(Decimal(n).scaleb(-m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 3), exponent=st.booleans(), data=st.data())
+def test_decimals_test_as_the_ratios_they_name(dim, exponent, data):
+    # a terminating decimal is the rational p/q it names: written either way,
+    # a vector set derives and verifies alike at every tolerance
+    entry = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 4, 5, 8, 10, 25)))
+    vecs = data.draw(st.lists(st.tuples(*[entry] * dim).filter(any),
+                              min_size=dim, max_size=6))
+    names = [f"v{i}" for i in range(len(vecs))]
+    logic = Logic("l", tuple(names), tuple((i, i + 1) for i in range(len(vecs) - 1)))
+
+    def outcome(write, tol):
+        real = parse_vectors(f"dim {dim}\n" + "".join(
+            f"vector {name} {' '.join(map(write, v))}\n" for name, v in zip(names, vecs)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # intertwining contexts
+            return derive_logic(real, tol=tol), verify_realization(logic, real, tol=tol)
+
+    for tol in (0, 0.5, realization.DEFAULT_TOL):
+        assert outcome(lambda x: _decimal(x, exponent), tol) \
+            == outcome(lambda x: f"{x.numerator}/{x.denominator}", tol)
 
 
 def test_exact_tie_at_the_tolerance_counts():
@@ -239,7 +279,7 @@ def test_derive_needs_no_recursion():
         "import sys\n"
         "from correlpoly.realization import Realization, RealVector, derive_logic\n"
         "n = 300\n"
-        "real = Realization(n, tuple(RealVector(f'e{i}', tuple(float(i == k) for k in range(n)))\n"
+        "real = Realization(n, tuple(RealVector(f'e{i}', tuple(int(i == k) for k in range(n)))\n"
         "                            for i in range(n)))\n"
         "sys.setrecursionlimit(200)\n"
         "print(derive_logic(real).contexts == (tuple(range(n)),))\n")
@@ -262,7 +302,7 @@ def test_derive_makes_one_dot_product_per_pair(monkeypatch):
 
     monkeypatch.setattr(realization, "_dot", counted)
     n = 300
-    real = Realization(n, tuple(RealVector(f"e{i}", tuple(float(i == k) for k in range(n)))
+    real = Realization(n, tuple(RealVector(f"e{i}", tuple(int(i == k) for k in range(n)))
                                 for i in range(n)))
     assert derive_logic(real).contexts == (tuple(range(n)),)
     assert calls == n + n * (n - 1) // 2 == 45150
@@ -271,12 +311,15 @@ def test_derive_makes_one_dot_product_per_pair(monkeypatch):
 # --- parsing ---------------------------------------------------------------------
 
 def test_parse_vectors_mixed_entries():
-    real = parse_vectors("dim 2\nvector a 1/2 -3\nvector b 0.5 1\n")
-    assert real.vectors[0].exact and real.vectors[0].coords == (Fraction(1, 2), -3)
-    assert not real.vectors[1].exact
-    # each token keeps the type that reads it: int, Fraction or float
+    real = parse_vectors("dim 2\nvector a 1/2 -3\nvector b 0.5 1\n"
+                         "vector c 1.4142135623730951 1e-400\n")
+    a, b, c = (v.coords for v in real.vectors)
+    assert a == (Fraction(1, 2), -3) and b == (Fraction(1, 2), 1)
+    # a decimal is the rational it names, past the float range too
+    assert c == (Fraction(14142135623730951, 10**16), Fraction(1, 10**400))
+    # an integer token reads as an int, any other as a Fraction
     assert [[type(x) for x in v.coords] for v in real.vectors] \
-        == [[Fraction, int], [float, int]]
+        == [[Fraction, int], [Fraction, int], [Fraction, Fraction]]
 
 
 def test_parse_vectors_errors():

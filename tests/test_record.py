@@ -112,6 +112,9 @@ def test_record_rejects_wrong_field_names(build):
     (lambda: OperatorExpr(1, ((1.0, ("z",)), (1.0, ("p",))),
                           (*_EXPR_FIELDS[2], ("p", ("proj", (1, 0, 0)))),
                           _EXPR_FIELDS[3]), r"site 1 has inconsistent dimensions \[2, 3\]"),
+    (lambda: OperatorExpr(*_EXPR_FIELDS[:3], ()), r"angle \$t names no param"),
+    (lambda: OperatorExpr(*_EXPR_FIELDS[:3], (("t", 0.5), ("t", 1.0))),
+     r"a param is given twice in \('t', 't'\)"),
 ])
 def test_post_init_checks_still_raise(build, message):
     with pytest.raises(ValueError, match=message):
