@@ -11,7 +11,10 @@ bitsets until the cone is pointed and a step has more than 4096 (positive,
 negative) ray pairs, which most bundled cones never reach, and numpy arrays
 from there on.  A numpy step works in whole-array passes over blocks of ray
 pairs, each sized so that its temporaries hold about _STEP_WORDS 64-bit
-words.  No floating point is used anywhere in this module.
+words.  An H->V conversion may stop early, once the rows inserted bound
+the polytope, with the rays that satisfy the other rows: vertices keeps
+them if their hull has only input rows as facets.  No floating point is
+used anywhere in this module.
 
 H-representation rows (b, a) encode the half-space b + a.x >= 0; linearity
 rows encode b + a.x = 0.  This matches the "b  -A" layout of the interchange
@@ -119,7 +122,7 @@ _NUMPY_PAIRS = 4096
 _STEP_WORDS = 1 << 15
 
 
-def _dd_cone(dim, constraints):
+def _dd_cone(dim, constraints, bounded=False):
     """Extreme rays and lineality of {y in R^dim : c.y >= 0 for all c}.
 
     constraints: integer vectors of length dim; an equation is the pair c,
@@ -139,7 +142,12 @@ def _dd_cone(dim, constraints):
     hull of a flat polytope, whose lineality never empties, skips numpy's
     import, 0.08-0.11 s and 13 MiB of peak RSS per process on one core of
     a shared 2-vCPU Xeon.
+
+    bounded=True (vertices, y[0] = t, constraints a list) lets the numpy
+    loop return (survivors, None) instead: see _dd_numpy.  Constraints past
+    such a stop are read from the list, not iterated over.
     """
+    ahead = constraints if bounded else None
     constraints = iter(constraints)
     lin = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     rays, zs = [], []        # by slot
@@ -156,7 +164,7 @@ def _dd_cone(dim, constraints):
             # rebinding frees the zero sets before numpy loads
             rays = [rays[s] for s in alive]
             zs = [sum(1 << j for j in zs[s]) | 1 for s in alive]
-            return _dd_numpy(dim, rays, zs, k, chain([c], constraints)), []
+            return _dd_numpy(dim, rays, zs, k, chain([c], constraints), ahead)
         if piv is not None:
             # every other lineality vector v becomes v - (dv/du) u and every
             # ray r becomes r - (dr/du) u, scaled to coprime integers with the
@@ -237,7 +245,7 @@ def _int_combinations(rays, zs, T, live, pos, neg, effdim):
              zs[p] & zs[n] | {len(T) - 1}) for p, n in sorted(pairs)]
 
 
-def _dd_numpy(dim, rays, zsets, nproc, constraints):
+def _dd_numpy(dim, rays, zsets, nproc, constraints, ahead):
     """_dd_cone on numpy arrays, from the pointed cone its Python-int phase
     hands over: the rays, their zero sets as int bitsets, the number nproc
     of constraints processed (constraint 0 included) and the remaining
@@ -245,6 +253,11 @@ def _dd_numpy(dim, rays, zsets, nproc, constraints):
     while one bound proves that no product below can overflow, and Python
     ints (dtype object) otherwise.  The zero sets are the rows of a uint64
     matrix Z: constraint j is bit j % 64 of word j // 64.
+
+    Returns (rays, []).  ahead is None, or the list of the given
+    constraints (constraint k is ahead[k - 1]): then, at the first step at
+    which every ray has y[0] > 0, the loop asks _survivors once about the
+    ones not yet inserted, and returns (survivors, None) if they pass.
     """
     # imported here: a module-top import loads numpy before the package's
     # pure-Python modules and raises the peak RSS of every run
@@ -256,7 +269,15 @@ def _dd_numpy(dim, rays, zsets, nproc, constraints):
                  dtype=np.uint64).reshape(-1, words)
 
     big = None          # an upper bound of max(1, max|R|), or None before the first step
-    for cvec in constraints:
+    while True:
+        if ahead is not None and nproc <= len(ahead) and (R[:, 0] > 0).all():
+            survivors = _survivors(R, ahead[nproc - 1:], big)
+            if survivors is not None:
+                return survivors, None
+            ahead = None
+        cvec = next(constraints, None)
+        if cvec is None:
+            return [tuple(r) for r in R.tolist()], []
         dtype, big = _ray_dtype(R, cvec, big)
         R = R.astype(dtype, copy=False)
         c = np.array(cvec, dtype=R.dtype)
@@ -281,7 +302,38 @@ def _dd_numpy(dim, rays, zsets, nproc, constraints):
         R = np.concatenate((R, newR))
         Z = Z[keep]
         Z = np.concatenate((Z, newZ))
-    return [tuple(r) for r in R.tolist()]
+
+
+def _survivors(R, rest, big):
+    """The rays of R (rows, each with y[0] > 0) that satisfy every
+    constraint of rest, as int tuples, or None if there are none or some
+    constraint of rest is tight at fewer than dim - 1 of them.  big bounds
+    max|R| as in _ray_dtype, or is None.
+
+    A survivor lies in the whole cone and is an extreme ray of R's, which
+    holds it: a vertex.  That they are all of them is the caller's to
+    prove; the count is a pre-check.  A facet holds at least dim - 1
+    vertices, so a row tight at fewer survivors is redundant or a cut that
+    makes vertices they lack.  Each integer product, under _ray_dtype's
+    guard, is of about _STEP_WORDS words."""
+    import numpy as np
+
+    # the largest entry of rest stands for all of them in _ray_dtype's test
+    dtype, _ = _ray_dtype(R, [max(abs(x) for c in rest for x in c)], big)
+    S = R.astype(dtype, copy=False)
+    C = np.array(rest, dtype=dtype).T
+    j = 0
+    while len(S) and j < len(rest):
+        width = max(1, _STEP_WORDS // len(S))
+        S = S[(S @ C[:, j:j + width]).min(axis=1) >= 0]
+        j += width
+    if not len(S):
+        return None
+    block = max(1, _STEP_WORDS // len(rest))
+    tight = sum(np.count_nonzero(S[b:b + block] @ C == 0, axis=0) for b in range(0, len(S), block))
+    if tight.min() < S.shape[1] - 1:
+        return None
+    return [tuple(r) for r in S.tolist()]
 
 
 def _ray_dtype(R, cvec, big):
@@ -425,7 +477,14 @@ def vertices(h: HRep) -> VRep:
     left out; a linearity r enters as the two inequalities r and -r.  The
     rows reach the double description normalized, deduplicated and sorted
     by _row_order, the linearity pairs first, so what it does depends only
-    on the set of rows, not on their order or repetition."""
+    on the set of rows, not on their order or repetition.
+
+    The double description may stop once the rows inserted bound the
+    polytope (every ray has t > 0), with the rays that satisfy the other
+    rows (_survivors): vertices, and all of them iff hull() of them has the
+    input's linearities and only its rows as facets.  Else it runs again,
+    to the end: a failed stop costs at most one hull() and one rerun.  The
+    polytope is empty iff no ray has t > 0, tested first."""
     m = h.dimension
     # an equation and its negation are one linearity: turn each so that its
     # normal's leading nonzero is positive, which a translation keeps
@@ -437,19 +496,32 @@ def vertices(h: HRep) -> VRep:
     for row in sorted(lin, key=_row_order):
         constraints += [row, tuple(-x for x in row)]
     constraints += sorted(ineq, key=_row_order)
-    rays, lin = _dd_cone(m + 1, constraints)
-    if lin:
-        raise ValueError("polyhedron contains a line: " + str(lin[0]))
-    points = set()
-    for ray in rays:
-        t = ray[0]
-        if t == 0:
-            raise ValueError("unbounded polyhedron, recession ray "
-                             + str(ray[1:]))
-        points.add(tuple(Fraction(x, t) for x in ray[1:]))
-    if not points:
+    rays, line = _dd_cone(m + 1, constraints, bounded=True)
+    if line is None and not _spans(rays, HRep(m, tuple(ineq), tuple(lin))):
+        rays, line = _dd_cone(m + 1, constraints)
+    if not any(t > 0 for t, *_ in rays):
         raise ValueError("infeasible H-representation (empty polytope)")
-    return VRep(m, tuple(sorted(points)))
+    if line:
+        raise ValueError("polyhedron contains a line: " + str(line[0]))
+    for ray in rays:
+        if ray[0] == 0:
+            raise ValueError("unbounded polyhedron, recession ray " + str(ray[1:]))
+    return VRep(m, tuple(sorted(_points(rays))))
+
+
+def _points(rays):
+    """The distinct points y / t of rays (t, y), t > 0."""
+    return {tuple(Fraction(x, t) for x in y) for t, *y in rays}
+
+
+def _spans(rays, h):
+    """Whether the points of rays, which lie in h's polytope, span it:
+    whether their hull has h's linearities and only rows of h as facets,
+    which then hold on it.  h is canonicalized after the hull, so as not to
+    raise its peak memory."""
+    got = hull(VRep(h.dimension, tuple(_points(rays))))
+    want = canonicalize(h)
+    return got.linearities == want.linearities and set(got.inequalities) <= set(want.inequalities)
 
 
 def canonicalize(h: HRep) -> HRep:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from scratch (no reuse of package
 internals): exhaustive 2^n state enumeration and sign sweeps,
-hyperplane-enumeration facet computation, and subset-enumeration maximal
-cliques; and a test operator whose maximum is known, built with numpy only.
+hyperplane-enumeration facet computation, basic-solution vertex
+enumeration, and subset-enumeration maximal cliques; and a test operator
+whose maximum is known, built with numpy only.
 """
 
 import math
@@ -128,6 +129,39 @@ def brute_force_facets(points):
         if len(support) >= d and _rank(diffs) == d - 1:
             facets.add(_as_int_row(row))
     return facets
+
+
+def _solve(rows):
+    """The unique x with b + a.x = 0 for every row (b, a), or None."""
+    d = len(rows[0]) - 1
+    mat = [[Fraction(x) for x in r[1:]] + [-Fraction(r[0])] for r in rows]
+    for col in range(d):
+        piv = next((r for r in range(col, len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            return None
+        mat[col], mat[piv] = mat[piv], mat[col]
+        mat[col] = [x / mat[col][col] for x in mat[col]]
+        for r in range(len(mat)):
+            if r != col and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
+    return tuple(mat[r][d] for r in range(d))
+
+
+def brute_force_vertices(dimension, inequalities, linearities=()):
+    """The vertices of {x in R^dimension : b + a.x >= 0 for each
+    inequality (b, a), b + a.x = 0 for each linearity}, sorted: every
+    point that is the unique solution of some d-subset of the rows taken
+    with equality and satisfies all of them.  A polyhedron whose normals
+    span R^d is empty iff it has none.  dimension >= 1."""
+    rows = list(inequalities) + list(linearities)
+
+    def feasible(x):
+        val = [r[0] + sum(a * y for a, y in zip(r[1:], x)) for r in rows]
+        return all(v >= 0 for v in val) and not any(val[len(inequalities):])
+
+    points = {_solve(sub) for sub in combinations(rows, dimension)} - {None}
+    return tuple(sorted(x for x in points if feasible(x)))
 
 
 def brute_force_cliques(vectors, orthogonal):

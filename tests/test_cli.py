@@ -18,7 +18,7 @@ import correlpoly
 from correlpoly import exact_hull, quantum
 from correlpoly.cli import _digest, main
 
-from oracles import rotated_mermin
+from oracles import DATA, rotated_mermin
 
 
 def run(capsys, *argv):
@@ -241,6 +241,15 @@ def test_hull_of_the_point_of_r0_round_trip(capsys, tmp_path):
     code, out = run(capsys, "hull", "--input", str(ine), "--reverse", "--golden", str(point))
     assert code == 0
     assert out.endswith("V-representation\nbegin\n 1  1  real\n 1\nend\n")
+
+
+@pytest.mark.parametrize("name", ["empty-strip", "empty-half-strip"])
+def test_hull_reverse_empty_polyhedron_exit_1(capsys, name):
+    # x >= 2 and x <= 1 in R^2, alone and with y >= 0: empty, though the
+    # cone of the first holds a line and that of the second a ray at t = 0
+    assert main(["hull", "--input", str(DATA / f"{name}.ine"), "--reverse"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: infeasible H-representation (empty polytope)"]
 
 
 def test_hull_reverse_requires_h_rep(capsys, tmp_path):

@@ -23,7 +23,7 @@ from correlpoly.exact_hull import (
     vertices,
 )
 
-from oracles import _rank, brute_force_facets
+from oracles import DATA, _rank, brute_force_facets, brute_force_vertices
 from scenarios import builtin_scenario
 
 
@@ -232,6 +232,22 @@ def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
+class _Taken(list):
+    """A list of constraints that appends to `taken` each one iterated out
+    of it: the double description takes the rows it inserts that way.  A
+    slice of it is a plain list, so the rows that _survivors looks at are
+    not counted."""
+
+    def __init__(self, rows, taken):
+        super().__init__(rows)
+        self.taken = taken
+
+    def __iter__(self):
+        for c in list.__iter__(self):
+            self.taken.append(c)
+            yield c
+
+
 def _checked_dd(run):
     """run() with every insertion step of the double description checked
     against the rank oracle, on either path: the new rays must be exactly
@@ -239,23 +255,35 @@ def _checked_dd(run):
     the order of `for ip in pos: for im in neg`, every step that pivots no
     lineality vector out must pass through that check, and the final
     lineality must be a coprime integer basis of the constraints'
-    orthogonal complement.  Returns run()'s result and the number of
-    candidate pairs whose common tight set was empty."""
+    orthogonal complement.  A run that stops early must have inserted rows
+    of full rank, and each survivor must be an extreme ray of the whole
+    cone: in it, and tight at constraints of rank dim - 1.  Returns run()'s
+    result and the number of candidate pairs whose common tight set was
+    empty."""
     fed = []  # constraints handed to the double description so far
+    looked = []  # how many constraints were left at each look of _survivors
     empty = steps = 0
     real_dd = exact_hull._dd_cone
     real_combinations = exact_hull._combinations
     real_int_combinations = exact_hull._int_combinations
+    real_survivors = exact_hull._survivors
 
-    def dd(dim, constraints):
+    def dd(dim, constraints, bounded=False):
         nonlocal steps
-        def feed():
-            for c in constraints:
-                fed.append(c)
-                yield c
         fed.clear()
+        looked.clear()
         steps = 0
-        rays, lineality = real_dd(dim, feed())
+        rays, lineality = real_dd(dim, _Taken(constraints, fed), bounded)
+        if lineality is None:
+            # stopped early: what was inserted is what _survivors did not see
+            inserted = constraints[:len(constraints) - looked[-1]]
+            assert bounded and _rank(inserted) == dim
+            assert steps == len(inserted) - dim
+            for r in rays:
+                assert r[0] > 0 and all(type(x) is int for x in r) and gcd(*r) == 1
+                assert all(_dot(c, r) >= 0 for c in constraints)
+                assert _rank([c for c in constraints if _dot(c, r) == 0]) == dim - 1
+            return rays, lineality
         # the lineality: a basis of coprime Python-int rows orthogonal to
         # every constraint, as many as the constraints leave free
         assert _rank(lineality) == len(lineality) == dim - _rank(fed)
@@ -303,20 +331,28 @@ def _checked_dd(run):
               effdim, [r for r, _ in new])
         return new
 
+    def survivors(R, rest, big):
+        looked.append(len(rest))
+        return real_survivors(R, rest, big)
+
     with mock.patch.object(exact_hull, "_dd_cone", dd), \
             mock.patch.object(exact_hull, "_combinations", combinations), \
-            mock.patch.object(exact_hull, "_int_combinations", int_combinations):
+            mock.patch.object(exact_hull, "_int_combinations", int_combinations), \
+            mock.patch.object(exact_hull, "_survivors", survivors):
         return run(), empty
 
 
 def test_numpy_step_without_a_negative_ray():
     # the sum of epr-2x3-full's last two inequalities is redundant: inserted
     # after them, it cuts no ray, and the numpy loop's step has 1196 rays on
-    # its positive side and none on the negative one
+    # its positive side and none on the negative one.  That step lies past
+    # the rows that first bound the polytope, so the double description runs
+    # to the end on the rows vertices gives it
     _, h = builtin_scenario("epr-2x3-full")
     a, b = h.inequalities[-2:]
     redundant = HRep(h.dimension, (*h.inequalities, tuple(x + y for x, y in zip(a, b))),
                      h.linearities)
+    dim, constraints = _vertices_dd_input(redundant)
     sides = []
     real_combinations = exact_hull._combinations
 
@@ -325,9 +361,11 @@ def test_numpy_step_without_a_negative_ray():
         return real_combinations(R, Z, dots, pos, neg, effdim)
 
     with mock.patch.object(exact_hull, "_combinations", combinations):
-        got = vertices(redundant)
+        rays, lin = exact_hull._dd_cone(dim, constraints)
     assert (1196, 0) in sides
-    assert got == vertices(h)
+    want = vertices(h)
+    assert not lin and tuple(sorted(exact_hull._points(rays))) == want.points
+    assert vertices(redundant) == want
 
 
 def _numpy_step_args(rays, zs, T, live, pos, neg):
@@ -395,9 +433,12 @@ def test_numpy_step_matches_int_step(budget):
 
 
 def test_numpy_loop_traced_peak():
-    # the numpy loop of vertices(epr-2x3-full) peaked at 0.78 MiB of traced
-    # allocations (numpy 2.4, Python 3.11).  Its largest step has 680 x 184
-    # ray pairs: a count matrix of all of them, in int64, would add 1 MiB
+    # vertices(epr-2x3-full) runs the numpy loop twice: up to the step where
+    # the rows inserted bound the polytope, and in the hull of the 64
+    # survivors that certifies them.  Each peaked at 0.68-0.71 MiB of traced
+    # allocations (numpy 2.4, Python 3.11); run to the end, the first peaked
+    # at 0.78 MiB.  A step of 680 x 184 ray pairs, as the full run has, would
+    # add 1 MiB with a count matrix of all of them in int64
     import tracemalloc
 
     _, h = builtin_scenario("epr-2x3-full")
@@ -417,7 +458,7 @@ def test_numpy_loop_traced_peak():
             vertices(h)
     finally:
         tracemalloc.stop()
-    assert len(peaks) == 1 and peaks[0] < 1 << 20, peaks
+    assert len(peaks) == 2 and all(p < 1 << 20 for p in peaks), peaks
 
 
 def _on_both_paths(test):
@@ -518,6 +559,172 @@ def test_empty_common_zero_set(name):
     assert empty_v + empty_h > 0
 
 
+# --- H->V against basic solutions, and the early stop -------------------------
+#
+# vertices may stop its double description at the first numpy step at which
+# the rows inserted bound the polytope, with the rays that satisfy every other
+# row, and keeps them only if their hull's facets are input rows.
+
+def _brute_force_answer(h):
+    """What vertices(h) must give, from brute_force_vertices alone: the
+    vertices, or the word its error message must hold."""
+    d = h.dimension
+    normals = [r[1:] for r in h.inequalities + h.linearities]
+    # unit vectors that complete the normals to a basis of R^d: fixing those
+    # coordinates leaves one point of each line the polyhedron holds
+    fixed = []
+    for j in range(d):
+        unit = tuple(int(i == j) for i in range(d))
+        if _rank(normals + fixed + [unit]) > _rank(normals + fixed):
+            fixed.append(unit)
+    if fixed:
+        cut = h.linearities + tuple((0, *u) for u in fixed)
+        return "line" if brute_force_vertices(d, h.inequalities, cut) else "infeasible"
+    points = brute_force_vertices(d, h.inequalities, h.linearities)
+    if not points:
+        return "infeasible"
+    # unbounded iff the recession cone holds a y with s*y_j >= 1 for some j, s
+    cone = tuple((0, *r[1:]) for r in h.inequalities)
+    flat = tuple((0, *r[1:]) for r in h.linearities)
+    for j in range(d):
+        for s in (1, -1):
+            far = (-1, *(s * int(i == j) for i in range(d)))
+            if brute_force_vertices(d, cone + (far,), flat):
+                return "unbounded"
+    return points
+
+
+@st.composite
+def _small_h_reps(draw):
+    """Up to 7 random rows and a linearity in 1 to 3 dimensions, half of
+    them inside a box: bounded, unbounded, holding a line, and empty."""
+    d = draw(st.integers(1, 3))
+    row = st.tuples(st.integers(-3, 3), *[st.integers(-2, 2)] * d)
+    ineq = draw(st.lists(row, max_size=7))
+    lin = draw(st.lists(row, max_size=1))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        ineq += [(k, *(s * int(i == j) for i in range(d))) for j in range(d) for s in (1, -1)]
+    return HRep(d, tuple(ineq), tuple(lin))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_small_h_reps())
+@_on_both_paths
+def test_vertices_match_brute_force(h):
+    want = _brute_force_answer(h)
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=want):
+            vertices(h)
+    else:
+        assert vertices(h).points == want
+
+
+def _dd_calls(run):
+    """run(), and for each double description it made: whether it was
+    bounded, how many constraints it got and took, and whether it stopped
+    early."""
+    calls = []
+    real = exact_hull._dd_cone
+
+    def dd(dim, constraints, bounded=False):
+        taken = []
+        rays, lin = real(dim, _Taken(constraints, taken), bounded)
+        calls.append((bounded, len(constraints), len(taken), lin is None))
+        return rays, lin
+
+    with mock.patch.object(exact_hull, "_dd_cone", dd):
+        return run(), calls
+
+
+def test_epr_full_stops_after_35_rows():
+    # all 64 vertices of epr-2x3-full are rays once t >= 0 and 34 of its 684
+    # facets are inserted: the other 650 rows are never inserted, and the
+    # second double description is the hull of the 64 survivors
+    v, h = builtin_scenario("epr-2x3-full")
+    got, calls = _dd_calls(lambda: vertices(h))
+    (bounded, given, taken, early), certificate = calls
+    assert bounded and early and given == 685 and taken <= 35
+    assert certificate == (False, 64, 64, False)
+    assert got.points == tuple(sorted(set(v.points)))
+
+
+def _survivor_looks(run):
+    """run() with the numpy loop taking every pointed cone, and the answers
+    of _survivors and _spans it got."""
+    looks, certificates = [], []
+    real_survivors, real_spans = exact_hull._survivors, exact_hull._spans
+
+    def survivors(R, rest, big):
+        looks.append((list(rest), real_survivors(R, rest, big)))
+        return looks[-1][1]
+
+    def spans(rays, h):
+        certificates.append(real_spans(rays, h))
+        return certificates[-1]
+
+    with mock.patch.object(exact_hull, "_NUMPY_PAIRS", -1), \
+            mock.patch.object(exact_hull, "_survivors", survivors), \
+            mock.patch.object(exact_hull, "_spans", spans):
+        return run(), looks, certificates
+
+
+def _box(d, k):
+    """The rows of [0, k]^d."""
+    return [(0, *(int(i == j) for i in range(d))) for j in range(d)] \
+        + [(k, *(-int(i == j) for i in range(d))) for j in range(d)]
+
+
+def test_cut_cube_is_refused_at_the_first_bounded_step():
+    # [0,2]^3 cut by x + y + z <= 5: the box rows come first and bound it;
+    # the cut is tight at none of the 7 corners that satisfy it, so the
+    # pre-check refuses, and the double description makes the 3 new vertices
+    h = HRep(3, tuple(_box(3, 2)) + ((5, -1, -1, -1),), ())
+    got, looks, certificates = _survivor_looks(lambda: vertices(h))
+    assert looks == [([(5, -1, -1, -1)], None)]
+    assert certificates == []
+    assert got.points == brute_force_vertices(3, h.inequalities)
+    assert len(got.points) == 10
+
+
+def test_certificate_that_fails_reruns_the_double_description():
+    # [0,1]^4 cut by x + y + z + 2w <= 2: the cut is tight at 4 of the
+    # corners that satisfy it, (1,1,0,0), (1,0,1,0), (0,1,1,0) and
+    # (0,0,0,1), so the pre-check passes, but it also makes 3 vertices
+    # (x, y, z, 1/2) that are not corners: the survivors' hull has a facet
+    # that is not an input row, and the double description runs again
+    h = HRep(4, tuple(_box(4, 1)) + ((2, -1, -1, -1, -2),), ())
+    (got, calls), looks, certificates = _survivor_looks(lambda: _dd_calls(lambda: vertices(h)))
+    assert len(looks) == 1 and len(looks[0][1]) == 8
+    assert certificates == [False]
+    assert [(b, e) for b, _, _, e in calls] == [(True, True), (False, False), (False, False)]
+    assert got.points == brute_force_vertices(4, h.inequalities)
+    assert len(got.points) == 11
+
+
+@pytest.mark.parametrize("bogus", ["facet", "linearity"])
+def test_certificate_that_disagrees_gives_the_full_answer(bogus):
+    # the survivors' hull made to disagree with the input, by one facet or
+    # one linearity that is not the input's: vertices returns what the
+    # double description run to the end returns
+    _, h = builtin_scenario("epr-2x3-full")
+    want = vertices(h)
+    real_hull = exact_hull.hull
+    extra = (7, 1) + (0,) * (h.dimension - 1)  # no input row has offset 7
+
+    def hull_with_extra(v):
+        got = real_hull(v)
+        if bogus == "facet":
+            return HRep(got.dimension, got.inequalities + (extra,), got.linearities)
+        return HRep(got.dimension, got.inequalities, got.linearities + (extra,))
+
+    with mock.patch.object(exact_hull, "hull", hull_with_extra):
+        got, calls = _dd_calls(lambda: vertices(h))
+    assert [(b, e) for b, _, _, e in calls] == [(True, True), (False, False), (False, False)]
+    assert calls[2][1:3] == (685, 685)
+    assert got == want
+
+
 # --- large coordinates: the int64 bound and the Python-int fallback ----------
 #
 # Entries near 2**61 leave no room for an int64 product, so the double
@@ -555,7 +762,8 @@ class _Seen(Exception):
 
 def _vertices_dd_input(h):
     """The constraint sequence vertices(h) gives the double description."""
-    def spy(dim, constraints):
+    def spy(dim, constraints, bounded=False):
+        assert bounded
         raise _Seen(dim, list(constraints))
 
     with mock.patch.object(exact_hull, "_dd_cone", spy), pytest.raises(_Seen) as seen:
@@ -633,11 +841,16 @@ def test_ray_dtype_matches_a_full_scan_at_every_step():
         return dtype, bound
 
     v, h = builtin_scenario("epr-2x3-full")
+    # vertices stops its double description after 35 rows: run to the end on
+    # the same rows, it makes 653 numpy steps
+    dim, constraints = _vertices_dd_input(h)
     with mock.patch.object(exact_hull, "_ray_dtype", ray_dtype):
         for limit in (exact_hull._NUMPY_PAIRS, -1):
             with mock.patch.object(exact_hull, "_NUMPY_PAIRS", limit):
                 assert hull(v) == canonicalize(h)
                 assert vertices(h).points == tuple(sorted(set(v.points)))
+                rays, _ = exact_hull._dd_cone(dim, constraints)
+                assert tuple(sorted(exact_hull._points(rays))) == tuple(sorted(set(v.points)))
         epr = dict(seen)
         # the translated golden rows: entries near 2**61 turn the rays into
         # Python ints
@@ -776,6 +989,17 @@ def test_unbounded_h_rep_rejected():
 def test_infeasible_h_rep_rejected():
     with pytest.raises(ValueError):
         vertices(HRep(1, ((0, 1), (-1, -1), (Fraction(-3), 1)), ()))
+
+
+@pytest.mark.parametrize("name", ["empty-strip", "empty-half-strip"])
+def test_empty_polyhedron_is_infeasible(name):
+    # x >= 2 and x <= 1 in R^2, and with y >= 0: the cone's rays and
+    # lineality all have t = 0, which is emptiness, not a line or a
+    # recession ray
+    h = parse_dd((DATA / f"{name}.ine").read_text())
+    assert brute_force_vertices(2, h.inequalities) == ()
+    with pytest.raises(ValueError, match=r"^infeasible H-representation \(empty polytope\)$"):
+        vertices(h)
 
 
 def test_line_containing_h_rep_rejected():
