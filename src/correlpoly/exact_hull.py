@@ -517,10 +517,10 @@ def _points(rays):
 def _spans(rays, h):
     """Whether the points of rays, which lie in h's polytope, span it:
     whether their hull has h's linearities and only rows of h as facets,
-    which then hold on it.  h is canonicalized after the hull, so as not to
-    raise its peak memory."""
+    which then hold on it.  h's rows are normalized and distinct: only
+    linearities need canonicalize, after the hull (a lower peak)."""
     got = hull(VRep(h.dimension, tuple(_points(rays))))
-    want = canonicalize(h)
+    want = canonicalize(h) if h.linearities else h
     return got.linearities == want.linearities and set(got.inequalities) <= set(want.inequalities)
 
 

@@ -1,19 +1,21 @@
-"""Spin observables, singlet correlations, and quantum bounds.
+"""Spin observables, operators for Bell-type expressions, and quantum bounds.
 
-Builds spin-j component matrices by the ladder construction, projectors and
+Builds spin-j component matrices by the ladder construction and
 tensor-product operators for Bell-type expressions, and computes Hermitian
 spectra of one matrix or a stack of them by Householder reduction to real
-tridiagonal form, each step one matrix-vector and one rank-two product, and
-Sturm-count multisection (Barth, Martin & Wilkinson, Numer. Math. 9, 1967)
-whose counts run from both ends of the tridiagonal matrix at once, as a
-twisted factorization (Parlett & Dhillon, Linear Algebra Appl. 309, 2000).
-The spectrum of a spin component is known exactly, so its projectors are
-polynomials in it (Lagrange-Sylvester) and need no eigenvectors.  The
-extreme eigenvalues of the operator substituted for an inequality's
-left-hand side are the quantum bounds.  A multi-start grid scan and a
-complete-poll compass search maximize the largest one over free measurement
-angles, building and solving each scan axis (for all starts) and each poll
-as one stack, and stop once the norm bound certifies the maximum.
+tridiagonal form, each step one matrix-vector and one rank-two product,
+then Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9, 1967) whose
+pivots run from both ends of the tridiagonal matrix at once, as a twisted
+factorization (Parlett & Dhillon, Linear Algebra Appl. 309, 2000): two
+multisection rounds bracket each eigenvalue, and Newton steps on the
+determinant, whose derivative the same pivots carry, finish those alone in
+their brackets (as Li & Zeng, SIAM J. Sci. Comput. 15, 1994, do with
+Laguerre's).  The extreme eigenvalues of the operator substituted for an
+inequality's left-hand side are the quantum bounds.  A multi-start grid
+scan and a complete-poll compass search maximize the largest one over free
+measurement angles, building and solving each scan axis (for all starts)
+and each poll as one stack, and stop once the norm bound certifies the
+maximum.
 
 All arithmetic here is double precision; exact rational work lives in
 exact_hull.
@@ -39,20 +41,16 @@ HERMITIAN_TOL = 1e-12
 TINY = float(np.finfo(float).tiny)    # smallest normal float
 SECTION_POINTS = 15   # interior points per interval and multisection round
 SECTION_ROUNDS = 14   # (SECTION_POINTS + 1)^-14 = 2^-56
+# Newton passes before an eigenvalue takes the remaining multisection
+# rounds: alone in its bracket it converges quadratically, in 3 to 7 passes
+# on every matrix of the test suite, and the rest leaves room for a few
+# bisections
+NEWTON_PASSES = 10
 # the largest operator dimension an expression may have; a 1024 x 1024
 # operator takes 8 MiB when it is real (proj binds only) and 16 MiB when
 # it is complex, and eigenvalues holds it, its working copy and a rank-two
 # product of the same size at once
 MAX_DIM = 1024
-
-
-class Direction(Record):
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("direction angles must be finite")
 
 
 def _check_j(j):
@@ -80,11 +78,6 @@ def spin_components(j):
     for x in (mx, my, mz):
         x.flags.writeable = False
     return mx, my, mz
-
-
-def spin_operator(j, direction: Direction):
-    """S_j(theta, phi) = sin(t)cos(p) Mx + sin(t)sin(p) My + cos(t) Mz."""
-    return _spin_operators(j, direction.theta, direction.phi)
 
 
 def _spin_operators(j, theta, phi):
@@ -156,17 +149,30 @@ def _tridiagonalize(a):
     return np.diagonal(a, axis1=1, axis2=2).real.copy(), e
 
 
-def _multisection(d, e):
-    """Every eigenvalue, ascending, of each real symmetric tridiagonal
-    matrix with diagonal d (k, n) and off-diagonal e (k, n-1).
+def _pivot_rows(d, e):
+    """The operands of _sturm for the matrices with diagonal d (k, n) and
+    off-diagonal e (k, n-1): the diagonal (n, k, 1), the squared couplings
+    (n+1, k, 1), none above row 0 or below row n-1, and both again as the
+    rows (i, n-1-i) of each two-ended step.  The squares of e are raised to
+    at least the smallest normal float, so that an exact zero pivot gives an
+    infinite one next, never 0/0; d's -0.0 becomes +0.0, so that a zero
+    pivot is never -0.0, which would count as nonnegative but divide like a
+    negative one."""
+    k, n = d.shape
+    m = n // 2
+    diag = (d.T + 0.0)[:, :, None]
+    off2 = np.zeros((n + 1, k, 1))
+    off2[1:n, :, 0] = np.maximum(e * e, TINY).T
+    return (diag, off2, np.stack((diag[:m], diag[::-1][:m]), 1),
+            np.stack((off2[:m], off2[::-1][:m]), 1))
 
-    Eigenvalue i of a matrix starts in its Gershgorin interval.  Each round
-    splits every interval into 16 equal parts and evaluates the Sturm count
-    (the number of negative pivots of T - xI, i.e. of eigenvalues below x)
-    at the 15 interior points of all intervals at once; eigenvalue i keeps
-    the part between the last point whose count is at most i and the next
-    one (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).  The rounds are
-    fixed: 16^-14 = 2^-56 of the Gershgorin span is below one ulp of it.
+
+def _sturm(rows, x, newton=False):
+    """The Sturm count at every point of x (k, w): the number of negative
+    pivots of T - xI, i.e. of eigenvalues of matrix r below x[r, j], with
+    rows from _pivot_rows.  With newton, also the sum of D'/D over the
+    pivots D, the derivative of log|det(T - xI)|: minus its reciprocal is
+    the Newton step towards an eigenvalue.
 
     The pivots come from both ends at once.  With m = n // 2, step i
     eliminates row i top-down and row n-1-i bottom-up, both halves as one
@@ -176,165 +182,197 @@ def _multisection(d, e):
     factorization of T - xI (Parlett & Dhillon, Linear Algebra Appl. 309,
     2000), an LDL^T in another elimination order, which makes no fill; by
     Sylvester's law of inertia its negative pivots count the eigenvalues
-    below x as the top-down ones do, in half the sequential steps.  Each
-    half keeps a running tally of its negative pivots, one small integer
-    array, to which every step adds; for an even n, row m's pivot replaces
-    D-[m], the bottom half's last, in its tally.
-    The squares of e are raised to at least the smallest normal float, so
-    that an exact zero pivot gives an infinite one next, never 0/0; d's
-    -0.0 becomes +0.0, so that a zero pivot is never -0.0, which would
-    count as nonnegative but divide like a negative one."""
+    below x as the top-down ones do, in half the sequential steps, and the
+    product of its pivots is det(T - xI).  Each half keeps a running tally
+    of its negative pivots, one small integer array, to which every step
+    adds; for an even n, row m's pivot replaces D-[m], the bottom half's
+    last, in its tally.  The derivatives run along: D'[i] = -1 +
+    e[i-1]^2 D'[i-1]/D[i-1]^2 in each half, and row m's is D-'[m] +
+    e[m-1]^2 D+'[m-1]/D+[m-1]^2."""
+    diag, off2, ends, ends2 = rows
+    n = len(diag)
+    m = n // 2
+    q, t = np.ones((2, 2, *x.shape))
+    if newton:
+        dq, r, total = np.zeros((3, 2, *x.shape))
+    neg = np.zeros(q.shape, bool)       # q < 0 at this step
+    # the negative pivots of each half so far; a narrow count: bool -> intp
+    # is several times slower
+    tally = np.zeros(q.shape, np.min_scalar_type(n))
+    for i in range(m):
+        np.divide(ends2[i], q, out=t)
+        if newton:
+            np.divide(dq, q, out=r)     # D'/D of the pivots before
+            total += r
+            np.multiply(t, r, out=dq)
+            dq -= 1
+        np.subtract(ends[i], x, out=q)
+        q -= t
+        np.less(q, 0, out=neg)
+        tally += neg
+    if newton:
+        np.divide(dq, q, out=r)
+    if n % 2:                   # the bottom half takes row m as well
+        np.divide(off2[m + 1], q[1], out=t[1])
+        if newton:
+            total[1] += r[1]
+            np.multiply(t[1], r[1], out=dq[1])
+            dq[1] -= 1
+        np.subtract(diag[m], x, out=q[1])
+        q[1] -= t[1]
+    else:                       # row m's pivot replaces D-[m], the last bottom one
+        tally[1] -= neg[1]
+    # row m's pivot, D-[m] - e[m-1]^2/D+[m-1]
+    np.divide(off2[m], q[0], out=t[0])
+    q[1] -= t[0]
+    np.less(q[1], 0, out=neg[1])
+    tally[1] += neg[1]
+    count = tally[0] + tally[1]
+    if not newton:
+        return count
+    return count, total[0] + total[1] + r[0] + (dq[1] + t[0] * r[0]) / q[1]
+
+
+def _section(rows, lo, hi, index, clo=None, chi=None):
+    """One multisection round: the 16 equal parts of each interval [lo, hi]
+    (k, w), and the part that holds eigenvalue index (k, w) of its matrix,
+    the one between the last of the 15 interior points whose count is at
+    most index and the next point (Barth, Martin & Wilkinson, Numer.
+    Math. 9, 1967).  Given the counts clo, chi at lo and hi, also those at
+    the ends of the new part."""
+    parts = np.arange(1, SECTION_POINTS + 1) / (SECTION_POINTS + 1)
+    width = hi - lo
+    x = lo[..., None] + width[..., None] * parts
+    count = _sturm(rows, x.reshape(len(x), -1)).reshape(x.shape)
+    at = np.sum(count <= index[..., None], axis=-1)
+    new = lo + width * (at / (SECTION_POINTS + 1)), lo + width * ((at + 1) / (SECTION_POINTS + 1))
+    if clo is None:
+        return new
+    count = np.concatenate((clo[..., None], count, chi[..., None]), -1)
+    return (*new, np.take_along_axis(count, at[..., None], -1)[..., 0],
+            np.take_along_axis(count, at[..., None] + 1, -1)[..., 0])
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _spectrum(d, e, index):
+    """Eigenvalues index (an ascending array of indices) of each real
+    symmetric tridiagonal matrix with diagonal d (k, n) and off-diagonal
+    e (k, n-1), as an array (k, len(index)), ascending.
+
+    Every step is a Sturm count (_sturm) of each eigenvalue at points of its
+    own, elementwise, so a matrix's eigenvalues do not depend on the others
+    in the stack.
+    1. A shared grid: 15n equal parts of each matrix's Gershgorin interval
+       (as many points as a round of 15 per eigenvalue) bracket eigenvalue i
+       between the last grid point whose count is at most i and the next.
+    2. One multisection round (_section) in each bracket.
+    3. Newton passes on each eigenvalue alone in its bracket (the counts at
+       its ends are i and i + 1).  A pass at x counts there, which moves an
+       end of the bracket to x, and gives the Newton step -1/sum(D'/D).  A
+       step past an end is reflected at it (an eigenvalue at an end, as a
+       diagonal matrix's are, draws steps just past it), and one that still
+       leaves the bracket gives way to bisection.  Where a pivot is exactly
+       zero there is no slope (nan); the pass then probes one resolution
+       (2^-54 of the Gershgorin span, or an ulp of x if that is more)
+       towards the middle.  An eigenvalue stops once its step is at most
+       2^-54 of the span, or a Newton step is not shorter than the one
+       before (rounding then moves it), or its bracket is two resolutions
+       wide.
+    4. The rest, a bracket that holds more than one eigenvalue or one that
+       NEWTON_PASSES left moving, takes the remaining multisection rounds,
+       12 of them: (16 (15n + 1))^-1 16^-12 of the span is below one ulp
+       of it.  Its eigenvalue is the middle of its last bracket."""
     k, n = d.shape
+    rows = _pivot_rows(d, e)
     radius = np.zeros((k, n))
     radius[:, 1:] += e
     radius[:, :-1] += e
-    lo = np.repeat(np.min(d - radius, axis=1, initial=np.inf)[:, None], n, axis=1)
-    hi = np.repeat(np.max(d + radius, axis=1, initial=-np.inf)[:, None], n, axis=1)
-    m = n // 2
-    diag = (d.T + 0.0)[:, :, None, None]                  # (n, k, 1, 1)
-    off2 = np.zeros((n + 1, k, 1, 1))      # e[i-1]^2; none above row 0 or below row n-1
-    off2[1:n, :, 0, 0] = np.maximum(e * e, TINY).T
-    # step i takes row i top-down and row n-1-i bottom-up, each with its
-    # coupling to the row taken before it
-    ends = np.stack((diag[:m], diag[::-1][:m]), 1)          # (m, 2, k, 1, 1)
-    ends2 = np.stack((off2[:m], off2[::-1][:m]), 1)
-    index = np.arange(n)[:, None]
-    parts = np.arange(1, SECTION_POINTS + 1) / (SECTION_POINTS + 1)
-    q, t = np.empty((2, 2, k, n, SECTION_POINTS))
-    neg = np.zeros((2, k, n, SECTION_POINTS), bool)         # q < 0 at this step
-    # the negative pivots of each half so far; a narrow count: bool -> intp
-    # is several times slower
-    tally = np.empty((2, k, n, SECTION_POINTS), np.min_scalar_type(n))
-    with np.errstate(divide="ignore"):
-        for _ in range(SECTION_ROUNDS):
-            width = hi - lo
-            x = lo[..., None] + width[..., None] * parts    # (k, n, points)
-            q.fill(1.0)
-            tally.fill(0)
-            for i in range(m):
-                np.divide(ends2[i], q, out=t)
-                np.subtract(ends[i], x, out=q)
-                q -= t
-                np.less(q, 0, out=neg)
-                tally += neg
-            if n % 2:               # the bottom half takes row m as well
-                np.divide(off2[m + 1], q[1], out=t[1])
-                np.subtract(diag[m], x, out=q[1])
-                q[1] -= t[1]
-            else:                   # row m's pivot replaces D-[m], the last bottom one
-                tally[1] -= neg[1]
-            # row m's pivot, D-[m] - e[m-1]^2/D+[m-1]
-            np.divide(off2[m], q[0], out=t[0])
-            q[1] -= t[0]
-            np.less(q[1], 0, out=neg[1])
-            tally[1] += neg[1]
-            count = tally[0] + tally[1]
-            # the new ends are points of x, or lo and hi, by the same formula
-            at = np.sum(count <= index, axis=-1) / (SECTION_POINTS + 1)
-            lo, hi = lo + width * at, lo + width * (at + parts[0])
+    lo = np.min(d - radius, axis=1, initial=np.inf)[:, None]
+    span = np.max(d + radius, axis=1, initial=-np.inf)[:, None] - lo
+    grid = SECTION_POINTS * n
+    count = _sturm(rows, lo + span * (np.arange(1, grid + 1) / (grid + 1)))
+    # the points whose count is at most i, for every i: a histogram of the
+    # counts, summed; and the counts at lo and hi, 0 and n
+    below = np.bincount((count + (n + 1) * np.arange(k)[:, None]).ravel(),
+                        minlength=k * (n + 1)).reshape(k, n + 1).cumsum(1)[:, index]
+    count = np.concatenate((np.zeros((k, 1), count.dtype), count, np.full((k, 1), n, count.dtype)), 1)
+    clo = np.take_along_axis(count, below, 1)
+    chi = np.take_along_axis(count, below + 1, 1)
+    lo, hi = lo + span * (below / (grid + 1)), lo + span * ((below + 1) / (grid + 1))
+    lo, hi, clo, chi = _section(rows, lo, hi, index, clo, chi)
+
+    x = (lo + hi) / 2
+    tol = span * 2.0 ** -54
+    moving = (clo == index) & (chi == index + 1)
+    isolated = moving.copy()
+    last = np.full(x.shape, np.inf)         # the last Newton step
+    for _ in range(NEWTON_PASSES):
+        if not moving.any():
+            break
+        count, slope = _sturm(rows, x, newton=True)
+        up = count <= index             # x is at most eigenvalue index
+        lo = np.where(moving & up, x, lo)
+        hi = np.where(moving & ~up, x, hi)
+        step = -1 / slope
+        size = np.abs(step)
+        # a step past an end is reflected at it
+        new = x + step
+        new = np.where(new < lo, 2 * lo - new, np.where(new > hi, 2 * hi - new, new))
+        newton = (lo <= new) & (new <= hi)
+        # the resolution at x: the tolerance, or one ulp of x if that is more
+        ulp = np.maximum(tol, np.abs(np.spacing(x)))
+        done = (size <= tol) | newton & (size >= last) | (hi - lo <= 2 * ulp)
+        # no slope (nan) where a pivot is exactly zero: a probe one
+        # resolution towards the middle, else bisection
+        mid = (lo + hi) / 2
+        other = np.where(np.isnan(step), x + np.copysign(ulp, mid - x), mid)
+        x = np.where(moving & newton, new, np.where(moving & ~done, other, x))
+        moving &= ~done
+        last = np.where(newton, size, np.inf)
+
+    rest = moving | ~isolated
+    if rest.any():
+        # the eigenvalues left, by matrix, padded to one width with copies
+        some = np.flatnonzero(rest.any(1))
+        rest = rest[some]
+        left = rest.sum(1)
+        at = np.argsort(~rest, axis=1, kind="stable")[:, :left.max()]
+        part = np.arange(at.shape[1]) < left[:, None]
+        lo, hi = (np.take_along_axis(v[some], at, 1) for v in (lo, hi))
+        rows = _pivot_rows(d[some], e[some])
+        for _ in range(SECTION_ROUNDS - 2):
+            lo, hi = _section(rows, lo, hi, index[at])
+        x[some[np.nonzero(part)[0]], at[part]] = ((lo + hi) / 2)[part]
     # ascending also where rounding makes two neighbouring counts disagree
-    return np.maximum.accumulate((lo + hi) / 2, axis=-1)
+    return np.maximum.accumulate(x, axis=-1)
 
 
-def eigenvalues(h):
+def eigenvalues(h, largest=False):
     """All eigenvalues of a Hermitian matrix, ascending; for a stack
-    (k, n, n), one ascending array per matrix.
+    (k, n, n), one ascending array per matrix.  With largest, only the
+    largest eigenvalue of each matrix is resolved, and each array holds just
+    that one.
 
     Each matrix is scaled by a power of two to entries below 1 (exactly),
     reduced to real tridiagonal form by Householder reflections and its
-    eigenvalues found by Sturm-count multisection, all in one pass over the
-    stack; each result is bit-identical to that of solving its matrix
-    alone.  Real input, or complex input with no imaginary part, is reduced
-    in real arithmetic, and real input is never copied to complex."""
+    eigenvalues found by Sturm counts and Newton steps (_spectrum), all in
+    one pass over the stack; each result is bit-identical to that of
+    solving its matrix alone.  Real input, or complex input with no
+    imaginary part, is reduced in real arithmetic, and real input is never
+    copied to complex."""
     h = _assert_hermitian(h)
     a = h[None] if h.ndim == 2 else h       # a single matrix is a stack of one
     a = a.copy() if np.iscomplexobj(a) and a.imag.any() else a.real.copy()
     _, scale = np.frexp(np.max(np.abs(a), axis=(1, 2), initial=0.0))
     flat = a.view(np.float64)               # real and imaginary parts alike
     np.ldexp(flat, -scale[:, None, None], out=flat)
-    vals = _multisection(*_tridiagonalize(a))
+    index = np.arange(a.shape[-1])
+    vals = _spectrum(*_tridiagonalize(a), index[-1:] if largest else index)
     with np.errstate(over="ignore"):
         vals = np.ldexp(vals, scale[:, None]) + 0.0     # + 0.0: no -0.0
     if not np.isfinite(vals).all():
         raise ValueError("an eigenvalue exceeds the float range")
     return list(vals) if h.ndim == 3 else list(vals[0])
-
-
-def projectors(j, direction: Direction):
-    """Orthogonal projectors F_m onto the eigenspaces of S_j(direction),
-    returned in ascending m = -j .. +j.  The spectrum of S_j is exactly
-    -j .. +j, so each F_m is the Lagrange-Sylvester polynomial
-    prod_{k != m} (S - kI) / (m - k) in S.  Its 2j factors lose accuracy as
-    j grows: off numpy.linalg.eigh's by 1e-14 to j = 3, 2e-12 at 5, 1e-6 at 10."""
-    j = _check_j(j)
-    s = spin_operator(j, direction)
-    eye = np.eye(len(s))
-    ms = [float(k - j) for k in range(len(s))]
-    out = []
-    for m in ms:
-        f = eye
-        for k in ms:
-            if k != m:
-                f = f @ (s - k * eye) / (m - k)
-        out.append(f)
-    return out
-
-
-def singlet(j):
-    """Total-spin-zero state of two spin-j particles:
-    sum_m (-1)^(j-m)/sqrt(2j+1) |m, -m>."""
-    j = _check_j(j)
-    d = int(2 * j + 1)
-    psi = np.zeros(d * d, dtype=complex)
-    for k in range(d):       # m = j - k, row index of |m> is k, of |-m> is d-1-k
-        psi[k * d + (d - 1 - k)] = (-1) ** k / math.sqrt(d)
-    return psi
-
-
-def joint_probability(j, dir1: Direction, dir2: Direction, m1, m2):
-    """Tr{rho_singlet (F_m1(dir1) x F_m2(dir2))}."""
-    j = _check_j(j)
-    m1, m2 = Fraction(m1), Fraction(m2)
-    if abs(m1) > j or abs(m2) > j or (j - m1).denominator != 1 or (j - m2).denominator != 1:
-        raise ValueError("m out of range for this j")
-    f1 = projectors(j, dir1)[int(m1 + j)]
-    f2 = projectors(j, dir2)[int(m2 + j)]
-    return project_and_bound(np.kron(f1, f2), singlet(j))
-
-
-def correlation(j, dir1: Direction, dir2: Direction):
-    """Unnormalized singlet correlation Tr{rho (S x S)}
-    = -(j(j+1)/3) [cos t1 cos t2 + cos(p1-p2) sin t1 sin t2]."""
-    return project_and_bound(np.kron(spin_operator(j, dir1), spin_operator(j, dir2)),
-                             singlet(j))
-
-
-def classical_correlation(theta):
-    """E_c = 2*theta/pi - 1 on [0, pi]."""
-    if not 0 <= theta <= math.pi:
-        raise ValueError("theta must lie in [0, pi]")
-    return 2 * theta / math.pi - 1
-
-
-def delta_E(theta):
-    """Classical-minus-quantum correlation gap -1 + 2*theta/pi + cos(theta)."""
-    if not 0 <= theta <= math.pi:
-        raise ValueError("theta must lie in [0, pi]")
-    return -1 + 2 * theta / math.pi + math.cos(theta)
-
-
-def stronger_than_quantum(theta):
-    """E_s = sgn(theta - pi/2), the extreme ('PR-box style') correlation."""
-    if not 0 <= theta <= math.pi:
-        raise ValueError("theta must lie in [0, pi]")
-    return float((theta > math.pi / 2) - (theta < math.pi / 2))
-
-
-def chsh_eigen_formula(t1, t2, t3, t4):
-    """The four eigenvalues -+2*sqrt(1 -+ sin(t1-t2) sin(t3-t4)), ascending."""
-    q = math.sin(t1 - t2) * math.sin(t3 - t4)
-    lo, hi = 2 * math.sqrt(max(1 - q, 0.0)), 2 * math.sqrt(1 + q)
-    return sorted([-hi, -lo, lo, hi])
 
 
 def bell_state(name):
@@ -421,18 +459,15 @@ def _load_vectors(source, base_dir=None):
 
 def _dichotomic(coords):
     """Dichotomic observable 2|a><a|/<a|a> - I for the vector a of exact
-    coordinates, as a real matrix.  a is scaled exactly, by the power of two
-    that puts its largest |entry| in [1/2, 1), before it is rounded, so the
-    digits do not depend on its length.  The matrix is the real part of the
-    complex one (its imaginary part is exactly zero), whose last bits real
-    arithmetic would not reproduce: numpy divides a complex matrix by a
-    real number through its reciprocal."""
-    top = max(abs(Fraction(x)) for x in coords)
-    scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
-    if top * scale >= 1:    # top * scale lies in (1/2, 2)
-        scale /= 2
-    a = np.array([float(x * scale) for x in coords], dtype=complex)
-    return (2 * np.outer(a, a.conj()) / float(np.real(a.conj() @ a)) - np.eye(a.size)).real
+    coordinates, as a real matrix.  Each entry is computed exactly, with a
+    scaled to integers, and rounded once, so a reflection whose entries are
+    dyadic (an axis vector of any length) is exact, and the digits do not
+    depend on a's length."""
+    den = math.lcm(*(Fraction(x).denominator for x in coords))
+    a = [int(Fraction(x) * den) for x in coords]
+    norm = sum(x * x for x in a)
+    return np.array([[(2 * x * y - norm * (i == j)) / norm for j, y in enumerate(a)]
+                     for i, x in enumerate(a)])
 
 
 def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
@@ -642,7 +677,7 @@ def maximize_bound(expr: OperatorExpr, seed=0):
         # built in one pass from one array of values per angle
         stack = realize_operator(expr, dict(zip(names, np.array(trials).T)))
         stack = np.broadcast_to(stack, (len(trials), *stack.shape[-2:]))
-        return [float(vals[-1]) for vals in eigenvalues(stack)]
+        return [float(vals[0]) for vals in eigenvalues(stack, largest=True)]
 
     def moved(point, i, x):
         trial = list(point)

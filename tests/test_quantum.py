@@ -14,14 +14,16 @@ from hypothesis import given, settings, strategies as st
 
 from correlpoly import cli, quantum as q
 
-from oracles import frozen_spectrum, rotated_mermin
+from oracles import (Direction, chsh_eigen_formula, classical_correlation, correlation, delta_E,
+                     frozen_spectrum, joint_probability, projectors, rotated_mermin, singlet,
+                     spin_operator, stronger_than_quantum)
 
 HALF = Fraction(1, 2)
 TH = Fraction(3, 2)
 
 
 def rnd_direction(rng):
-    return q.Direction(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
+    return Direction(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
 
 
 # --- spin matrices -----------------------------------------------------------
@@ -47,8 +49,8 @@ def test_spin_three_half_mz():
 
 
 def test_spin_operator_entries_half():
-    d = q.Direction(0.83, -1.91)
-    s = q.spin_operator(HALF, d)
+    d = Direction(0.83, -1.91)
+    s = spin_operator(HALF, d)
     t, p = d.theta, d.phi
     want = 0.5 * np.array([[math.cos(t), math.sin(t) * np.exp(-1j * p)],
                            [math.sin(t) * np.exp(1j * p), -math.cos(t)]])
@@ -59,7 +61,7 @@ def test_spin_operator_entries_half():
 def test_spin_spectrum(j):
     rng = random.Random(int(4 * j))
     d = rnd_direction(rng)
-    evs = q.eigenvalues(q.spin_operator(j, d))
+    evs = q.eigenvalues(spin_operator(j, d))
     want = [float(m - j) for m in range(int(2 * j) + 1)]
     assert np.allclose(evs, want, atol=1e-12)
 
@@ -243,6 +245,86 @@ def test_eigenvalues_at_the_two_ended_split(n):
         assert np.array_equal(got, q.eigenvalues(h))            # bit-identical
 
 
+def _wilkinson(n):
+    """W_n+: |i - (n-1)/2| on the diagonal, ones beside it.  Its largest
+    eigenvalues come in pairs; the top two agree to about 1e-13 at n = 21."""
+    return _tridiagonal(np.abs(np.arange(n) - (n - 1) / 2), np.ones(n - 1))
+
+
+def _sections(monkeypatch):
+    """The multisection rounds that eigenvalues runs: one for every
+    eigenvalue, then 12 more where one takes the fallback."""
+    rounds = []
+    section = q._section
+
+    def spy(*args):
+        rounds.append(args[1].shape)
+        return section(*args)
+    monkeypatch.setattr(q, "_section", spy)
+    return rounds
+
+
+def test_close_pairs_take_the_fallback(monkeypatch):
+    h = _wilkinson(21)
+    want = np.linalg.eigvalsh(h)
+    assert want[-1] - want[-2] < 1e-12
+    rounds = _sections(monkeypatch)
+    got = np.array(q.eigenvalues(h))
+    assert len(rounds) == 1 + q.SECTION_ROUNDS - 2
+    assert np.max(np.abs(got - want)) <= 1e-13 * 21 * np.max(np.abs(h))
+    assert np.all(np.diff(got) >= 0)
+
+
+def test_glued_wilkinson():
+    # five W21+ glued by couplings of 1e-8: clusters of up to ten close
+    # eigenvalues
+    n = 21
+    h = np.kron(np.eye(5), _wilkinson(n))
+    for b in range(1, 5):
+        h[b * n - 1, b * n] = h[b * n, b * n - 1] = 1e-8
+    got = np.array(q.eigenvalues(h))
+    assert np.max(np.abs(got - np.linalg.eigvalsh(h))) <= 1e-13 * len(h) * np.max(np.abs(h))
+    assert np.all(np.diff(got) >= 0)
+    assert np.array_equal(q.eigenvalues(np.array([h, h[::-1, ::-1]]))[0], got)
+
+
+def test_cabelloT_takes_no_fallback(monkeypatch):
+    # every eigenvalue of cabelloT is alone in its bracket after the second
+    # round, and Newton steps finish it: the remaining multisection rounds
+    # never run
+    op = q.realize_operator(q.load_preset_expr("cabelloT"))
+    rounds = _sections(monkeypatch)
+    got = np.array(q.eigenvalues(op))
+    assert rounds == [(1, 256)]
+    assert np.max(np.abs(got - np.linalg.eigvalsh(op))) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 30), st.booleans(), st.integers(0, 2**32 - 1))
+def test_largest_eigenvalue_of_a_stack(n, k, complex_, seed):
+    # what maximize_bound asks for: a stack member's largest eigenvalue is
+    # bit-identical to its own solve, and agrees with the full spectrum
+    rng = np.random.default_rng(seed)
+    hs = np.array([_hermitian(rng, n, complex_) for _ in range(k)])
+    top = q.eigenvalues(hs, largest=True)
+    assert np.array(top).shape == (k, 1)
+    assert np.max(np.abs(np.array(top)[:, 0] - np.linalg.eigvalsh(hs)[:, -1])) <= 1e-10
+    for h, got, full in zip(hs, top, q.eigenvalues(hs)):
+        assert np.array_equal(got, q.eigenvalues(h, largest=True)[:1])
+        assert abs(got[0] - full[-1]) <= 1e-12
+
+
+def test_largest_eigenvalue_of_optimizer_stacks():
+    expr = q.load_preset_expr("chsh")
+    trials = np.random.default_rng(3).uniform(-math.pi, math.pi, size=(42, 4))
+    stack = q.realize_operator(expr, dict(zip(expr.param_names, trials.T)))
+    top = [v[0] for v in q.eigenvalues(stack, largest=True)]
+    assert np.max(np.abs(np.array(top) - np.linalg.eigvalsh(stack)[:, -1])) <= 1e-12
+    for h, got in zip(stack, top):
+        assert q.eigenvalues(h, largest=True)[0].tobytes() == got.tobytes()
+    assert q.eigenvalues(np.zeros((2, 0, 0)), largest=True)[0].shape == (0,)
+
+
 def test_non_hermitian_rejected():
     with pytest.raises(ValueError):
         q.eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
@@ -269,8 +351,8 @@ def test_projector_identities(j):
     d = int(2 * j) + 1
     for _ in range(100):
         direction = rnd_direction(rng)
-        fs = q.projectors(j, direction)
-        s = q.spin_operator(j, direction)
+        fs = projectors(j, direction)
+        s = spin_operator(j, direction)
         total = sum(fs)
         recon = sum((float(m) - float(j)) * f for m, f in enumerate(fs))
         assert np.max(np.abs(total - np.eye(d))) <= 1e-10
@@ -291,8 +373,8 @@ def test_projectors_match_dense_eigenvectors(j):
     rng = random.Random(int(2 * j) + 20)
     for _ in range(8):
         direction = rnd_direction(rng)
-        _, vecs = np.linalg.eigh(q.spin_operator(j, direction))
-        fs = q.projectors(j, direction)
+        _, vecs = np.linalg.eigh(spin_operator(j, direction))
+        fs = projectors(j, direction)
         assert len(fs) == vecs.shape[1]
         for f, u in zip(fs, vecs.T):
             assert np.max(np.abs(f - np.outer(u, u.conj()))) <= tol
@@ -317,14 +399,14 @@ def test_src_uses_no_numpy_linalg():
 
 
 def test_projector_half_closed_form():
-    d = q.Direction(1.2, 0.4)
-    fplus = q.projectors(HALF, d)[1]
-    sigma = 2 * q.spin_operator(HALF, d)
+    d = Direction(1.2, 0.4)
+    fplus = projectors(HALF, d)[1]
+    sigma = 2 * spin_operator(HALF, d)
     assert np.max(np.abs(fplus - (np.eye(2) + sigma) / 2)) < 1e-12
 
 
 def test_spin_one_zero_projector_at_pole():
-    f0 = q.projectors(1, q.Direction(0.0, 0.0))[1]
+    f0 = projectors(1, Direction(0.0, 0.0))[1]
     assert np.max(np.abs(f0 - np.diag([0, 1, 0]))) < 1e-12
 
 
@@ -332,18 +414,18 @@ def test_spin_one_zero_projector_at_pole():
 
 def test_singlet_components():
     r = 1 / math.sqrt(2)
-    assert np.allclose(q.singlet(HALF), [0, r, -r, 0])
-    assert np.allclose(q.singlet(1) * math.sqrt(3), [0, 0, 1, 0, -1, 0, 1, 0, 0])
-    psi32 = q.singlet(TH) * 2
+    assert np.allclose(singlet(HALF), [0, r, -r, 0])
+    assert np.allclose(singlet(1) * math.sqrt(3), [0, 0, 1, 0, -1, 0, 1, 0, 0])
+    psi32 = singlet(TH) * 2
     want = np.zeros(16)
     want[3], want[6], want[9], want[12] = 1, -1, 1, -1
     assert np.allclose(psi32, want)
 
 
 def test_joint_probability_uniqueness():
-    d = q.Direction(0.9, 2.2)
-    assert q.joint_probability(HALF, d, d, HALF, HALF) <= 1e-12
-    assert q.joint_probability(1, d, d, 1, 1) <= 1e-12
+    d = Direction(0.9, 2.2)
+    assert joint_probability(HALF, d, d, HALF, HALF) <= 1e-12
+    assert joint_probability(1, d, d, 1, 1) <= 1e-12
 
 
 def test_joint_probability_half_closed_form():
@@ -351,7 +433,7 @@ def test_joint_probability_half_closed_form():
     for _ in range(50):
         t1, t2 = rng.uniform(0, math.pi), rng.uniform(0, math.pi)
         p = rng.uniform(-math.pi, math.pi)
-        got = q.joint_probability(HALF, q.Direction(t1, p), q.Direction(t2, p),
+        got = joint_probability(HALF, Direction(t1, p), Direction(t2, p),
                                   HALF, HALF)
         want = 0.25 * (1 - (math.cos(t1) * math.cos(t2)
                             + math.sin(t1) * math.sin(t2)))
@@ -359,7 +441,7 @@ def test_joint_probability_half_closed_form():
 
 
 def test_joint_probability_antipodal():
-    got = q.joint_probability(HALF, q.Direction(0, 0), q.Direction(math.pi, 0),
+    got = joint_probability(HALF, Direction(0, 0), Direction(math.pi, 0),
                               HALF, HALF)
     assert abs(got - 0.5) <= 1e-12
 
@@ -369,7 +451,7 @@ def test_joint_probabilities_sum_to_one():
     for j in (HALF, 1, TH):
         d1, d2 = rnd_direction(rng), rnd_direction(rng)
         ms = [Fraction(k) - j for k in range(int(2 * j) + 1)]
-        probs = [q.joint_probability(j, d1, d2, m1, m2) for m1 in ms for m2 in ms]
+        probs = [joint_probability(j, d1, d2, m1, m2) for m1 in ms for m2 in ms]
         assert all(-1e-12 <= p <= 1 + 1e-12 for p in probs)
         assert abs(sum(probs) - 1) <= 1e-10
 
@@ -379,7 +461,7 @@ def test_correlation_closed_form(j):
     rng = random.Random(int(2 * j))
     for _ in range(1000):
         d1, d2 = rnd_direction(rng), rnd_direction(rng)
-        got = q.correlation(j, d1, d2)
+        got = correlation(j, d1, d2)
         jj = float(j)
         want = -(jj * (jj + 1) / 3) * (
             math.cos(d1.theta) * math.cos(d2.theta)
@@ -392,12 +474,12 @@ def test_correlation_trace_oracle():
     rng = random.Random(99)
     for j in (HALF, 1, TH):
         d1, d2 = rnd_direction(rng), rnd_direction(rng)
-        s1 = q.spin_operator(j, d1)
-        s2 = q.spin_operator(j, d2)
-        psi = q.singlet(j)
+        s1 = spin_operator(j, d1)
+        s2 = spin_operator(j, d2)
+        psi = singlet(j)
         rho = np.outer(psi, psi.conj())
         want = np.trace(rho @ np.kron(s1, s2)).real
-        assert abs(q.correlation(j, d1, d2) - want) <= 1e-12
+        assert abs(correlation(j, d1, d2) - want) <= 1e-12
 
 
 def test_singlet_rotational_invariance():
@@ -406,35 +488,35 @@ def test_singlet_rotational_invariance():
         t1, t2 = rng.uniform(0, math.pi), rng.uniform(0, math.pi)
         dphi = rng.uniform(-math.pi, math.pi)
         shift = rng.uniform(-math.pi, math.pi)
-        a = q.correlation(1, q.Direction(t1, 0), q.Direction(t2, dphi))
-        b = q.correlation(1, q.Direction(t1, shift), q.Direction(t2, dphi + shift))
+        a = correlation(1, Direction(t1, 0), Direction(t2, dphi))
+        b = correlation(1, Direction(t1, shift), Direction(t2, dphi + shift))
         assert abs(a - b) <= 1e-9
 
 
 def test_classical_correlation_and_gap():
-    assert q.classical_correlation(0) == -1
-    assert q.classical_correlation(math.pi / 2) == 0
-    assert abs(q.delta_E(0)) <= 1e-15
-    assert abs(q.delta_E(math.pi / 2)) <= 1e-15
+    assert classical_correlation(0) == -1
+    assert classical_correlation(math.pi / 2) == 0
+    assert abs(delta_E(0)) <= 1e-15
+    assert abs(delta_E(math.pi / 2)) <= 1e-15
     th = math.asin(2 / math.pi)
     eps = 1e-6
-    deriv = (q.delta_E(th + eps) - q.delta_E(th - eps)) / (2 * eps)
+    deriv = (delta_E(th + eps) - delta_E(th - eps)) / (2 * eps)
     assert abs(deriv) <= 1e-9
-    assert q.stronger_than_quantum(0.2) == -1
-    assert q.stronger_than_quantum(math.pi - 0.2) == 1
+    assert stronger_than_quantum(0.2) == -1
+    assert stronger_than_quantum(math.pi - 0.2) == 1
     with pytest.raises(ValueError):
-        q.classical_correlation(-0.1)
+        classical_correlation(-0.1)
     with pytest.raises(ValueError):
-        q.delta_E(4.0)
+        delta_E(4.0)
     with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\]"):
-        q.stronger_than_quantum(math.pi + 0.1)
+        stronger_than_quantum(math.pi + 0.1)
 
 
 @pytest.mark.parametrize("j, m1, m2", [(HALF, 1, HALF), (HALF, HALF, 0), (1, HALF, 1), (1, 1, -2)])
 def test_joint_probability_rejects_m_outside_the_spectrum(j, m1, m2):
-    d = q.Direction(0.3, 0.4)
+    d = Direction(0.3, 0.4)
     with pytest.raises(ValueError, match="m out of range for this j"):
-        q.joint_probability(j, d, d, m1, m2)
+        joint_probability(j, d, d, m1, m2)
 
 
 def test_unknown_bell_state():
@@ -457,12 +539,12 @@ def test_chsh_formula_matches_eigensolve(angles):
     expr = q.load_preset_expr("chsh")
     params = dict(zip(("t1", "t2", "t3", "t4"), angles))
     evs = q.eigenvalues(q.realize_operator(expr, params))
-    want = q.chsh_eigen_formula(*angles)
+    want = chsh_eigen_formula(*angles)
     assert max(abs(a - b) for a, b in zip(evs, want)) <= 1e-9
 
 
 def test_chsh_formula_degenerate():
-    assert np.allclose(q.chsh_eigen_formula(0.7, 0.7, 1.0, -1.0), [-2, -2, 2, 2])
+    assert np.allclose(chsh_eigen_formula(0.7, 0.7, 1.0, -1.0), [-2, -2, 2, 2])
 
 
 def test_kcbs_preset_spectrum():
@@ -484,7 +566,7 @@ def test_build_operator_matches_kron():
     expr = q.parse_operator_expr(
         "sites 3\nterm 1/2 A@1 B@2 C@3\nterm -3 B@1 A@2 C@3\n"
         "bind A spin 1/2 0.4 1.3\nbind B spin 1/2 2.1 -0.6\nbind C spin 1 1.1 0.2\n")
-    spin = {label: q.spin_operator(spec[1], q.Direction(*spec[2:])) for label, spec in expr.binds}
+    spin = {label: spin_operator(spec[1], Direction(*spec[2:])) for label, spec in expr.binds}
     want = 0
     for coeff, factors in expr.terms:   # the Kronecker products in the same order
         term = np.array([[coeff]], dtype=complex)
@@ -562,26 +644,46 @@ def test_vector_source_read_once_per_parse(monkeypatch):
 VECTOR_FILES = sorted(f.stem for f in (Path(q.__file__).parent / "data" / "vectors").glob("*.vec"))
 
 
+def _exact_dichotomic(coords):
+    # 2|a><a|/<a|a> - I in rationals, each entry rounded once
+    a = [Fraction(x) for x in coords]
+    norm = sum(x * x for x in a)
+    return np.array([[float(2 * x * y / norm - (i == j)) for j, y in enumerate(a)]
+                     for i, x in enumerate(a)])
+
+
 def _complex_dichotomic(coords):
     # the matrix as complex arithmetic gives it, 2|a><a|/<a|a> - I
     a = np.array([float(x) for x in coords], dtype=complex)
     return 2 * np.outer(a, a.conj()) / float(np.real(a.conj() @ a)) - np.eye(a.size)
 
 
-def test_proj_bind_is_the_real_part_of_the_complex_build():
-    # bit for bit, for every atom of every bundled vector file: a real
-    # operator has the spectrum of the complex one it replaces
+def test_proj_bind_is_the_exact_reflection_rounded_once():
+    # bit for bit, for every atom of every bundled vector file.  On the
+    # integer rays of cabello18 this is also what complex arithmetic gives,
+    # so cabelloT's operator is the one it was before entries were rounded
+    # once
     atoms = 0
     for name in VECTOR_FILES:
         for atom, coords in q._load_vectors(f"builtin:{name}").items():
             expr = q.parse_operator_expr(f"sites 1\nterm 1 A@1\nbind A proj builtin:{name} {atom}\n")
             got = q.realize_operator(expr)
-            want = _complex_dichotomic(coords)
-            assert not want.imag.any()
             assert got.dtype == np.float64
-            assert got.tobytes() == want.real.copy().tobytes(), (name, atom)
+            assert got.tobytes() == _exact_dichotomic(coords).tobytes(), (name, atom)
+            if name == "cabello18":
+                assert got.tobytes() == _complex_dichotomic(coords).real.copy().tobytes(), atom
             atoms += 1
     assert len(VECTOR_FILES) == 7 and atoms == 124
+
+
+def test_axis_proj_bind_is_exactly_dichotomic(tmp_path):
+    # 1/49 has no exact float: as the product 2 * 49 * (1/49) - 1 it gave
+    # the eigenvalue 0.9999999999999998
+    (tmp_path / "f.vec").write_text("dim 2\nvector a 0 7\nvector b 1 0\n")
+    expr = q.parse_operator_expr("sites 1\nterm 1 A@1\nbind A proj f.vec a\n", base_dir=tmp_path)
+    op = q.realize_operator(expr)
+    assert op.tobytes() == np.diag([-1.0, 1.0]).tobytes()
+    assert q.eigenvalues(op) == [-1.0, 1.0]
 
 
 def test_proj_bind_of_any_length():
@@ -642,8 +744,8 @@ REAL_TERM, SPIN_TERM = "term 0.5 P@1 Q@2\n", "term -1.5 S@1 P@2\n"
 
 
 def _kron_reference(expr, t):
-    factor = {label: q.spin_operator(spec[1], q.Direction(t, spec[3])) if spec[0] == "spin"
-              else _complex_dichotomic(spec[1]) for label, spec in expr.binds}
+    factor = {label: spin_operator(spec[1], Direction(t, spec[3])) if spec[0] == "spin"
+              else _exact_dichotomic(spec[1]) for label, spec in expr.binds}
     want = 0
     for coeff, factors in expr.terms:
         term = np.array([[coeff]], dtype=complex)

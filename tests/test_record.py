@@ -10,7 +10,7 @@ import pytest
 from correlpoly._record import Record
 from correlpoly.exact_hull import HRep, VRep
 from correlpoly.logic_core import Logic, ParityCertificate
-from correlpoly.quantum import Direction, OperatorExpr, Optimum
+from correlpoly.quantum import OperatorExpr, Optimum
 from correlpoly.realization import Realization, RealVector, VerifyReport
 from correlpoly.vertex_gen import TermSpec
 
@@ -29,7 +29,6 @@ RECORDS = [
     (Realization, ("dimension", "vectors"), (2, (_VECTOR,))),
     (VerifyReport, ("nonorthogonal", "size_warnings", "collinear"), ((), ((0, 2),), ())),
     (TermSpec, ("label", "kind", "atoms"), ("t", "prob", (0,))),
-    (Direction, ("theta", "phi"), (0.5, -1.0)),
     (OperatorExpr, ("sites", "terms", "binds", "params"), _EXPR_FIELDS),
     # params is a dict in maximize_bound's results; a tuple here, to hash
     (Optimum, ("lambda_max", "params", "evaluations", "upper_bound", "certified"),
@@ -105,7 +104,6 @@ def test_record_rejects_wrong_field_names(build):
     (lambda: Realization(3, (RealVector("b", (0, 1)),)),
      "vector b has 2 coordinates in dimension 3"),
     (lambda: Logic("x", ("a", "b", "c"), ((0, 0, 1), (1, 2))), "repeated atom in context"),
-    (lambda: Direction(0.0, float("nan")), "angles must be finite"),
     (lambda: OperatorExpr(2, *_EXPR_FIELDS[1:]), "one factor per site"),
     (lambda: OperatorExpr(1, ((1.0, ("y",)),), *_EXPR_FIELDS[2:]), "unbound labels"),
     (lambda: OperatorExpr(1, (), *_EXPR_FIELDS[2:]), "no terms"),
