@@ -9,7 +9,8 @@ whose maximum is known, built with numpy only.
 Also the paper's closed-form quantities for two spin-j particles in the
 singlet state (projectors, joint probabilities, correlations and the
 classical gap), which the package itself does not use; they start from the
-package's spin component matrices, which the tests check on their own.
+package's spin operators and its check of j, which the tests check on their
+own.
 """
 
 import math
@@ -20,6 +21,8 @@ from math import gcd, prod
 from pathlib import Path
 
 import numpy as np
+
+from correlpoly.quantum import _check_j, _spin_operators
 
 DATA = Path(__file__).parent / "data"
 
@@ -227,21 +230,9 @@ class Direction:
             raise ValueError("direction angles must be finite")
 
 
-def _check_j(j):
-    x = Fraction(j)
-    if 2 * x != int(2 * x) or x < 0:
-        raise ValueError(f"j={j} is not a nonnegative half-integer")
-    return x
-
-
 def spin_operator(j, direction):
     """S_j(theta, phi) = sin(t)cos(p) Mx + sin(t)sin(p) My + cos(t) Mz."""
-    from correlpoly.quantum import spin_components
-
-    mx, my, mz = spin_components(j)
-    sin_t = np.sin(direction.theta)
-    return (sin_t * np.cos(direction.phi) * mx + sin_t * np.sin(direction.phi) * my
-            + np.cos(direction.theta) * mz)
+    return _spin_operators(j, direction.theta, direction.phi)
 
 
 def projectors(j, direction):

@@ -288,6 +288,32 @@ def test_glued_wilkinson():
     assert np.array_equal(q.eigenvalues(np.array([h, h[::-1, ::-1]]))[0], got)
 
 
+def _cluster_past_the_bracket(at, past, m, coupling):
+    """A diagonal matrix, or one with small couplings, whose Gershgorin
+    interval is [-1/2, 1/2]: one eigenvalue at fraction at of a part that
+    the grid and the second round make a bracket, and an m-fold one at
+    fraction past of it, just beyond an end of that bracket."""
+    n = m + 3
+    width = 1 / ((q.SECTION_POINTS * n + 1) * (q.SECTION_POINTS + 1))
+    start = -0.5 + width * (q.SECTION_POINTS + 1) * (q.SECTION_POINTS * n // 3)
+    d = [-0.5, 0.5, start + at * width] + [start + past * width] * m
+    return _tridiagonal(np.array(d), np.full(n - 1, coupling))
+
+
+@pytest.mark.parametrize("coupling", [0.0, 1e-12])
+def test_cluster_just_past_a_bracket_end(coupling):
+    # the cluster draws the Newton steps out of the bracket, and reflected
+    # at its end they did not shrink: a stop there gave the lone eigenvalue
+    # wrong by up to 1e-4
+    for at, past in ((0.01, 1.001), (0.05, 1.05), (0.1, 1.1), (0.2, 1.1),
+                     (0.99, -0.001), (0.95, -0.05), (0.9, -0.1), (0.7, -0.1)):
+        for m in (5, 9):
+            h = _cluster_past_the_bracket(at, past, m, coupling)
+            got = np.array(q.eigenvalues(h))
+            assert np.max(np.abs(got - np.linalg.eigvalsh(h))) <= 1e-13 * len(h) * np.max(np.abs(h))
+            assert np.all(np.diff(got) >= 0)
+
+
 def test_cabelloT_takes_no_fallback(monkeypatch):
     # every eigenvalue of cabelloT is alone in its bracket after the second
     # round, and Newton steps finish it: the remaining multisection rounds
@@ -687,9 +713,10 @@ def test_axis_proj_bind_is_exactly_dichotomic(tmp_path):
 
 
 def test_proj_bind_of_any_length():
-    # the exact coordinates are scaled by a power of two before they are
-    # rounded: neither a square past the float range nor one below it
-    # reaches the matrix, and a vector's length does not change its digits
+    # each entry is computed exactly from the coordinates scaled to
+    # integers and rounded once: neither a square past the float range nor
+    # one below it reaches the matrix, and a vector's length does not
+    # change its digits
     for coords in ((10**200, 0), (Fraction(1, 10**200), 0), (0, -Fraction(1, 10**400))):
         want = np.diag([1.0, -1.0] if coords[0] else [-1.0, 1.0])
         assert q._dichotomic(coords).tobytes() == want.tobytes()
