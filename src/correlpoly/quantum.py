@@ -315,7 +315,7 @@ def _spectrum(d, e, index):
     moving = (clo == index) & (chi == index + 1)
     isolated = moving.copy()
     settled = np.zeros(x.shape, bool)       # stopped by a small step
-    above = settled.copy()                  # its last count was below it
+    above = settled.copy()                  # it lies above its last count
     last = np.full(x.shape, np.inf)         # the last Newton step
     for _ in range(NEWTON_PASSES):
         if not moving.any():

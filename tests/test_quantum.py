@@ -314,6 +314,25 @@ def test_cluster_just_past_a_bracket_end(coupling):
             assert np.all(np.diff(got) >= 0)
 
 
+def test_a_wrong_stop_is_refuted_by_its_count(monkeypatch):
+    # Newton steps made 1e30 times too short stop every eigenvalue in the
+    # middle of its bracket: the count past each refutes it, and the
+    # fallback rounds find it
+    sturm = q._sturm
+
+    def short_steps(rows, x, newton=False):
+        if not newton:
+            return sturm(rows, x)
+        count, slope = sturm(rows, x, newton=True)
+        return count, slope * 1e30
+    monkeypatch.setattr(q, "_sturm", short_steps)
+    rounds = _sections(monkeypatch)
+    h = _hermitian(np.random.default_rng(7), 8, True)
+    got = np.array(q.eigenvalues(h))
+    assert rounds == [(1, 8)] * (1 + q.SECTION_ROUNDS - 2)
+    assert np.max(np.abs(got - np.linalg.eigvalsh(h))) <= 1e-13 * 8 * np.max(np.abs(h))
+
+
 def test_cabelloT_takes_no_fallback(monkeypatch):
     # every eigenvalue of cabelloT is alone in its bracket after the second
     # round, and Newton steps finish it: the remaining multisection rounds
