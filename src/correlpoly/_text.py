@@ -1,5 +1,5 @@
 """What the text formats share: the directive reader of the .logic, .terms,
-.vec and .op formats, the number reader and writer, and the reader of
+.vec and .op formats, the number readers and writer, and the reader of
 bundled data files and of `builtin:`-style names."""
 
 from __future__ import annotations
@@ -118,6 +118,22 @@ def number(tok):
     except (ValueError, ArithmeticError):    # decimal.InvalidOperation is an ArithmeticError
         raise ValueError(f"{tok!r} {problem}") from None
     return x
+
+
+def real(tok):
+    """number(tok) rounded to a float; a value past the float range is a
+    ValueError."""
+    try:
+        return float(number(tok))
+    except OverflowError:
+        raise ValueError(f"{tok!r} is too large for a float") from None
+
+
+def positive(tok, what):
+    """int(tok) for decimal digits naming at least 1, else a ValueError."""
+    if not (tok.isdecimal() and int(tok) >= 1):
+        raise ValueError(f"{what} must be a positive integer, got {tok!r}")
+    return int(tok)
 
 
 def exact_str(x):

@@ -248,7 +248,10 @@ def cmd_quantum(args, run):
         name, sep, val = kv.partition("=")
         if not (name and sep and val):
             raise ValueError(f"--param expects NAME=VALUE, got {kv!r}")
-        overrides[name] = float(val)
+        try:
+            overrides[name] = _text.real(val)
+        except ValueError as exc:
+            raise ValueError(f"--param {name}: {exc}") from None
     params = expr.defaults
     params.update(overrides)
     if args.optimize and not expr.param_names:

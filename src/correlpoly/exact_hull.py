@@ -32,7 +32,7 @@ from math import gcd, lcm
 from operator import mul, or_
 
 from ._record import Record
-from ._text import at_line, exact_str, number
+from ._text import at_line, exact_str, number, positive
 
 
 class VRep(Record):
@@ -250,8 +250,9 @@ def _dd_numpy(dim, rays, zsets, nproc, constraints, ahead):
     hands over: the rays, their zero sets as int bitsets, the number nproc
     of constraints processed (constraint 0 included) and the remaining
     constraints.  The rays are the rows of one integer matrix R, int64
-    while one bound proves that no product below can overflow, and Python
-    ints (dtype object) otherwise.  The zero sets are the rows of a uint64
+    while _ray_dtype, from R's largest entry and the step's constraint,
+    proves that no product of the step can overflow, and Python ints
+    (dtype object) otherwise.  The zero sets are the rows of a uint64
     matrix Z: constraint j is bit j % 64 of word j // 64.
 
     Returns (rays, []).  ahead is None, or the list of the given
@@ -268,18 +269,16 @@ def _dd_numpy(dim, rays, zsets, nproc, constraints, ahead):
     Z = np.array([[z >> 64 * w & 0xFFFF_FFFF_FFFF_FFFF for w in range(words)] for z in zsets],
                  dtype=np.uint64).reshape(-1, words)
 
-    big = None          # an upper bound of max(1, max|R|), or None before the first step
     while True:
         if ahead is not None and nproc <= len(ahead) and (R[:, 0] > 0).all():
-            survivors = _survivors(R, ahead[nproc - 1:], big)
+            survivors = _survivors(R, ahead[nproc - 1:])
             if survivors is not None:
                 return survivors, None
             ahead = None
         cvec = next(constraints, None)
         if cvec is None:
             return [tuple(r) for r in R.tolist()], []
-        dtype, big = _ray_dtype(R, cvec, big)
-        R = R.astype(dtype, copy=False)
+        R = R.astype(_ray_dtype(R, cvec), copy=False)
         c = np.array(cvec, dtype=R.dtype)
         word, bit = nproc // 64, np.uint64(1 << (nproc % 64))
         if word == Z.shape[1]:
@@ -290,8 +289,6 @@ def _dd_numpy(dim, rays, zsets, nproc, constraints, ahead):
         zer = np.flatnonzero(dots == 0)
 
         newR, newZ = _combinations(R, Z, dots, pos, neg, dim)
-        if len(newR):       # dropped rays never lower the bound, new ones may raise it
-            big = max(big, int(newR.max()), -int(newR.min()))
         Z[zer, word] |= bit
         newZ[:, word] |= bit
         keep = np.concatenate((pos, zer))
@@ -304,11 +301,10 @@ def _dd_numpy(dim, rays, zsets, nproc, constraints, ahead):
         Z = np.concatenate((Z, newZ))
 
 
-def _survivors(R, rest, big):
+def _survivors(R, rest):
     """The rays of R (rows, each with y[0] > 0) that satisfy every
     constraint of rest, as int tuples, or None if there are none or some
-    constraint of rest is tight at fewer than dim - 1 of them.  big bounds
-    max|R| as in _ray_dtype, or is None.
+    constraint of rest is tight at fewer than dim - 1 of them.
 
     A survivor lies in the whole cone and is an extreme ray of R's, which
     holds it: a vertex.  That they are all of them is the caller's to
@@ -319,7 +315,7 @@ def _survivors(R, rest, big):
     import numpy as np
 
     # the largest entry of rest stands for all of them in _ray_dtype's test
-    dtype, _ = _ray_dtype(R, [max(abs(x) for c in rest for x in c)], big)
+    dtype = _ray_dtype(R, [max(abs(x) for c in rest for x in c)])
     S = R.astype(dtype, copy=False)
     C = np.array(rest, dtype=dtype).T
     j = 0
@@ -336,19 +332,15 @@ def _survivors(R, rest, big):
     return [tuple(r) for r in S.tolist()]
 
 
-def _ray_dtype(R, cvec, big):
-    """The dtype for the ray matrix R at the step of constraint cvec, int64
+def _ray_dtype(R, cvec):
+    """The dtype for the ray matrix R at the step of constraint cvec: int64
     while no product of the step can overflow it, else object (Python
-    ints), and an upper bound of B = max(1, max|R|).  A dot product of c
-    with a row is at most max|c| * dim * B, and each of the two terms of a
-    combined row at most that times B: the test keeps both under 2**62.
-    `big` is an upper bound of B from the steps before, or None; R is
-    scanned only when there is none or it fails the test, so the dtype is
-    always the one that B itself gives."""
-    reach = max(abs(x) for x in cvec) * R.shape[1]
-    if big is None or reach * big * big >= 1 << 62:
-        big = max(1, int(R.max()), -int(R.min())) if len(R) else 1
-    return ("int64" if reach * big * big < 1 << 62 else object), big
+    ints).  With B = max(1, max|R|), a dot product of c with a row is at
+    most max|c| * dim * B, and each of the two terms of a combined row at
+    most that times B: the test keeps both under 2**62.  R is scanned at
+    every step, a pass over it like the step's dot products."""
+    big = max(1, int(R.max()), -int(R.min())) if len(R) else 1
+    return "int64" if max(abs(x) for x in cvec) * R.shape[1] * big * big < 1 << 62 else object
 
 
 def _combinations(R, Z, dots, pos, neg, effdim):
@@ -562,12 +554,6 @@ def canonicalize(h: HRep) -> HRep:
 # interchange format
 # ---------------------------------------------------------------------------
 
-def _parse_count(tok, what):
-    if not (tok.isdecimal() and int(tok) >= 1):
-        raise ValueError(f"{what} must be a positive integer, got {tok!r}")
-    return int(tok)
-
-
 def parse_dd(text: str):
     """Parse the DD interchange format into a VRep or HRep.  An error on a
     line raises ValueError("line N: ...")."""
@@ -583,7 +569,7 @@ def parse_dd(text: str):
                 count, *idx = head.split()[1:] or [""]
                 if not count.isdecimal():
                     raise ValueError(f"linearity count must be an integer, got {count!r}")
-                idx = [_parse_count(t, "linearity row") for t in idx]
+                idx = [positive(t, "linearity row") for t in idx]
                 if len(idx) != int(count):
                     raise ValueError("linearity count mismatch")
                 rows = set()
@@ -608,8 +594,8 @@ def parse_dd(text: str):
         if len(fields) < 2:
             raise ValueError(f"expected '<rows> <cols> <type>', got {size!r}")
         # an H-representation without rows is all of R^d; a V one needs a point
-        nrows = 0 if kind == "H" and fields[0] == "0" else _parse_count(fields[0], "row count")
-        ncols = _parse_count(fields[1], "column count")
+        nrows = 0 if kind == "H" and fields[0] == "0" else positive(fields[0], "row count")
+        ncols = positive(fields[1], "column count")
     toks, tok_lines = [], []
     for body_line, ln in lines[pos + 2:]:
         if ln == "end":

@@ -31,7 +31,7 @@ from fractions import Fraction
 # the package's modules before numpy: in the other order the peak RSS of a
 # quantum run is higher
 from ._record import Record
-from ._text import bundled, number, read_directives, read_source
+from ._text import bundled, number, positive, read_directives, read_source, real
 from .realization import load_builtin as load_builtin_vectors
 from .realization import parse_vectors
 
@@ -156,20 +156,28 @@ def _tridiagonalize(a):
 
 def _pivot_rows(d, e):
     """The operands of _sturm for the matrices with diagonal d (k, n) and
-    off-diagonal e (k, n-1): the diagonal (n, k, 1), the squared couplings
-    (n+1, k, 1), none above row 0 or below row n-1, and both again as the
-    rows (i, n-1-i) of each two-ended step.  The squares of e are raised to
-    at least the smallest normal float, so that an exact zero pivot gives an
-    infinite one next, never 0/0; d's -0.0 becomes +0.0, so that a zero
-    pivot is never -0.0, which would count as nonnegative but divide like a
-    negative one."""
+    off-diagonal e (k, n-1), with m = ceil(n / 2): the diagonal entries
+    (m, 2, k, 1) of the rows (i, 2m-1-i) of each two-ended step, the
+    squared couplings (m, 2, k, 1) of those rows to the rows eliminated
+    before them (0 at the ends), and the squared coupling (k, 1) of rows
+    m-1 and m.  A matrix of odd n takes one more first row, d = +inf
+    coupled by 0: its pivot is +inf, never negative, its D'/D is -0.0,
+    and the pivot after it is T's first.  So _sturm always meets in the
+    middle of an even number of rows, for an odd n at T's middle row,
+    through the pivots of T's own twisted factorization.  The squares of e
+    are raised to at least the smallest normal float, so that an exact
+    zero pivot gives an infinite one next, never 0/0; d's -0.0 becomes
+    +0.0, so that a zero pivot is never -0.0, which would count as
+    nonnegative but divide like a negative one."""
     k, n = d.shape
-    m = n // 2
-    diag = (d.T + 0.0)[:, :, None]
-    off2 = np.zeros((n + 1, k, 1))
-    off2[1:n, :, 0] = np.maximum(e * e, TINY).T
-    return (diag, off2, np.stack((diag[:m], diag[::-1][:m]), 1),
-            np.stack((off2[:m], off2[::-1][:m]), 1))
+    odd = n % 2
+    m = (n + odd) // 2
+    diag = np.full((2 * m, k, 1), np.inf)
+    diag[odd:, :, 0] = d.T + 0.0
+    off2 = np.zeros((2 * m + 1, k, 1))
+    off2[odd + 1:2 * m, :, 0] = np.maximum(e * e, TINY).T
+    return (np.stack((diag[:m], diag[::-1][:m]), 1),
+            np.stack((off2[:m], off2[::-1][:m]), 1), off2[m])
 
 
 def _sturm(rows, x, newton=False):
@@ -179,32 +187,29 @@ def _sturm(rows, x, newton=False):
     pivots D, the derivative of log|det(T - xI)|: minus its reciprocal is
     the Newton step towards an eigenvalue.
 
-    The pivots come from both ends at once.  With m = n // 2, step i
-    eliminates row i top-down and row n-1-i bottom-up, both halves as one
-    array; for an odd n the bottom half then takes row m as well.  Row m's
-    pivot is last: D-[m] - e[m-1]^2/D+[m-1], that is d[m] - x -
-    e[m-1]^2/D+[m-1] - e[m]^2/D-[m+1].  These are the pivots of a twisted
-    factorization of T - xI (Parlett & Dhillon, Linear Algebra Appl. 309,
-    2000), an LDL^T in another elimination order, which makes no fill; by
-    Sylvester's law of inertia its negative pivots count the eigenvalues
-    below x as the top-down ones do, in half the sequential steps, and the
-    product of its pivots is det(T - xI).  Each half keeps a running tally
-    of its negative pivots, one small integer array, to which every step
-    adds; for an even n, row m's pivot replaces D-[m], the bottom half's
-    last, in its tally.  The derivatives run along: D'[i] = -1 +
-    e[i-1]^2 D'[i-1]/D[i-1]^2 in each half, and row m's is D-'[m] +
-    e[m-1]^2 D+'[m-1]/D+[m-1]^2."""
-    diag, off2, ends, ends2 = rows
-    n = len(diag)
-    m = n // 2
+    The pivots come from both ends of the 2m rows of _pivot_rows at once.
+    Step i of the m steps eliminates row i top-down and row 2m-1-i
+    bottom-up, both halves as one array, and row m's pivot is last:
+    D-[m] - e[m-1]^2/D+[m-1], that is d[m] - x - e[m-1]^2/D+[m-1] -
+    e[m]^2/D-[m+1].  These are the pivots of a twisted factorization of
+    T - xI (Parlett & Dhillon, Linear Algebra Appl. 309, 2000), an LDL^T in
+    another elimination order, which makes no fill; by Sylvester's law of
+    inertia its negative pivots count the eigenvalues below x as the
+    top-down ones do, in half the sequential steps, and the product of its
+    pivots is det(T - xI).  Each half keeps a running tally of its negative
+    pivots, one small integer array, to which every step adds; row m's
+    pivot replaces D-[m], the bottom half's last, in its tally.  The
+    derivatives run along: D'[i] = -1 + e[i-1]^2 D'[i-1]/D[i-1]^2 in each
+    half, and row m's is D-'[m] + e[m-1]^2 D+'[m-1]/D+[m-1]^2."""
+    ends, ends2, middle = rows
     q, t = np.ones((2, 2, *x.shape))
     if newton:
         dq, r, total = np.zeros((3, 2, *x.shape))
     neg = np.zeros(q.shape, bool)       # q < 0 at this step
     # the negative pivots of each half so far; a narrow count: bool -> intp
     # is several times slower
-    tally = np.zeros(q.shape, np.min_scalar_type(n))
-    for i in range(m):
+    tally = np.zeros(q.shape, np.min_scalar_type(2 * len(ends)))
+    for i in range(len(ends)):
         np.divide(ends2[i], q, out=t)
         if newton:
             np.divide(dq, q, out=r)     # D'/D of the pivots before
@@ -215,27 +220,17 @@ def _sturm(rows, x, newton=False):
         q -= t
         np.less(q, 0, out=neg)
         tally += neg
-    if newton:
-        np.divide(dq, q, out=r)
-    if n % 2:                   # the bottom half takes row m as well
-        np.divide(off2[m + 1], q[1], out=t[1])
-        if newton:
-            total[1] += r[1]
-            np.multiply(t[1], r[1], out=dq[1])
-            dq[1] -= 1
-        np.subtract(diag[m], x, out=q[1])
-        q[1] -= t[1]
-    else:                       # row m's pivot replaces D-[m], the last bottom one
-        tally[1] -= neg[1]
-    # row m's pivot, D-[m] - e[m-1]^2/D+[m-1]
-    np.divide(off2[m], q[0], out=t[0])
+    # row m's pivot, D-[m] - e[m-1]^2/D+[m-1], replaces D-[m]
+    tally[1] -= neg[1]
+    np.divide(middle, q[0], out=t[0])
     q[1] -= t[0]
     np.less(q[1], 0, out=neg[1])
     tally[1] += neg[1]
     count = tally[0] + tally[1]
     if not newton:
         return count
-    return count, total[0] + total[1] + r[0] + (dq[1] + t[0] * r[0]) / q[1]
+    r = dq[0] / q[0]            # D+'/D+ of row m-1
+    return count, total[0] + total[1] + r + (dq[1] + t[0] * r) / q[1]
 
 
 def _section(rows, lo, hi, index, clo=None, chi=None):
@@ -523,17 +518,9 @@ def parse_operator_expr(text, base_dir=None) -> OperatorExpr:
     params = {}   # name -> default
     vectors = {}  # source -> {name: coordinates}: each source is read once
 
-    def real(tok):
-        try:
-            return float(number(tok))
-        except OverflowError:
-            raise ValueError(f"{tok!r} is too large for a float") from None
-
     def set_sites(n):
         nonlocal sites
-        sites = number(n)
-        if not isinstance(sites, int) or sites < 1:
-            raise ValueError(f"sites must be a positive integer, got {n!r}")
+        sites = positive(n, "sites")
 
     def param(name, default):
         if name in params:

@@ -8,7 +8,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from ._record import Record
-from ._text import bundled, number, read_directives
+from ._text import bundled, number, positive, read_directives
 from .logic_core import Logic
 
 DEFAULT_TOL = 1e-10
@@ -56,9 +56,7 @@ def parse_vectors(text: str):
 
     def set_dim(d):
         nonlocal dim
-        if not (d.isdecimal() and int(d) >= 1):
-            raise ValueError(f"dim must be a positive integer, got {d!r}")
-        dim = int(d)
+        dim = positive(d, "dim")
 
     def vector(name, *entries):
         if dim is None:

@@ -597,10 +597,45 @@ def test_quantum_optimize_with_projector_bind(capsys, tmp_path):
 
 
 def test_quantum_non_finite_param_exit_1(capsys):
+    # a --param value is read as in a .op file, where inf is no number
     assert main(["quantum", "--preset", "chsh", "--param", "t1=inf"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.splitlines() == [
-        "error: direction angles must be finite"]
+        "error: --param t1: 'inf' is not a rational number"]
+    with pytest.raises(ValueError, match="^direction angles must be finite$"):
+        quantum.realize_operator(quantum.load_preset_expr("chsh"), {"t1": math.inf})
+
+
+def test_quantum_param_value_is_read_as_in_an_op_file(capsys):
+    code, half = run(capsys, "quantum", "--preset", "chsh", "--param", "t4=1/2")
+    assert code == 0 and json.loads(half)["params"]["t4"] == 0.5
+    assert run(capsys, "quantum", "--preset", "chsh", "--param", "t4=0.5") == (0, half)
+
+
+@pytest.mark.parametrize("value, problem", [
+    ("1e400", "'1e400' is too large for a float"), ("1/2x", "'1/2x' is not a rational number")])
+def test_quantum_param_value_error_names_the_param(capsys, value, problem):
+    assert main(["quantum", "--preset", "chsh", "--param", f"t4={value}"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --param t4: {problem}"]
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["quantum", "--expr"], "sites +2\n", "line 1: sites must be a positive integer, got '+2'"),
+    (["verify", "--derive", "--vectors"], "dim +2\n",
+     "line 1: dim must be a positive integer, got '+2'"),
+    (["hull", "--reverse", "--input"], "H-representation\nbegin\n +1 2 real\n 1 0\nend\n",
+     "line 3: row count must be a positive integer, got '+1'"),
+    (["hull", "--reverse", "--input"],
+     "H-representation\nlinearity 1 +1\nbegin\n 1 2 real\n 1 0\nend\n",
+     "line 2: linearity row must be a positive integer, got '+1'"),
+], ids=["sites", "dim", "rows", "linearity-row"])
+def test_counts_are_decimal_digits(capsys, tmp_path, argv, text, message):
+    # one reader for sites, dim and the counts of the DD format: a sign is
+    # no digit
+    f = tmp_path / "f"
+    f.write_text(text)
+    assert main([*argv, str(f)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
 
 @pytest.mark.parametrize("expr, message", [
